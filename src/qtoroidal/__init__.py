@@ -1,11 +1,8 @@
 """Exact symbolic toolkit for toroidal q-character combinatorics.
 
 Modules: scalars (exact arithmetic), cartan, monomials, qchar, tableaux,
-crystal, modrep, fusion, hecke, cli; the monomial kernel under
-``_kernel`` selects a compiled extension when one has been built.
+crystal, modrep, fusion, hecke, cli.
 """
 
-from ._kernel import IMPL as kernel_impl
-
 __version__ = "0.1.0"
-__all__ = ["kernel_impl", "__version__"]
+__all__ = ["__version__"]

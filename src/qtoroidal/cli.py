@@ -48,7 +48,7 @@ def _result(command, status, payload, t0):
     return {
         "command": command,
         "status": status,
-        "elapsed_ms": int((time.time() - t0) * 1000),
+        "elapsed_ms": int((time.perf_counter() - t0) * 1000),
         "payload": payload,
     }
 
@@ -232,7 +232,7 @@ def build_parser():
 def dispatch(argv):
     """Run one subcommand; returns (exit_code, text)."""
     parser = build_parser()
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

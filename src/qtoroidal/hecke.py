@@ -28,9 +28,6 @@ from .scalars import (CycScalar, PolyScalar, QRat, QScalar,
 # permutations of {1..l}, one-line tuples
 # ---------------------------------------------------------------------------
 
-def identity_perm(l):
-    return tuple(range(1, l + 1))
-
 def perm_length(w):
     return sum(1 for i in range(len(w)) for j in range(i + 1, len(w))
                if w[i] > w[j])

@@ -228,19 +228,6 @@ def kernel_basis(matrix, field, ncols=None):
     return basis
 
 
-def solve_linear(matrix, rhs, field):
-    """One solution of matrix x = rhs, or None."""
-    aug = [list(r) + [b] for r, b in zip(matrix, rhs)]
-    rows, pivots = rref(aug, field)
-    n = len(matrix[0]) if matrix else 0
-    if n in pivots:
-        return None
-    x = [field.zero] * n
-    for r, pc in enumerate(pivots):
-        x[pc] = rows[r][n]
-    return x
-
-
 def invert_matrix(matrix, field):
     n = len(matrix)
     aug = [list(matrix[r]) + [field.one if c == r else field.zero

@@ -8,12 +8,65 @@ from __future__ import annotations
 
 import re
 
-from ._kernel import kmerge, kmerge_scaled, kscale
 from .cartan import WeightVector
 from .errors import AlgorithmFailure, DomainError, ParseError
 
 _FACTOR_RE = re.compile(
     r"\s*Y\[\s*(-?\d+)\s*,\s*(-?\d+)\s*\]\s*(?:\^\s*(-?\d+))?")
+
+
+# ---------------------------------------------------------------------------
+# kernel: a monomial key is a tuple of (node, spectral, exponent) triples,
+# sorted by (node, spectral), with no zero exponents.  These three
+# functions are the hot path of every character computation.
+# ---------------------------------------------------------------------------
+
+def kmerge(a, b):
+    """Sum of two exponent maps given as canonical triple tuples."""
+    return kmerge_scaled(a, b, 1)
+
+
+def kmerge_scaled(a, b, c):
+    """a + c*b over canonical triple tuples."""
+    if c == 0 or not b:
+        return a
+    if not a:
+        if c == 1:
+            return b
+        return tuple((i, l, c * e) for (i, l, e) in b)
+    out = []
+    append = out.append
+    na, nb = len(a), len(b)
+    ia = ib = 0
+    while ia < na and ib < nb:
+        ta, tb = a[ia], b[ib]
+        if ta[0] == tb[0] and ta[1] == tb[1]:
+            e = ta[2] + c * tb[2]
+            if e:
+                append((ta[0], ta[1], e))
+            ia += 1
+            ib += 1
+        elif ta < tb:           # decided by (node, spectral): they differ
+            append(ta)
+            ia += 1
+        else:
+            append(tb if c == 1 else (tb[0], tb[1], c * tb[2]))
+            ib += 1
+    if ia < na:
+        out.extend(a[ia:])
+    if ib < nb:
+        out.extend(b[ib:] if c == 1 else
+                   [(i, l, c * e) for (i, l, e) in b[ib:]])
+    return tuple(out)
+
+
+def kscale(a, c):
+    """c*a; an empty tuple for c == 0."""
+    if c == 1:
+        return a
+    if c == 0:
+        return ()
+    return tuple((i, l, c * e) for (i, l, e) in a)
 
 
 class YMonomial:

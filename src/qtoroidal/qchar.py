@@ -13,8 +13,8 @@ import itertools
 
 from .cartan import WeightVector, quantized_cartan_condition
 from .errors import AlgorithmFailure, DomainError, InputError
-from .monomials import (YMonomial, a_monomial, dominance_leq, mono_format,
-                        mono_parse)
+from .monomials import (YMonomial, a_monomial, dominance_leq, kmerge,
+                        kmerge_scaled, mono_format, mono_parse)
 
 
 class QCharacter:
@@ -111,6 +111,7 @@ def fm_expand(C, mtop, depth, order_rng=None):
     demands = {}            # monomial -> {node: copies generated via node}
     layers = {0: [mtop]}
     coeffs = {}
+    a_keys = {}             # (node, spectral) -> key of that A-monomial
 
     for h in range(0, depth + 1):
         layer = layers.pop(h, [])
@@ -146,10 +147,14 @@ def fm_expand(C, mtop, depth, order_rng=None):
                     v = sum(combo)
                     if v == 0 or h + v > depth:
                         continue
-                    g = m
+                    g = m.key
                     for (lo, s), t in zip(strings, combo):
-                        for (ii, ll) in _string_flip_factors(C, i, lo, s, t):
-                            g = g.mul_power(a_monomial(C, ii, ll), -1)
+                        for il in _string_flip_factors(C, i, lo, s, t):
+                            a_key = a_keys.get(il)
+                            if a_key is None:
+                                a_key = a_keys[il] = a_monomial(C, *il).key
+                            g = kmerge_scaled(g, a_key, -1)
+                    g = YMonomial._from_key(g)
                     gh = h + v
                     known = heights.get(g)
                     if known is None:
@@ -229,32 +234,49 @@ def _floor_div(a, b):
 # truncated products and identities
 # ---------------------------------------------------------------------------
 
+def _height_buckets(ch):
+    """The terms of ``ch`` grouped by height: a list of
+    (height, [(key, coeff), ...]) in rising height."""
+    buckets = {}
+    heights = ch.heights
+    for m, c in ch.terms.items():
+        buckets.setdefault(heights[m], []).append((m.key, c))
+    return sorted(buckets.items())
+
+
 def char_product(chars, depth, offset=0):
     """Term map of a product of characters, keeping relative heights
     (offset + sum of factor heights) at most ``depth``.
 
     Soundness rests on heights being additive under products.  Returns
-    {monomial: (coeff, height)} with absolute heights.
+    {monomial: (coeff, height)} with absolute heights.  Each factor's
+    terms are bucketed by height once, so a partial product only meets
+    the buckets that still fit the depth budget.
     """
-    acc = {YMonomial.one(): (1, 0)}
+    budget = depth - offset
+    acc = {(): (1, 0)}
     for ch in chars:
+        buckets = _height_buckets(ch)
         nxt = {}
-        for m1, (c1, h1) in acc.items():
-            for m2, c2 in ch.terms.items():
-                h = h1 + ch.heights[m2]
-                if offset + h > depth:
-                    continue
-                g = m1 * m2
-                prev = nxt.get(g)
-                if prev is None:
-                    nxt[g] = (c1 * c2, h)
-                else:
-                    if prev[1] != h:
-                        raise AlgorithmFailure(
-                            "height clash in truncated product")
-                    nxt[g] = (prev[0] + c1 * c2, h)
+        for k1, (c1, h1) in acc.items():
+            room = budget - h1
+            for h2, bucket in buckets:
+                if h2 > room:
+                    break
+                h = h1 + h2
+                for k2, c2 in bucket:
+                    g = kmerge(k1, k2)
+                    prev = nxt.get(g)
+                    if prev is None:
+                        nxt[g] = (c1 * c2, h)
+                    else:
+                        if prev[1] != h:
+                            raise AlgorithmFailure(
+                                "height clash in truncated product")
+                        nxt[g] = (prev[0] + c1 * c2, h)
         acc = nxt
-    return {m: (c, offset + h) for m, (c, h) in acc.items()}
+    return {YMonomial._from_key(k): (c, offset + h)
+            for k, (c, h) in acc.items()}
 
 
 def _add_term_maps(a, b):

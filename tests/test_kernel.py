@@ -1,81 +1,65 @@
-import os
-import subprocess
-import sys
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import qtoroidal
-from qtoroidal._kernel import IMPL, pure
+from qtoroidal.monomials import kmerge, kmerge_scaled, kscale
 
-try:
-    from qtoroidal._kernel import _speedups
-except ImportError:
-    _speedups = None
+BIG = 2 ** 70
 
-import pytest
+pairs = st.lists(st.tuples(st.integers(-4, 4), st.integers(-8, 8)),
+                 unique=True, max_size=8)
+exps = st.integers(-BIG, BIG).filter(bool)
 
-keys = st.lists(
-    st.tuples(st.integers(-4, 4), st.integers(-8, 8)), unique=True,
-    max_size=8).map(
-    lambda pairs: tuple(sorted((i, l) for (i, l) in pairs)))
-
-
-def with_exps(draw_exps):
-    def build(key, exps):
-        return tuple((i, l, e) for (i, l), e in zip(key, exps) if e)
-    return build
+# a canonical key: (node, spectral) pairs sorted, no zero exponent; the
+# exponents reach 2**70, so products like 2**40 * 2**40 are drawn too
+monomial_keys = pairs.flatmap(
+    lambda ps: st.lists(exps, min_size=len(ps), max_size=len(ps)).map(
+        lambda es: tuple((i, l, e) for (i, l), e in zip(sorted(ps), es))))
+scales = st.one_of(st.integers(-4, 4), st.integers(-BIG, BIG))
 
 
-monomial_keys = st.builds(
-    lambda key, exps: tuple((i, l, e)
-                            for (i, l), e in zip(key, exps) if e),
-    keys, st.lists(st.integers(-5, 5), min_size=8, max_size=8))
+def as_dict(key):
+    return {(i, l): e for (i, l, e) in key}
+
+
+def reference(a, b, c):
+    """a + c*b through a plain dict, returned as a canonical key."""
+    acc = as_dict(a)
+    for (i, l), e in as_dict(b).items():
+        acc[i, l] = acc.get((i, l), 0) + c * e
+    return tuple(sorted((i, l, e) for (i, l), e in acc.items() if e))
+
+
+def assert_canonical(key):
+    assert all(len(t) == 3 for t in key)
+    assert all(e != 0 for (_, _, e) in key)
+    spots = [(i, l) for (i, l, _) in key]
+    assert spots == sorted(set(spots))
 
 
 def test_pure_merge_basics():
     a = ((0, 0, 1),)
     b = ((0, 0, -1),)
-    assert pure.kmerge(a, b) == ()
-    assert pure.kmerge(a, ()) == a
-    assert pure.kscale(a, -2) == ((0, 0, -2),)
-    assert pure.kscale(a, 0) == ()
+    assert kmerge(a, b) == ()
+    assert kmerge(a, ()) == a
+    assert kscale(a, -2) == ((0, 0, -2),)
+    assert kscale(a, 0) == ()
 
 
-@pytest.mark.skipif(_speedups is None, reason="extension not built")
-@settings(max_examples=300, deadline=None)
-@given(monomial_keys, monomial_keys, st.integers(-4, 4))
-def test_compiled_matches_pure(a, b, c):
-    assert _speedups.kmerge(a, b) == pure.kmerge(a, b)
-    assert _speedups.kmerge_scaled(a, b, c) == pure.kmerge_scaled(a, b, c)
-    assert _speedups.kscale(a, c) == pure.kscale(a, c)
+def test_no_silent_overflow():
+    a = ((0, 0, 2 ** 40),)
+    assert kscale(a, 2 ** 40) == ((0, 0, 2 ** 80),)
+    assert kmerge_scaled(a, a, 2 ** 40) == ((0, 0, 2 ** 40 + 2 ** 80),)
 
 
-@pytest.mark.skipif(_speedups is None, reason="extension not built")
-def test_compiled_overflow_falls_back():
-    big = 10 ** 30
-    a = ((0, 0, big),)
-    b = ((0, 0, big),)
-    assert _speedups.kmerge(a, b) == ((0, 0, 2 * big),)
-    assert _speedups.kscale(a, big) == ((0, 0, big * big),)
-
-
-def test_env_override_selects_pure():
-    # The child imports the same copy of the package the suite imported
-    # (source checkout or installed), from its parent directory; the
-    # stripped environment keeps the caller's PYTHONPATH and QTOROIDAL_*
-    # settings out of it.
-    import_root = os.path.dirname(os.path.dirname(qtoroidal.__file__))
-    code = ("import qtoroidal._kernel as k; "
-            "print(k.IMPL, *(getattr(k, f) is getattr(k.pure, f) "
-            "for f in ('kmerge', 'kmerge_scaled', 'kscale')))")
-    out = subprocess.run([sys.executable, "-c", code],
-                         env={"QTOROIDAL_PURE": "1", "PATH": "/usr/bin"},
-                         capture_output=True, text=True,
-                         cwd=import_root)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["pure", "True", "True", "True"]
-
-
-def test_selected_impl_reported():
-    assert IMPL in ("pure", "cython")
+@settings(max_examples=400, deadline=None)
+@given(monomial_keys, monomial_keys, scales)
+def test_kernel_matches_dict_reference(a, b, c):
+    merged = kmerge(a, b)
+    assert merged == reference(a, b, 1)
+    assert_canonical(merged)
+    scaled = kmerge_scaled(a, b, c)
+    assert scaled == reference(a, b, c)
+    assert_canonical(scaled)
+    alone = kscale(a, c)
+    assert alone == reference((), a, c)
+    assert_canonical(alone)

@@ -4,11 +4,12 @@ import pytest
 
 from qtoroidal.cartan import (build_cartan, cartan_preset, finite_type_a,
                               infinite_a)
-from qtoroidal.errors import DomainError, InputError
-from qtoroidal.monomials import a_monomial, mono_parse
-from qtoroidal.qchar import (QCharacter, char_from_json, char_product,
-                             char_to_dot, char_to_json, fm_expand, is_special,
-                             kr_qchar, octahedron_verify, r_shift, s_term,
+from qtoroidal.errors import AlgorithmFailure, DomainError, InputError
+from qtoroidal.monomials import YMonomial, a_monomial, mono_parse
+from qtoroidal.qchar import (QCharacter, _add_term_maps, char_from_json,
+                             char_product, char_to_dot, char_to_json,
+                             fm_expand, is_special, kr_qchar,
+                             octahedron_verify, r_shift, s_term,
                              trivial_character, verify_tsystem)
 
 A3TOR = cartan_preset("A3tor")
@@ -161,6 +162,73 @@ def test_product_soundness_under_truncation():
     full = char_product([a4, b4], 2)
     cut = char_product([a2, b2], 2)
     assert full == cut
+
+
+def nested_loop_product(chars, depth, offset=0):
+    """The nested-loop truncated product: every pair of terms is formed,
+    then dropped when its height exceeds the budget.  Kept as the oracle
+    for the height-bucketed ``char_product``."""
+    acc = {YMonomial.one(): (1, 0)}
+    for ch in chars:
+        nxt = {}
+        for m1, (c1, h1) in acc.items():
+            for m2, c2 in ch.terms.items():
+                h = h1 + ch.heights[m2]
+                if offset + h > depth:
+                    continue
+                g = m1 * m2
+                prev = nxt.get(g)
+                if prev is None:
+                    nxt[g] = (c1 * c2, h)
+                else:
+                    if prev[1] != h:
+                        raise AlgorithmFailure(
+                            "height clash in truncated product")
+                    nxt[g] = (prev[0] + c1 * c2, h)
+        acc = nxt
+    return {m: (c, offset + h) for m, (c, h) in acc.items()}
+
+
+@pytest.mark.parametrize("C, tops", [
+    (A3TOR, ["Y[0,0]", "Y[1,1] Y[1,3]", "Y[2,0] Y[3,1]"]),
+    (AINF, ["Y[0,0]", "Y[1,1] Y[1,3]", "Y[-1,2]"]),
+])
+def test_char_product_matches_nested_loop(C, tops):
+    chars = [fm_expand(C, mono_parse(t), 6) for t in tops]
+    for depth in (0, 2, 4, 6):
+        for n in range(4):
+            for offset in (0, depth // 2, depth + 1):
+                got = char_product(chars[:n], depth, offset)
+                want = nested_loop_product(chars[:n], depth, offset)
+                assert got == want, (n, depth, offset)
+    # factors truncated below the product depth
+    shallow = [fm_expand(C, mono_parse(t), 2) for t in tops]
+    for n in range(4):
+        assert (char_product(shallow[:n], 5, 1)
+                == nested_loop_product(shallow[:n], 5, 1))
+
+
+def clashing_character():
+    """Heights that are not additive: 1 * Y^2 sits at height 1 but
+    Y * Y at height 2."""
+    one, y, y2 = (mono_parse(t) for t in ("1", "Y[0,0]", "Y[0,0]^2"))
+    return QCharacter(A3TOR, one, 4, {one: 1, y: 1, y2: 1},
+                      {one: 0, y: 1, y2: 1})
+
+
+def test_char_product_height_clash():
+    ch = clashing_character()
+    with pytest.raises(AlgorithmFailure, match="height clash"):
+        char_product([ch, ch], 4)
+    with pytest.raises(AlgorithmFailure, match="height clash"):
+        nested_loop_product([ch, ch], 4)
+
+
+def test_add_term_maps_height_clash():
+    ch = clashing_character()
+    with pytest.raises(AlgorithmFailure, match="height clash"):
+        _add_term_maps(char_product([ch], 4),
+                       char_product([ch], 4, offset=1))
 
 
 def test_octahedron_single_cell():
