@@ -269,10 +269,10 @@ def char_product(chars, depth, offset=0):
                     prev = nxt.get(g)
                     if prev is None:
                         nxt[g] = (c1 * c2, h)
+                    elif prev[1] != h:
+                        raise AlgorithmFailure(
+                            "height clash in truncated product")
                     else:
-                        if prev[1] != h:
-                            raise AlgorithmFailure(
-                                "height clash in truncated product")
                         nxt[g] = (prev[0] + c1 * c2, h)
         acc = nxt
     return {YMonomial._from_key(k): (c, offset + h)
