@@ -109,16 +109,6 @@ class UCoproductImage:
         return acc if acc is not None else LinOp.zero()
 
 
-def _module_op(cache, M, gen):
-    key = (id(M), gen)
-    if key not in cache:
-        if gen == ONE:
-            cache[key] = LinOp.identity(M.basis, M.one())
-        else:
-            cache[key] = M.op(gen)
-    return cache[key]
-
-
 def _check_fusable(*mods):
     kinds = {m.kind for m in mods}
     if "loop" in kinds:
@@ -130,11 +120,10 @@ def _check_fusable(*mods):
                           "fields")
 
 
-def coproduct_generator(gen, M1, M2, u_window, _cache=None):
+def coproduct_generator(gen, M1, M2, u_window):
     """Exact image of one generator on basis(M1) x basis(M2) within the
     requested u-window."""
     lo_req, hi_req = u_window
-    cache = {} if _cache is None else _cache
     _check_fusable(M1, M2)
     twist = 1
     lo_nat = _natural_lo(gen, twist)
@@ -149,7 +138,7 @@ def coproduct_generator(gen, M1, M2, u_window, _cache=None):
                                False, req_lo=lo_req)
     coeffs = {}
     for d, ga, gb in delta_terms(gen, twist, hi_req):
-        op = _module_op(cache, M1, ga).tensor(_module_op(cache, M2, gb))
+        op = M1.op(ga).tensor(M2.op(gb))
         if op.is_zero():
             continue
         coeffs[d] = coeffs[d] + op if d in coeffs else op
@@ -161,7 +150,7 @@ def coproduct_generator(gen, M1, M2, u_window, _cache=None):
 # relation preservation under the coproduct
 # ---------------------------------------------------------------------------
 
-def _h_images(M1, M2, nodes, m_bound, u_window, images, cache):
+def _h_images(M1, M2, nodes, m_bound, u_window, images):
     """Derived h images from the logarithm of the phi image series."""
     lo, hi = u_window
     qq = M1.from_qscalar(QScalar({1: 1, -1: -1}))
@@ -174,7 +163,7 @@ def _h_images(M1, M2, nodes, m_bound, u_window, images, cache):
                 gen = ("phip", i, m) if sign > 0 else ("phim", i, -m)
                 img = images.get(gen)
                 if img is None:
-                    img = coproduct_generator(gen, M1, M2, u_window, cache)
+                    img = coproduct_generator(gen, M1, M2, u_window)
                     images[gen] = img
                 if not img.series.is_zero():
                     zc[m] = img.series
@@ -213,7 +202,6 @@ def coproduct_relation_check(M1, M2, u_window, r_bound, m_bound):
     # results if this is ever too tight
     pad = 3 * r_bound + m_bound * m_bound + 4
     build_window = (lo_req - pad, hi_req + pad)
-    cache = {}
     images = {}
     prefix_cache = {}
 
@@ -221,10 +209,9 @@ def coproduct_relation_check(M1, M2, u_window, r_bound, m_bound):
         if gen not in images:
             if gen[0] == "h":
                 images.update(_h_images(M1, M2, M1.nodes, m_bound,
-                                        build_window, images, cache))
+                                        build_window, images))
             else:
-                images[gen] = coproduct_generator(gen, M1, M2, build_window,
-                                                  cache)
+                images[gen] = coproduct_generator(gen, M1, M2, build_window)
         return images[gen]
 
     tensor_one = LinOp.identity([(a, b) for a in M1.basis
@@ -383,11 +370,9 @@ def twisted_coassoc_check(M1, M2, M3, s, s_prime, u_window, gens):
         raise InputError("twists must be positive")
     _check_fusable(M1, M2, M3)
     lo, hi = u_window
-    cache = {}
 
     def op3(ga, gb, gc):
-        return _module_op(cache, M1, ga).tensor(
-            _module_op(cache, M2, gb)).tensor(_module_op(cache, M3, gc))
+        return M1.op(ga).tensor(M2.op(gb)).tensor(M3.op(gc))
 
     report = []
     ok_all = True

@@ -20,8 +20,7 @@ from itertools import permutations, product
 from .errors import DomainError, InputError
 from .linalg import (Field, LinOp, kernel_basis, op_matrix, rref,
                      span_grow)
-from .scalars import (CycScalar, PolyScalar, QRat, QScalar,
-                      cyclotomic_specialize, is_zero_elem)
+from .scalars import PolyScalar, QRat, QScalar, is_zero_elem
 
 
 # ---------------------------------------------------------------------------
@@ -108,30 +107,6 @@ class QRatRing:
         return Field(QRat.zero(), QRat.one())
 
 
-class CycRing:
-    """Order-N cyclotomic field with instantiated parameters."""
-
-    def __init__(self, order, params):
-        self.order = order
-        self.params = list(params)
-        self.is_field = True
-
-    def one(self):
-        return CycScalar.one(self.order)
-
-    def zero(self):
-        return CycScalar.zero(self.order)
-
-    def from_qscalar(self, x):
-        return cyclotomic_specialize(x, self.order)
-
-    def param(self, j):
-        return self.params[j - 1]
-
-    def field(self):
-        return Field(self.zero(), self.one())
-
-
 _QDIFF = QScalar({1: 1, -1: -1})
 
 
@@ -213,11 +188,8 @@ class HeckeModule:
             op = g * op
         return op
 
-    def perm_op(self, w):
-        return self.word_op([("s", i) for i in reduced_word(w)])
 
-
-def build_MA(l, A=None, ring=None):
+def build_MA(l, A=None):
     """The l!-dimensional quotient by the left ideal sending z_j to a_j.
 
     ``A`` lists the parameter values (QScalar/QRat/qscalar-exponents, or
@@ -227,12 +199,11 @@ def build_MA(l, A=None, ring=None):
     """
     if l not in (1, 2, 3):
         raise InputError("only l <= 3 is materialized")
-    if ring is None:
-        if A is None:
-            ring = SymbolicRing(l)
-        else:
-            ring = QRatRing([QRat(a) if isinstance(a, QScalar) else a
-                             for a in A])
+    if A is None:
+        ring = SymbolicRing(l)
+    else:
+        ring = QRatRing([QRat(a) if isinstance(a, QScalar) else a
+                         for a in A])
     perms = all_perms(l)
     qdiff = ring.from_qscalar(_QDIFF)
     sigma_ops = {}
@@ -576,10 +547,6 @@ def zelevinsky_product(M1, M2):
         raise DomainError("factors live over different scalar rings")
     if isinstance(M1.ring, QRatRing):
         ring = QRatRing(M1.ring.params + M2.ring.params)
-    elif isinstance(M1.ring, CycRing):
-        if M1.ring.order != M2.ring.order:
-            raise DomainError("cyclotomic orders differ")
-        ring = CycRing(M1.ring.order, M1.ring.params + M2.ring.params)
     else:
         raise DomainError("instantiate parameters before inducing")
     reps = _coset_reps(l1, l2)

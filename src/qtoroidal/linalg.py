@@ -2,8 +2,9 @@
 
 ``LinOp`` is a column-sparse operator on an arbitrary hashable basis;
 entries are scalar objects with exact arithmetic (QScalar, CycScalar,
-QRat, PolyScalar).  Field routines (kernel, solve, inverse, determinant)
-take a ``Field`` adapter supplying zero, one and division.
+QRat, PolyScalar).  The dense field routines (row reduction, kernel,
+inverse, determinant, invariant-subspace growth) take a ``Field`` adapter
+supplying zero, one and division.
 """
 
 from __future__ import annotations
@@ -34,14 +35,6 @@ class LinOp:
     @classmethod
     def identity(cls, basis, one):
         return cls({b: {b: one} for b in basis})
-
-    @classmethod
-    def from_entries(cls, entries):
-        """entries: iterable of (dst, src, value)."""
-        cols = {}
-        for dst, src, v in entries:
-            cols.setdefault(src, {})[dst] = v
-        return cls(cols)
 
     def is_zero(self):
         return not self.cols
@@ -141,19 +134,10 @@ class LinOp:
                 cols[(s1, s2)] = col
         return LinOp(cols)
 
-    def commutator(self, other):
-        return self * other - other * self
-
     def __eq__(self, other):
         if not isinstance(other, LinOp):
             return NotImplemented
         return (self - other).is_zero()
-
-    def support(self):
-        dsts = set()
-        for col in self.cols.values():
-            dsts.update(col)
-        return set(self.cols) | dsts
 
     def __repr__(self):
         n = sum(len(c) for c in self.cols.values())
@@ -163,14 +147,11 @@ class LinOp:
 class Field:
     """Adapter bundling the constants and division of an exact field."""
 
-    def __init__(self, zero, one, div=None):
+    def __init__(self, zero, one):
         self.zero = zero
         self.one = one
-        self._div = div
 
     def div(self, a, b):
-        if self._div is not None:
-            return self._div(a, b)
         return a / b
 
     def is_zero(self, a):

@@ -7,9 +7,11 @@ act on them is skipped, never silently zeroed.  Root-of-unity quotients
 identify the window periodically and live over a cyclotomic field, so
 every vector is interior there.
 
-Diagonal h-generators are never stored: they are recovered from the
-phi-eigenvalue series through the exact truncated logarithm, keeping the
-phi-tables the single source of truth.
+Every generator acts through one sparse operator (``LinOp``) built once
+per module from the generator tables in ``image()``.  Diagonal
+h-generators have no table of their own: their eigenvalues are recovered
+from the phi-eigenvalue series through the exact truncated logarithm,
+keeping the phi-tables the single source of truth.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ class ModuleRealization:
     ``kind`` is "loop" (generic q, windowed) or "rou" (root of unity,
     periodic).  Generators are addressed by tuples:
     ("xp", a, r), ("xm", a, r), ("phip", a, m>=0), ("phim", a, m<=0),
-    ("k", a, +-1) and the derived ("h", a, m != 0).
+    ("k", a, +-1), the unit ("one",) and the derived ("h", a, m != 0).
     """
 
     def __init__(self, kind, *, n=3, window=None, period=None,
@@ -73,7 +75,7 @@ class ModuleRealization:
         else:
             raise InputError("unknown kind %r" % kind)
         self._basis_set = set(self.basis)
-        self._h_cache = {}
+        self._ops = {}
 
     # -- scalars --------------------------------------------------------
 
@@ -96,11 +98,6 @@ class ModuleRealization:
             return x
         return cyclotomic_specialize(x, self.cyc_order)
 
-    def scalar_div(self, a, b):
-        if self.kind == "loop":
-            return a.exact_div(b)
-        return a / b
-
     # -- labels ----------------------------------------------------------
 
     def _norm(self, a, p):
@@ -111,18 +108,6 @@ class ModuleRealization:
 
     def in_basis(self, label):
         return label in self._basis_set
-
-    def boundary_exits(self):
-        """Labels reachable in one generator step but outside the window."""
-        if self.kind != "loop":
-            return set()
-        out = set()
-        for (a, p) in self.basis:
-            for na, np in ((a - 1, p), (a + 1, p)):
-                lab = self._norm(na, np)
-                if lab not in self._basis_set:
-                    out.add(lab)
-        return out
 
     # -- raw action ------------------------------------------------------
 
@@ -197,42 +182,34 @@ class ModuleRealization:
         if name == "h":
             _, g, m = gen
             return "diag", self.h_eigenvalue(g, m, label)
+        if name == "one":
+            return "diag", self.one()
         raise InputError("unknown generator %r" % (gen,))
 
     def apply(self, gen, vec):
         """Apply a generator to {label: scalar}; raises EscapeError when a
         source label has no table row (outside the window)."""
-        out = {}
-        for label, c in vec.items():
+        for label in vec:
             if not self.in_basis(label):
                 raise EscapeError("label %r is outside the window"
                                   % (label,))
-            img = self.image(gen, label)
-            if img is None:
-                continue
-            tgt, scal = img
-            if tgt == "diag":
-                tgt = label
-            v = scal * c
-            if tgt in out:
-                v = out[tgt] + v
-            if is_zero_elem(v):
-                out.pop(tgt, None)
-            else:
-                out[tgt] = v
-        return out
+        return self.op(gen).apply(vec)
 
     def op(self, gen):
-        """The generator as a sparse operator over the materialized basis;
+        """The generator as a sparse operator over the materialized basis,
+        built from ``image()`` on first use and cached on the module;
         boundary targets appear as labels outside the window."""
-        cols = {}
-        for label in self.basis:
-            img = self.image(gen, label)
-            if img is None:
-                continue
-            tgt, scal = img
-            cols[label] = {label if tgt == "diag" else tgt: scal}
-        return LinOp(cols)
+        op = self._ops.get(gen)
+        if op is None:
+            cols = {}
+            for label in self.basis:
+                img = self.image(gen, label)
+                if img is None:
+                    continue
+                tgt, scal = img
+                cols[label] = {label if tgt == "diag" else tgt: scal}
+            op = self._ops[gen] = LinOp(cols)
+        return op
 
     # -- phi series and derived h ----------------------------------------
 
@@ -256,22 +233,15 @@ class ModuleRealization:
         extracted from the phi series by the exact truncated logarithm."""
         if m == 0:
             raise InputError("h index must be nonzero")
-        key = (g, m, label)
-        if key in self._h_cache:
-            return self._h_cache[key]
         sign = 1 if m > 0 else -1
         mag = abs(m)
         series = self.phi_series(g, sign, label, mag)
         cs = series_log_coeffs(series, mag)
         c = cs[mag - 1]
         if c is None:
-            val = self.one() - self.one()
-        else:
-            val = self.scalar_div(c, self.qq_inv())
-            if sign < 0:
-                val = -val
-        self._h_cache[key] = val
-        return val
+            return self.one() - self.one()
+        val = c.exact_div(self.qq_inv())
+        return -val if sign < 0 else val
 
 
 def build_extremal_loop(window, n=3, corrupt_xp=None):

@@ -131,9 +131,6 @@ class YMonomial:
     def nodes(self):
         return sorted({i for (i, _, _) in self.key})
 
-    def spectral_support(self):
-        return sorted({l for (_, l, _) in self.key})
-
     def weight(self):
         """Pairing coordinates: lambda_j is the node-j exponent sum."""
         coords = {}

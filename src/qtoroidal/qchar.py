@@ -178,20 +178,13 @@ def kr_top_monomial(C, i, k, l):
     return YMonomial(acc)
 
 
-def kr_qchar(C, i, k, l, depth, _cache=None):
+def kr_qchar(C, i, k, l, depth):
     """Truncated character of the node-i, length-k string module at q^l."""
     if k < 0:
         raise InputError("k must be >= 0")
     if k == 0:
         return trivial_character(C, depth)
-    if _cache is not None:
-        key = (i, k, l, depth)
-        if key in _cache:
-            return _cache[key]
-    char = fm_expand(C, kr_top_monomial(C, i, k, l), depth)
-    if _cache is not None:
-        _cache[key] = char
-    return char
+    return fm_expand(C, kr_top_monomial(C, i, k, l), depth)
 
 
 def s_term(C, i, k, l):
@@ -395,7 +388,9 @@ def octahedron_verify(C, depth, i_range, k_range, t_range):
     cache = {}
 
     def T(i, k, t):
-        return kr_qchar(C, i, k, t + 1 - k, depth, _cache=cache)
+        if (i, k, t) not in cache:
+            cache[(i, k, t)] = kr_qchar(C, i, k, t + 1 - k, depth)
+        return cache[(i, k, t)]
 
     cells = []
     ok = True
@@ -466,21 +461,25 @@ def char_to_dot(char):
         if c != 1:
             label = "%d x %s" % (c, label)
         lines.append('  %s [label="%s"];' % (ids[m], label))
-    index = set(order)
+    by_height = {}
     for m in order:
-        h = char.heights[m]
-        for g in order:
-            if char.heights[g] != h + 1:
+        by_height.setdefault(char.heights[m], []).append(m)
+    a_keys = {}             # (node, spectral) -> key of that A-monomial
+    for m in order:
+        for g in by_height.get(char.heights[m] + 1, ()):
+            d = kmerge_scaled(m.key, g.key, -1)    # should be one A-monomial
+            if not d:
                 continue
-            d = m * g.inverse()    # should equal one A-monomial
-            if not d.key:
-                continue
-            cand = max(((i, l) for (i, l, e) in d.key if e > 0),
+            cand = max(((i, l) for (i, l, e) in d if e > 0),
                        key=lambda t: t[1], default=None)
             if cand is None:
                 continue
             i, lm = cand
-            if d == a_monomial(C, i, lm - C.r(i)) and g in index:
+            il = (i, lm - C.r(i))
+            a_key = a_keys.get(il)
+            if a_key is None:
+                a_key = a_keys[il] = a_monomial(C, *il).key
+            if d == a_key:
                 lines.append('  %s -> %s [label="%s"];'
                              % (ids[m], ids[g], i))
     lines.append("}")

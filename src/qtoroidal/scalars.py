@@ -78,10 +78,6 @@ class QScalar:
     def is_one(self):
         return self._c == {0: Fraction(1)}
 
-    def is_unit(self):
-        """Invertible in the Laurent ring, i.e. a single term."""
-        return len(self._c) == 1
-
     def as_q_power(self):
         """Return n if self == q^n, else None."""
         if len(self._c) == 1:
@@ -89,9 +85,6 @@ class QScalar:
             if v == 1:
                 return e
         return None
-
-    def support(self):
-        return sorted(self._c)
 
     def __bool__(self):
         return bool(self._c)
@@ -201,10 +194,6 @@ class QScalar:
         if any(rem):
             raise ExactDivisionError("inexact Laurent division")
         return QScalar({i + lo_n - lo_d: v for i, v in enumerate(quo) if v})
-
-    def subs_int_power(self, m):
-        """The substitution q -> q^m (ring endomorphism for m != 0)."""
-        return QScalar({e * m: v for e, v in self._c.items()})
 
     # -- display ------------------------------------------------------
 
@@ -796,13 +785,6 @@ class TruncSeries:
         return TruncSeries(self.var,
                            {e + d: v for e, v in self.coeffs.items()},
                            self.lo + d, self.hi + d)
-
-    def restrict(self, lo, hi):
-        if lo < self.lo or hi > self.hi:
-            raise WindowError("cannot widen window")
-        return TruncSeries(self.var,
-                           {e: v for e, v in self.coeffs.items()
-                            if lo <= e <= hi}, lo, hi)
 
     def eq_on_common_window(self, other):
         self._check(other)

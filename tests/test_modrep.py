@@ -1,13 +1,14 @@
 import pytest
 
 from qtoroidal.errors import DomainError, EscapeError, InputError
-from qtoroidal.modrep import (build_extremal_loop, build_root_of_unity,
-                              display_monomial, expected_phi_series,
-                              hecke_companion, l_character,
-                              l_character_offset, rou_irreducible,
-                              verify_relations)
+from qtoroidal.linalg import LinOp
+from qtoroidal.modrep import (_relation_instances, build_extremal_loop,
+                              build_root_of_unity, display_monomial,
+                              expected_phi_series, hecke_companion,
+                              l_character, l_character_offset,
+                              rou_irreducible, verify_relations)
 from qtoroidal.monomials import mono_parse
-from qtoroidal.scalars import QScalar, cyclotomic_specialize
+from qtoroidal.scalars import QScalar, cyclotomic_specialize, is_zero_elem
 
 
 def one_vec(M, label):
@@ -42,6 +43,87 @@ def test_commutator_matches_phi_difference():
     phi_diff = (M.apply(("phip", 1, 0), one_vec(M, v))[v]
                 - M.apply(("phim", 1, 0), one_vec(M, v))[v])
     assert phi_diff.exact_div(qq) == QScalar.one()
+
+
+def per_label_apply(M, gen, vec):
+    """The per-label apply loop: each source label's table row is read
+    from ``image()`` and merged into the result one entry at a time.
+    Kept as the oracle for the cached-operator ``apply``."""
+    out = {}
+    for label, c in vec.items():
+        if not M.in_basis(label):
+            raise EscapeError("label %r is outside the window" % (label,))
+        img = M.image(gen, label)
+        if img is None:
+            continue
+        tgt, scal = img
+        if tgt == "diag":
+            tgt = label
+        v = scal * c
+        if tgt in out:
+            v = out[tgt] + v
+        if is_zero_elem(v):
+            out.pop(tgt, None)
+        else:
+            out[tgt] = v
+    return out
+
+
+def relation_generators(M):
+    gens = []
+    for _, _, terms in _relation_instances(M, 1, 1):
+        for _, seq in terms:
+            for gen in seq:
+                if gen not in gens:
+                    gens.append(gen)
+    return gens
+
+
+def outcome(fn, *args):
+    try:
+        return list(fn(*args).items())
+    except EscapeError:
+        return "escape"
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_extremal_loop((-1, 1)),
+    lambda: build_extremal_loop((-1, 1), corrupt_xp=(1, 1)),
+    lambda: build_root_of_unity(1),
+    lambda: build_root_of_unity(2),
+], ids=["loop", "corrupt", "rou1", "rou2"])
+def test_apply_matches_per_label_loop(make):
+    M = make()
+    gens = relation_generators(M)
+    assert {g[0] for g in gens} == {"k", "h", "xp", "xm", "phip", "phim"}
+    # basis vectors, a mixed vector and every one-step image (for the loop
+    # module these include boundary targets, whose images must escape)
+    mixed = {v: M.q_power(k) + M.one() for k, v in enumerate(M.basis)}
+    vecs = [{v: M.one()} for v in M.basis] + [mixed]
+    vecs += [per_label_apply(M, g, {v: M.one()}) for g in gens
+             for v in M.basis]
+    escaped = 0
+    for gen in gens:
+        for vec in vecs:
+            want = outcome(per_label_apply, M, gen, vec)
+            escaped += want == "escape"
+            assert outcome(M.apply, gen, vec) == want, (gen, vec)
+    assert (escaped > 0) == (M.kind == "loop")
+
+
+def test_apply_escapes_outside_window():
+    M = build_extremal_loop((0, 1))
+    for gen in (("k", 1, 1), ("xp", 0, 0), ("h", 2, 1)):
+        with pytest.raises(EscapeError):
+            M.apply(gen, {(1, 2): M.one()})
+        with pytest.raises(EscapeError):
+            M.apply(gen, {(1, 0): M.one(), (4, -1): M.one()})
+
+
+def test_generator_operators_are_cached():
+    for M in (build_extremal_loop((-1, 1)), build_root_of_unity(2)):
+        assert M.op(("xp", 1, 0)) is M.op(("xp", 1, 0))
+        assert M.op(("one",)) == LinOp.identity(M.basis, M.one())
 
 
 def test_escape_on_window_edge():

@@ -5,7 +5,7 @@ import pytest
 from qtoroidal.cartan import (build_cartan, cartan_preset, finite_type_a,
                               infinite_a)
 from qtoroidal.errors import AlgorithmFailure, DomainError, InputError
-from qtoroidal.monomials import YMonomial, a_monomial, mono_parse
+from qtoroidal.monomials import YMonomial, a_monomial, mono_format, mono_parse
 from qtoroidal.qchar import (QCharacter, _add_term_maps, char_from_json,
                              char_product, char_to_dot, char_to_json,
                              fm_expand, is_special, kr_qchar,
@@ -254,6 +254,57 @@ def test_char_json_round_trip():
     back = char_from_json(obj, A3TOR)
     assert back.terms == ch.terms and back.heights == ch.heights
     assert obj["terms"][0]["monomial"] == "Y[0,0]"
+
+
+def nested_loop_dot(char):
+    """The all-pairs DOT rendering: every ordered pair of terms is tested
+    for a height-(h+1) neighbour.  Kept as the oracle for the
+    height-grouped ``char_to_dot``."""
+    C = char.cartan
+    order = [m for m, _ in char.sorted_terms()]
+    ids = {m: "m%d" % k for k, m in enumerate(order)}
+    lines = ["digraph qchar {", "  rankdir=TB;"]
+    for m in order:
+        label = mono_format(m)
+        c = char.terms[m]
+        if c != 1:
+            label = "%d x %s" % (c, label)
+        lines.append('  %s [label="%s"];' % (ids[m], label))
+    index = set(order)
+    for m in order:
+        h = char.heights[m]
+        for g in order:
+            if char.heights[g] != h + 1:
+                continue
+            d = m * g.inverse()
+            if not d.key:
+                continue
+            cand = max(((i, l) for (i, l, e) in d.key if e > 0),
+                       key=lambda t: t[1], default=None)
+            if cand is None:
+                continue
+            i, lm = cand
+            if d == a_monomial(C, i, lm - C.r(i)) and g in index:
+                lines.append('  %s -> %s [label="%s"];'
+                             % (ids[m], ids[g], i))
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("C, tops", [
+    (A3TOR, ["Y[0,0]", "Y[1,1] Y[1,3]", "Y[2,0] Y[3,1]", "Y[0,0] Y[0,2]^2"]),
+    (AINF, ["Y[0,0]", "Y[1,1] Y[1,3]", "Y[-1,2] Y[1,2]", "Y[0,0]^2"]),
+])
+def test_char_to_dot_matches_nested_loop(C, tops):
+    for top in tops:
+        for depth in (0, 1, 3, 6):
+            ch = fm_expand(C, mono_parse(top), depth)
+            assert char_to_dot(ch) == nested_loop_dot(ch), (top, depth)
+    for k in (1, 2, 3):
+        ch = kr_qchar(C, 0, k, 0, 5)
+        dot = char_to_dot(ch)
+        assert dot == nested_loop_dot(ch), k
+        assert " -> " in dot
 
 
 def test_dot_contains_labeled_edges():
