@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -105,6 +106,247 @@ def test_specialize_is_ring_morphism(x, y, n):
             == cyclotomic_specialize(x, n) * cyclotomic_specialize(y, n))
     assert (cyclotomic_specialize(x + y, n)
             == cyclotomic_specialize(x, n) + cyclotomic_specialize(y, n))
+
+
+def _frac_divmod(num, den):
+    """Long division of dense Fraction lists, low degree first."""
+    num = list(num)
+    dd = len(den) - 1
+    while dd > 0 and den[dd] == 0:
+        dd -= 1
+    lead = den[dd]
+    quo = [Fraction(0)] * max(0, len(num) - dd)
+    for i in range(len(num) - 1, dd - 1, -1):
+        c = num[i]
+        if c == 0:
+            continue
+        f = c / lead
+        quo[i - dd] = f
+        for j in range(dd + 1):
+            num[i - dd + j] -= f * den[j]
+    while num and num[-1] == 0:
+        num.pop()
+    return quo, num
+
+
+def _frac_gcd(a, b):
+    a, b = list(a), list(b)
+    while any(b):
+        _, a = _frac_divmod(a, b)
+        a, b = b, a
+        while a and a[-1] == 0:
+            a.pop()
+        while b and b[-1] == 0:
+            b.pop()
+    if not a:
+        return [Fraction(1)]
+    lead = a[-1]
+    return [v / lead for v in a]
+
+
+def _frac_laurent(x):
+    """(dense Fraction coefficients from the lowest power, that power)."""
+    c = dict(x.items())
+    lo = min(c)
+    out = [Fraction(0)] * (max(c) - lo + 1)
+    for e, v in c.items():
+        out[e - lo] = v
+    return out, lo
+
+
+class FractionQRat:
+    """Rational function in q as a reduced fraction of two Fraction
+    QScalars, with a Euclidean gcd over Q[q] after every operation.  Kept
+    as the oracle for the integer-polynomial ``QRat``."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den=None):
+        if isinstance(num, (int, Fraction)):
+            num = QScalar.from_const(num)
+        if den is None:
+            den = QScalar.one()
+        elif isinstance(den, (int, Fraction)):
+            den = QScalar.from_const(den)
+        if den.is_zero():
+            raise DomainError("zero denominator")
+        self.num, self.den = self._reduce(num, den)
+
+    @staticmethod
+    def _reduce(num, den):
+        if num.is_zero():
+            return QScalar.zero(), QScalar.one()
+        npoly, nval = _frac_laurent(num)
+        dpoly, dval = _frac_laurent(den)
+        g = _frac_gcd(npoly, dpoly)
+        if len(g) > 1:
+            npoly, _ = _frac_divmod(npoly, g)
+            dpoly, _ = _frac_divmod(dpoly, g)
+        lead = dpoly[-1]
+        num = QScalar({i + nval - dval: v / lead
+                       for i, v in enumerate(npoly) if v})
+        den = QScalar({i: v / lead for i, v in enumerate(dpoly) if v})
+        return num, den
+
+    @classmethod
+    def one(cls):
+        return cls(QScalar.one())
+
+    def is_zero(self):
+        return self.num.is_zero()
+
+    def __bool__(self):
+        return not self.is_zero()
+
+    def _coerce(self, other):
+        if isinstance(other, FractionQRat):
+            return other
+        if isinstance(other, (QScalar, int, Fraction)):
+            return FractionQRat(other if isinstance(other, QScalar)
+                                else QScalar.from_const(other))
+        return None
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return (self.num * o.den) == (o.num * self.den)
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return FractionQRat(self.num * o.den + o.num * self.den,
+                            self.den * o.den)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        r = FractionQRat.__new__(FractionQRat)
+        r.num, r.den = -self.num, self.den
+        return r
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return FractionQRat(self.num * o.num, self.den * o.den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        if o.is_zero():
+            raise DomainError("division by zero")
+        return FractionQRat(self.num * o.den, self.den * o.num)
+
+    def __rtruediv__(self, other):
+        return self._coerce(other) / self
+
+    def inverse(self):
+        return FractionQRat.one() / self
+
+    def __pow__(self, n):
+        if n < 0:
+            return self.inverse() ** (-n)
+        acc = FractionQRat.one()
+        for _ in range(n):
+            acc = acc * self
+        return acc
+
+    def __repr__(self):
+        if self.den.is_one():
+            return repr(self.num)
+        return "(%r)/(%r)" % (self.num, self.den)
+
+
+small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+laurent = st.builds(QScalar, st.dictionaries(st.integers(-3, 3),
+                                             small_fractions, max_size=4))
+nonzero_laurent = laurent.filter(lambda x: not x.is_zero())
+
+
+@st.composite
+def rat_args(draw):
+    """(num, den) of a rational function; half the time both carry a
+    forced common factor."""
+    num, den = draw(laurent), draw(nonzero_laurent)
+    if draw(st.booleans()):
+        c = draw(nonzero_laurent)
+        num, den = num * c, den * c
+    return num, den
+
+
+@st.composite
+def operands(draw):
+    """(QRat operand, oracle operand): a rational function, or the same
+    int, Fraction or QScalar handed to both."""
+    kind = draw(st.sampled_from(["rat", "rat", "int", "fraction",
+                                 "laurent"]))
+    if kind == "rat":
+        num, den = draw(rat_args())
+        return QRat(num, den), FractionQRat(num, den)
+    x = draw({"int": st.integers(-5, 5), "fraction": small_fractions,
+              "laurent": laurent}[kind])
+    return x, x
+
+
+def agree(got, want):
+    assert repr(got) == repr(want)
+    assert got.is_zero() == want.is_zero()
+    assert bool(got) == bool(want)
+
+
+def same_outcome(got, want):
+    """Both calls raise DomainError, or their results agree."""
+    try:
+        w = want()
+    except DomainError:
+        with pytest.raises(DomainError):
+            got()
+        return
+    agree(got(), w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rat_args(), operands(), st.integers(-3, 3))
+def test_qrat_matches_fraction_oracle(args, pair, n):
+    x, ox = QRat(*args), FractionQRat(*args)
+    y, oy = pair
+    agree(x, ox)
+    agree(-x, -ox)
+    for op in (operator.add, operator.sub, operator.mul):
+        agree(op(x, y), op(ox, oy))
+        agree(op(y, x), op(oy, ox))
+    same_outcome(lambda: x / y, lambda: ox / oy)
+    same_outcome(lambda: y / x, lambda: oy / ox)
+    same_outcome(x.inverse, ox.inverse)
+    same_outcome(lambda: x ** n, lambda: ox ** n)
+    assert (x == y) == (ox == oy)
+    assert (y == x) == (oy == ox)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rat_args(), nonzero_laurent, operands())
+def test_qrat_equal_values_hash_equally(args, c, pair):
+    num, den = args
+    x = QRat(num, den)
+    same = QRat(num * c, den * c)
+    assert same == x and hash(same) == hash(x)
+    y, _ = pair
+    back = (x + y) - y
+    assert back == x and hash(back) == hash(x)
 
 
 def test_qrat_field_ops():
