@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import qtoroidal.hecke
+import qtoroidal.linalg
 from qtoroidal.errors import DomainError, InputError
 from qtoroidal.hecke import (SegmentCollection, build_MA,
                              find_isomorphism, invariant_subspaces,
@@ -115,6 +117,60 @@ def test_generic_l2_irreducible():
     rep = invariant_subspaces(M)
     assert rep["irreducible"]
     assert rep["dims"] == [0, 2]
+
+
+@pytest.mark.parametrize("exps, irreducible, dims, factor_dims, lines", [
+    ((1, 0, 2), False, [0, 3, 6], [3, 3], []),
+    ((0, 3, -1), True, [0, 6], [6], []),
+    ((0, 2, 4), False, [0, 1, 3, 3, 5, 6], [1, 2, 2, 1],
+     [{"s1": "-q^-1", "s2": "-q^-1", "z1": "q^4", "z2": "q^2",
+       "z3": "1"}]),
+])
+def test_l3_invariant_subspaces(exps, irreducible, dims, factor_dims, lines):
+    # frozen: one reducible and one irreducible parameter set, and a
+    # q^2-segment, whose module has an invariant line
+    rep = invariant_subspaces(build_MA(3, [q_pow(n) for n in exps]))
+    assert rep["irreducible"] is irreducible
+    assert rep["dims"] == dims
+    assert rep["composition"]["factor_dims"] == factor_dims
+    assert rep["line_data"] == lines
+
+
+def _qrats(obj):
+    if isinstance(obj, QRat):
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for x in obj:
+            yield from _qrats(x)
+
+
+def test_l3_linear_algebra_keeps_int_coefficients(monkeypatch):
+    """Every QRat the row reductions and span growths of an l = 3
+    invariant_subspaces return stores int coefficients: no float, no
+    Fraction."""
+    seen = []
+
+    def spy(fn):
+        def wrapped(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            seen.append(out)
+            return out
+        return wrapped
+
+    for mod in (qtoroidal.hecke, qtoroidal.linalg):
+        monkeypatch.setattr(mod, "rref", spy(qtoroidal.linalg.rref))
+    monkeypatch.setattr(qtoroidal.hecke, "span_grow",
+                        spy(qtoroidal.linalg.span_grow))
+    M = build_MA(3, [q_pow(n) for n in (1, 0, 2)])
+    invariant_subspaces(M)
+    ops = [*M.sigma_ops.values(), *M.z_ops.values()]
+    values = list(_qrats(seen)) + [x for op in ops
+                                   for col in op.cols.values()
+                                   for x in col.values()]
+    # divisions happened: some entries have a non-constant denominator
+    assert any(len(x._d) > 1 for x in values)
+    for x in values:
+        assert all(type(c) is int for c in (*x._n, *x._d, x._v)), x
 
 
 def test_segments_to_drinfeld():

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from qtoroidal.errors import (DomainError, ExactDivisionError, InputError,
                               MixedOrderError, WindowError)
 from qtoroidal.scalars import (CycScalar, QRat, QScalar, TruncSeries,
-                               cyclotomic_polynomial, cyclotomic_specialize,
-                               q_binom, q_factorial, q_int, series_exp,
-                               series_log_coeffs)
+                               _iexquo, cyclotomic_polynomial,
+                               cyclotomic_specialize, q_binom, q_factorial,
+                               q_int, series_exp, series_log_coeffs)
 
 
 def test_q_int_two():
@@ -302,7 +302,15 @@ def operands(draw):
     return x, x
 
 
+def assert_int_parts(x):
+    """A QRat stores int coefficients and an int valuation: no float and
+    no Fraction."""
+    for c in (*x._n, *x._d, x._v):
+        assert type(c) is int, (x, c)
+
+
 def agree(got, want):
+    assert_int_parts(got)
     assert repr(got) == repr(want)
     assert got.is_zero() == want.is_zero()
     assert bool(got) == bool(want)
@@ -347,6 +355,31 @@ def test_qrat_equal_values_hash_equally(args, c, pair):
     y, _ = pair
     back = (x + y) - y
     assert back == x and hash(back) == hash(x)
+
+
+def test_integer_exact_quotient():
+    assert _iexquo([-1, 0, 1], [1, 1]) == [-1, 1]
+    assert _iexquo([4, 6], [2]) == [2, 3]
+    with pytest.raises(ExactDivisionError):
+        _iexquo([1, 0, 1], [1, 1])      # q^2 + 1 by q + 1
+    with pytest.raises(ExactDivisionError):
+        _iexquo([1, 3], [2])            # a content that does not divide
+    with pytest.raises(ExactDivisionError):
+        _iexquo([1], [1, 1])            # lower degree, nonzero
+
+
+def test_qrat_zero_denominator_and_division_by_zero():
+    x = QRat(q_int(2), q_int(3))
+    for den in (0, Fraction(0), QScalar.zero()):
+        with pytest.raises(DomainError):
+            QRat(q_int(2), den)
+    for zero in (QRat.zero(), 0, QScalar.zero()):
+        with pytest.raises(DomainError):
+            x / zero
+    with pytest.raises(DomainError):
+        QRat.zero().inverse()
+    with pytest.raises(DomainError):
+        QRat.zero() ** -1
 
 
 def test_qrat_field_ops():
