@@ -4,7 +4,8 @@ from qtoroidal.errors import InputError, WindowError
 from qtoroidal.fusion import (coproduct_generator, coproduct_relation_check,
                               delta_terms, twisted_coassoc_check)
 from qtoroidal.linalg import LinOp
-from qtoroidal.modrep import build_extremal_loop, build_root_of_unity
+from qtoroidal.modrep import (ModuleRealization, build_extremal_loop,
+                              build_root_of_unity)
 
 
 def tensor_op(M1, M2, genA, genB):
@@ -111,3 +112,25 @@ def test_relation_check_monotone_in_window():
     big = coproduct_relation_check(M, M, (-2, 3), 1, 1)
     small = coproduct_relation_check(M, M, (0, 2), 1, 1)
     assert big["passed"] and small["passed"]
+
+
+def test_relation_check_fails_on_corrupted_table():
+    # negative control: one x+ table with a flipped sign must break the
+    # relations that read it, with a u-degree witness, and leave the rest
+    M = ModuleRealization("rou", n=3, period=1, corrupt_xp=(1, 0))
+    rep = coproduct_relation_check(M, M, (-1, 1), 1, 1)
+    assert rep["passed"] is False
+    fams = {f["family"]: f for f in rep["families"]}
+    assert {name: f["instances"] for name, f in fams.items()} == {
+        "k-cartan": 52, "h-h": 64, "k-x": 96, "h-x": 192, "xpxm": 144,
+        "quadratic": 288, "serre": 504}
+    for name in ("k-cartan", "h-h", "k-x", "serre"):
+        assert fams[name]["passed"] and fams[name]["witness"] is None, name
+    assert fams["h-x"]["witness"] == {
+        "relation": "[h_{0,-1}, xxp_{1,-1}]", "u_degree": -1}
+    assert fams["xpxm"]["witness"] == {
+        "relation": "[x+_{1,-1}, x-_{0,-1}] vs phi", "u_degree": 0}
+    assert fams["quadratic"]["witness"] == {
+        "relation": "xxp_{0,-1+1} xxp_{1,-1} exchange", "u_degree": -1}
+    assert not any(fams[name]["passed"]
+                   for name in ("h-x", "xpxm", "quadratic"))
