@@ -271,6 +271,157 @@ class FractionQRat:
         return "(%r)/(%r)" % (self.num, self.den)
 
 
+def _frac_cyclotomic(n, _cache={}):
+    """Phi_n as a dense Fraction list, low degree first."""
+    if n not in _cache:
+        poly = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
+        for d in range(1, n):
+            if n % d == 0:
+                poly, rem = _frac_divmod(poly, _frac_cyclotomic(d))
+                assert not any(rem)
+        _cache[n] = poly
+    return _cache[n]
+
+
+def _frac_poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1 if a and b else 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _frac_poly_sub(a, b):
+    n = max(len(a), len(b))
+    a = list(a) + [Fraction(0)] * (n - len(a))
+    b = list(b) + [Fraction(0)] * (n - len(b))
+    return [x - y for x, y in zip(a, b)]
+
+
+class FractionCycScalar:
+    """Element of Q(e) mod Phi_N with one Fraction per coefficient, reduced
+    by Fraction long division.  Kept as the oracle for the integer
+    ``CycScalar``."""
+
+    __slots__ = ("order", "_c")
+
+    def __init__(self, order, coeffs=()):
+        self.order = order
+        phi = _frac_cyclotomic(order)
+        deg = len(phi) - 1
+        dense = [Fraction(v) for v in coeffs]
+        if len(dense) > deg:
+            _, dense = _frac_divmod(dense, phi)
+        self._c = tuple(dense + [Fraction(0)] * (deg - len(dense)))
+
+    @classmethod
+    def root_power(cls, order, k):
+        k %= order
+        return cls(order, [0] * k + [1])
+
+    def is_zero(self):
+        return not any(self._c)
+
+    def is_one(self):
+        return self._c[0] == 1 and not any(self._c[1:])
+
+    def __bool__(self):
+        return not self.is_zero()
+
+    def _coerce(self, other):
+        if isinstance(other, FractionCycScalar):
+            if other.order != self.order:
+                raise MixedOrderError("cyclotomic orders differ")
+            return other
+        if isinstance(other, (int, Fraction)):
+            return FractionCycScalar(self.order, (other,))
+        return None
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._c == o._c
+
+    def __hash__(self):
+        return hash((self.order, self._c))
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return FractionCycScalar(self.order,
+                                 [a + b for a, b in zip(self._c, o._c)])
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionCycScalar(self.order, [-a for a in self._c])
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return FractionCycScalar(self.order, _frac_poly_mul(self._c, o._c))
+
+    __rmul__ = __mul__
+
+    def inverse(self):
+        if self.is_zero():
+            raise DomainError("zero has no inverse")
+        r0, r1 = list(self._c), list(_frac_cyclotomic(self.order))
+        s0, s1 = [Fraction(1)], [Fraction(0)]
+        while any(r1):
+            quo, rem = _frac_divmod(r0, r1)
+            r0, r1 = r1, rem
+            s0, s1 = s1, _frac_poly_sub(s0, _frac_poly_mul(quo, s1))
+        while r0 and r0[-1] == 0:
+            r0.pop()
+        return FractionCycScalar(self.order, [v / r0[0] for v in s0])
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __pow__(self, n):
+        if n < 0:
+            return self.inverse() ** (-n)
+        acc = FractionCycScalar(self.order, (1,))
+        for _ in range(n):
+            acc = acc * self
+        return acc
+
+    def __repr__(self):
+        parts = []
+        for i, v in enumerate(self._c):
+            if v == 0:
+                continue
+            body = str(v) if i == 0 else ("e" if i == 1 else "e^%d" % i) \
+                if abs(v) == 1 else "%s*e^%d" % (v, i)
+            if i > 0 and abs(v) == 1 and v < 0:
+                body = "-" + body
+            parts.append(body)
+        return "Cyc%d(%s)" % (self.order, " + ".join(parts) or "0")
+
+
+def frac_specialize(x, n):
+    acc = FractionCycScalar(n)
+    for e, v in x.items():
+        acc = acc + FractionCycScalar.root_power(n, e) * v
+    return acc
+
+
 small_fractions = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 laurent = st.builds(QScalar, st.dictionaries(st.integers(-3, 3),
                                              small_fractions, max_size=4))
@@ -355,6 +506,86 @@ def test_qrat_equal_values_hash_equally(args, c, pair):
     y, _ = pair
     back = (x + y) - y
     assert back == x and hash(back) == hash(x)
+
+
+cyc_orders = st.integers(1, 12)
+cyc_coeffs = st.lists(small_fractions, max_size=8)
+
+
+@st.composite
+def cyc_operands(draw, order):
+    """(CycScalar operand, oracle operand) of one order: an element, or
+    the same int or Fraction handed to both."""
+    kind = draw(st.sampled_from(["cyc", "cyc", "int", "fraction"]))
+    if kind == "cyc":
+        cs = draw(cyc_coeffs)
+        return CycScalar(order, cs), FractionCycScalar(order, cs)
+    x = draw(st.integers(-5, 5) if kind == "int" else small_fractions)
+    return x, x
+
+
+def cyc_agree(got, want):
+    assert repr(got) == repr(want)
+    assert got.is_zero() == want.is_zero()
+    assert got.is_one() == want.is_one()
+    assert bool(got) == bool(want)
+
+
+def cyc_same_outcome(got, want):
+    """Both calls raise DomainError, or their results agree."""
+    try:
+        w = want()
+    except DomainError:
+        with pytest.raises(DomainError):
+            got()
+        return
+    cyc_agree(got(), w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), cyc_orders, cyc_coeffs, st.integers(-3, 3))
+def test_cycscalar_matches_fraction_oracle(data, order, cs, n):
+    x, ox = CycScalar(order, cs), FractionCycScalar(order, cs)
+    y, oy = data.draw(cyc_operands(order))
+    cyc_agree(x, ox)
+    cyc_agree(-x, -ox)
+    for op in (operator.add, operator.sub, operator.mul):
+        cyc_agree(op(x, y), op(ox, oy))
+        cyc_agree(op(y, x), op(oy, ox))
+    cyc_same_outcome(lambda: x / y, lambda: ox / oy)
+    cyc_same_outcome(lambda: x.exact_div(y), lambda: ox / oy)
+    cyc_same_outcome(x.inverse, ox.inverse)
+    cyc_same_outcome(lambda: x ** n, lambda: ox ** n)
+    assert (x == y) == (ox == oy)
+    assert (y == x) == (oy == ox)
+    if isinstance(y, CycScalar):
+        back = (x + y) - y
+        assert back == x and hash(back) == hash(x)
+        assert (x * y == y * x) and hash(x * y) == hash(y * x)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cyc_orders, cyc_coeffs, st.integers(-30, 30))
+def test_cycscalar_root_power_mixed_orders_and_zero(order, cs, k):
+    cyc_agree(CycScalar.root_power(order, k),
+              FractionCycScalar.root_power(order, k))
+    x = CycScalar(order, cs)
+    zero = CycScalar.zero(order)
+    for divide in (zero.inverse, lambda: zero ** -1, lambda: x / 0,
+                   lambda: x / zero, lambda: x.exact_div(Fraction(0))):
+        with pytest.raises(DomainError):
+            divide()
+    other = CycScalar.root_power(order + 1, k)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv,
+               operator.eq):
+        with pytest.raises(MixedOrderError):
+            op(x, other)
+
+
+@settings(max_examples=100, deadline=None)
+@given(laurent, cyc_orders)
+def test_specialize_matches_fraction_oracle(x, n):
+    cyc_agree(cyclotomic_specialize(x, n), frac_specialize(x, n))
 
 
 def test_integer_exact_quotient():
