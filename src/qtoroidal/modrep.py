@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DomainError, EscapeError, InputError
+from .errors import ConstructionError, DomainError, EscapeError, InputError
 from .linalg import Field, LinOp
 from .monomials import YMonomial, mono_format
 from .scalars import (CycScalar, QScalar, TruncSeries, cyclotomic_specialize,
@@ -223,7 +223,9 @@ class ModuleRealization:
             if img is None:
                 continue
             tag, val = img
-            assert tag == "diag"
+            if tag != "diag":
+                raise ConstructionError("phi image %r of %r is not diagonal"
+                                        % (gen, label))
             if not is_zero_elem(val):
                 coeffs[m] = val
         return TruncSeries("z" if sign > 0 else "w", coeffs, 0, order)

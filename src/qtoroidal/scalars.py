@@ -6,7 +6,8 @@ Three scalar rings are used throughout the library, all exact:
                      ``Fraction`` coefficients,
 * ``CycScalar``   -- elements of the cyclotomic field Q(e) with e a primitive
                      N-th root of unity, represented modulo the N-th
-                     cyclotomic polynomial, with ``Fraction`` coefficients,
+                     cyclotomic polynomial as an integer polynomial over
+                     one positive integer denominator,
 * ``QRat``        -- the fraction field of ``QScalar`` (rational functions
                      in q), needed where exact linear algebra requires
                      division; it holds a power of q times a quotient of
@@ -15,7 +16,9 @@ Three scalar rings are used throughout the library, all exact:
 
 ``TruncSeries`` provides window-carrying truncated Laurent series whose
 coefficients may live in any of these rings, or be operators; reading a
-coefficient outside the window is an error, never a silent zero.
+coefficient outside the window is an error, never a silent zero.  The
+exact truncated logarithm ``series_log_coeffs`` recovers the derived
+h-generators from the phi series.
 """
 
 from __future__ import annotations
@@ -279,51 +282,95 @@ def q_binom(s, k):
 # cyclotomic fields
 # ---------------------------------------------------------------------------
 
-_CYCLO_CACHE = {}
+# Per order N: (Phi_N low to high, its nonzero (index, coefficient) pairs
+# below the monic top, the N residues of x^k mod Phi_N).
+_CYC_TABLES = {}
+
+
+def _cyc_table(n):
+    t = _CYC_TABLES.get(n)
+    if t is None:
+        if n < 1:
+            raise InputError("cyclotomic index must be >= 1")
+        # x^n - 1 divided by Phi_d for every proper divisor d of n
+        phi = [-1] + [0] * (n - 1) + [1]
+        for d in range(1, n):
+            if n % d == 0:
+                phi = _iexquo(phi, _cyc_table(d)[0])
+        deg = len(phi) - 1
+        tail = [(j, c) for j, c in enumerate(phi[:deg]) if c]
+        powers = [[0] * deg]
+        powers[0][0] = 1
+        for _ in range(n - 1):
+            prev = powers[-1]
+            top = prev[-1]
+            nxt = [0] + prev[:-1]
+            for j, c in tail:
+                nxt[j] -= top * c
+            powers.append(nxt)
+        t = _CYC_TABLES[n] = (phi, tail, powers)
+    return t
 
 
 def cyclotomic_polynomial(n):
     """Dense integer coefficient list of Phi_n, low degree first."""
-    if n < 1:
-        raise InputError("cyclotomic index must be >= 1")
-    if n in _CYCLO_CACHE:
-        return _CYCLO_CACHE[n]
-    # x^n - 1 divided by the product of Phi_d over proper divisors d of n
-    poly = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
-    for d in range(1, n):
-        if n % d == 0:
-            quo, rem = _poly_divmod(poly, cyclotomic_polynomial(d))
-            assert not any(rem)
-            poly = quo
-    _CYCLO_CACHE[n] = poly
-    return poly
+    return list(_cyc_table(n)[0])
+
+
+def _cyc_reduce(p, order):
+    """The integer polynomial p reduced mod the monic Phi_order and padded
+    to its degree; p is consumed."""
+    phi, tail, _ = _cyc_table(order)
+    deg = len(phi) - 1
+    for k in range(len(p) - 1, deg - 1, -1):
+        c = p[k]
+        if c:
+            base = k - deg
+            for j, f in tail:
+                p[base + j] -= c * f
+    del p[deg:]
+    p.extend([0] * (deg - len(p)))
+    return p
+
+
+def _cyc(order, n, d):
+    """The CycScalar n(e)/d for d > 0, brought to canonical form."""
+    if d != 1:
+        g = gcd(d, *n)
+        if g != 1:
+            n = [x // g for x in n]
+            d //= g
+    r = CycScalar.__new__(CycScalar)
+    r.order, r._n, r._d = order, n, d
+    return r
 
 
 class CycScalar:
     """Element of Q(e), e a primitive N-th root of unity, mod Phi_N.
 
+    Stored as n(e)/d: ``_n`` holds deg Phi_N int coefficients, low degree
+    first, and ``_d`` is a positive int coprime to their content, so the
+    form is unique and equality compares it.  Zero is all zeros over 1.
+    Stored lists are shared between values and never mutated.
+
     The order N travels with the element; arithmetic between different
     orders is refused rather than silently embedded.
     """
 
-    __slots__ = ("order", "_c")
+    __slots__ = ("order", "_n", "_d")
 
     def __init__(self, order, coeffs=()):
-        self.order = int(order)
-        phi = cyclotomic_polynomial(self.order)
-        deg = len(phi) - 1
-        dense = [_frac(v) for v in coeffs]
-        if len(dense) > deg:
-            _, dense = _poly_divmod(dense, phi)
-        dense += [Fraction(0)] * (deg - len(dense))
-        self._c = tuple(dense[:deg])
-
-    @classmethod
-    def _raw(cls, order, coeffs):
-        r = cls.__new__(cls)
-        r.order = order
-        r._c = tuple(coeffs)
-        return r
+        order = int(order)
+        m = 1
+        for v in coeffs:
+            if isinstance(v, Fraction):
+                m = lcm(m, v.denominator)
+            elif not isinstance(v, int):
+                raise TypeError("expected int or Fraction, got %r" % (v,))
+        n = [v.numerator * (m // v.denominator) if isinstance(v, Fraction)
+             else v * m for v in coeffs]
+        r = _cyc(order, _cyc_reduce(n, order), m)
+        self.order, self._n, self._d = order, r._n, r._d
 
     @classmethod
     def zero(cls, order):
@@ -340,14 +387,7 @@ class CycScalar:
     @classmethod
     def root_power(cls, order, k):
         """e^k reduced modulo Phi_N."""
-        k %= order
-        phi = cyclotomic_polynomial(order)
-        deg = len(phi) - 1
-        dense = [Fraction(0)] * (k + 1)
-        dense[k] = Fraction(1)
-        _, rem = _poly_divmod(dense, phi)
-        rem += [Fraction(0)] * (deg - len(rem))
-        return cls._raw(order, rem[:deg])
+        return _cyc(order, _cyc_table(order)[2][k % order], 1)
 
     def _check(self, other):
         if other.order != self.order:
@@ -356,24 +396,23 @@ class CycScalar:
                                                         other.order))
 
     def is_zero(self):
-        return all(v == 0 for v in self._c)
+        return not any(self._n)
 
     def is_one(self):
-        return self._c[0] == 1 and all(v == 0 for v in self._c[1:])
+        n = self._n
+        return self._d == 1 and n[0] == 1 and not any(n[1:])
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self._n)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CycScalar.from_const(self.order, other)
-        if not isinstance(other, CycScalar):
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        self._check(other)
-        return self._c == other._c
+        return self._d == o._d and self._n == o._n
 
     def __hash__(self):
-        return hash((self.order, self._c))
+        return hash((self.order, tuple(self._n), self._d))
 
     def _coerce(self, other):
         if isinstance(other, CycScalar):
@@ -387,13 +426,20 @@ class CycScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycScalar._raw(self.order,
-                              [a + b for a, b in zip(self._c, o._c)])
+        da, db = self._d, o._d
+        if da == db:
+            return _cyc(self.order, [x + y for x, y in zip(self._n, o._n)],
+                        da)
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+        return _cyc(self.order,
+                    [x * fa + y * fb for x, y in zip(self._n, o._n)],
+                    da * fa)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycScalar._raw(self.order, [-a for a in self._c])
+        return _cyc(self.order, [-x for x in self._n], self._d)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -408,43 +454,29 @@ class CycScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        deg = len(self._c)
-        prod = [Fraction(0)] * (2 * deg - 1 if deg else 1)
-        for i, a in enumerate(self._c):
-            if a == 0:
-                continue
-            for j, b in enumerate(o._c):
-                if b:
-                    prod[i + j] += a * b
-        _, rem = _poly_divmod(prod, cyclotomic_polynomial(self.order))
-        rem += [Fraction(0)] * (deg - len(rem))
-        return CycScalar._raw(self.order, rem[:deg])
+        a, b = self._n, o._n
+        prod = [0] * (2 * len(a) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    prod[j] += x * y
+        return _cyc(self.order, _cyc_reduce(prod, self.order),
+                    self._d * o._d)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        """Inverse in Q(e) via the extended Euclidean algorithm."""
-        if self.is_zero():
+        """Inverse in Q(e) by a fraction-free extended Euclid."""
+        a = list(self._n)
+        while a and not a[-1]:
+            a.pop()
+        if not a:
             raise DomainError("zero has no inverse")
-        phi = cyclotomic_polynomial(self.order)
-        deg = len(phi) - 1
-        # extended Euclid on (self, phi) over Q[x]
-        r0, r1 = list(self._c), list(phi)
-        s0, s1 = [Fraction(1)], [Fraction(0)]
-        while any(r1):
-            quo, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s2 = _poly_sub(s0, _poly_mul(quo, s1))
-            s0, s1 = s1, s2
-        while r0 and r0[-1] == 0:
-            r0.pop()
-        if len(r0) != 1:
-            raise DomainError("element not invertible mod Phi_N")
-        inv_lead = Fraction(1) / r0[0]
-        s0 = [v * inv_lead for v in s0]
-        _, rem = _poly_divmod(s0, phi)
-        rem += [Fraction(0)] * (deg - len(rem))
-        return CycScalar._raw(self.order, rem[:deg])
+        s, r = _cyc_cofactor(a, _cyc_table(self.order)[0])
+        if r < 0:
+            s, r = [-x for x in s], -r
+        n = _cyc_reduce([x * self._d for x in s], self.order)
+        return _cyc(self.order, n, r)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -469,43 +501,81 @@ class CycScalar:
 
     def __repr__(self):
         parts = []
-        for i, v in enumerate(self._c):
-            if v == 0:
+        d = self._d
+        for i, c in enumerate(self._n):
+            if not c:
                 continue
-            body = str(v) if i == 0 else ("e" if i == 1 else "e^%d" % i) \
-                if abs(v) == 1 else "%s*e^%d" % (v, i)
-            if i > 0 and abs(v) == 1 and v < 0:
-                body = "-" + body
+            g = gcd(c, d)
+            num, den = c // g, d // g
+            v = str(num) if den == 1 else "%d/%d" % (num, den)
+            if i == 0:
+                body = v
+            elif den == 1 and abs(num) == 1:
+                body = ("e" if i == 1 else "e^%d" % i)
+                if num < 0:
+                    body = "-" + body
+            else:
+                body = "%s*e^%d" % (v, i)
             parts.append(body)
         return "Cyc%d(%s)" % (self.order, " + ".join(parts) or "0")
 
 
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1 if a and b else 0)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    a = list(a) + [Fraction(0)] * (n - len(a))
-    b = list(b) + [Fraction(0)] * (n - len(b))
-    return [x - y for x, y in zip(a, b)]
+def _cyc_cofactor(a, phi):
+    """(s, r): an integer polynomial s and a nonzero int r with
+    s a = r mod phi, for a nonzero integer polynomial a of lower degree
+    than the irreducible phi.  Extended Euclid on pseudo-remainders, each
+    remainder kept primitive together with its cofactor."""
+    r0, r1 = phi, a
+    s0, s1 = [], [1]
+    while len(r1) > 1:
+        # m r0 = q r1 + rem, by fraction-free long division
+        rem = list(r0)
+        nb = len(r1) - 1
+        lb = r1[-1]
+        q = [0] * (len(rem) - nb)
+        m = 1
+        for k in range(len(q) - 1, -1, -1):
+            c = rem[k + nb]
+            if not c:
+                continue
+            g = gcd(c, lb)
+            f, c = lb // g, c // g
+            if f != 1:
+                rem = [x * f for x in rem]
+                q = [x * f for x in q]
+                m *= f
+            q[k] = c
+            for j in range(nb):
+                rem[k + j] -= c * r1[j]
+            rem[k + nb] = 0
+        while rem and not rem[-1]:
+            rem.pop()
+        if not rem:
+            raise DomainError("element not invertible mod Phi_N")
+        # rem = m r0 - q r1, so its cofactor is m s0 - q s1
+        s2 = _iadd([m * x for x in s0], [-x for x in _imul(q, s1)], 0)
+        g = gcd(*rem, *s2)
+        if g != 1:
+            rem = [x // g for x in rem]
+            s2 = [x // g for x in s2]
+        r0, r1, s0, s1 = r1, rem, s1, s2
+    return s1, r1[0]
 
 
 def cyclotomic_specialize(x, n):
     """Image of a QScalar under q -> e, a primitive n-th root of unity."""
     if n < 1:
         raise InputError("cyclotomic order must be >= 1")
-    acc = CycScalar.zero(n)
-    for e, v in x.items():
-        acc = acc + CycScalar.root_power(n, e) * v
-    return acc
+    powers = _cyc_table(n)[2]
+    terms = list(x.items())
+    m = lcm(*(v.denominator for _, v in terms))
+    acc = [0] * len(powers[0])
+    for e, v in terms:
+        c = v.numerator * (m // v.denominator)
+        for j, p in enumerate(powers[e % n]):
+            if p:
+                acc[j] += c * p
+    return _cyc(n, acc, m)
 
 
 # ---------------------------------------------------------------------------
@@ -926,7 +996,11 @@ class TruncSeries:
 
     def inverse(self):
         """Truncated multiplicative inverse; the edge coefficient must be
-        invertible and commute with the other coefficients."""
+        invertible and commute with the other coefficients.
+
+        ``series_log_coeffs`` reaches this through ``invert_elem`` when the
+        coefficients are themselves series, as in fusion's h images.
+        """
         c0 = self.at(self.lo)
         if c0 is None or is_zero_elem(c0):
             raise DomainError("edge coefficient is not invertible")
@@ -1161,26 +1235,3 @@ def series_log_coeffs(f, order):
                 out[e] = out.get(e) + term if e in out else term
         sign = -sign
     return [out.get(m) for m in range(1, order + 1)]
-
-
-def series_exp(var, coeffs, order, one):
-    """exp(sum_{m>=1} c_m t^m) truncated at ``order``; c given as a list.
-
-    ``one`` is the multiplicative identity of the coefficient ring.  List
-    entries may be None, read as exact zeros.
-    """
-    body_coeffs = {m + 1: c for m, c in enumerate(coeffs)
-                   if c is not None and not is_zero_elem(c)}
-    acc = TruncSeries(var, {0: one}, 0, order)
-    if not body_coeffs or order < 1:
-        return acc
-    body = TruncSeries(var, body_coeffs, 1, order)
-    term = TruncSeries(var, {0: one}, 0, order)
-    for k in range(1, order + 1):
-        term = term * body
-        term = term.scale(Fraction(1, k))
-        term = TruncSeries(var, term.coeffs, 0, order)
-        if term.is_zero():
-            break
-        acc = acc + term
-    return acc

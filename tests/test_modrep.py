@@ -1,12 +1,14 @@
 import pytest
 
-from qtoroidal.errors import DomainError, EscapeError, InputError
+from qtoroidal.errors import (ConstructionError, DomainError, EscapeError,
+                              InputError)
 from qtoroidal.linalg import LinOp
-from qtoroidal.modrep import (_relation_instances, build_extremal_loop,
-                              build_root_of_unity, display_monomial,
-                              expected_phi_series, hecke_companion,
-                              l_character, l_character_offset,
-                              rou_irreducible, verify_relations)
+from qtoroidal.modrep import (ModuleRealization, _relation_instances,
+                              build_extremal_loop, build_root_of_unity,
+                              display_monomial, expected_phi_series,
+                              hecke_companion, l_character,
+                              l_character_offset, rou_irreducible,
+                              verify_relations)
 from qtoroidal.monomials import mono_parse
 from qtoroidal.scalars import QScalar, cyclotomic_specialize, is_zero_elem
 
@@ -149,6 +151,19 @@ def test_h_eigenvalue_from_log():
         # and the negative side mirrors it with t -> -t under q -> q
         got_neg = M.h_eigenvalue(2, -m, v)
         assert got_neg == QScalar.q_power(-t * m) * q_int(m) * Fraction(1, m)
+
+
+def test_phi_series_rejects_a_ladder_phi_image():
+    class LadderPhi(ModuleRealization):
+        def image(self, gen, label):
+            if gen[0] == "phip" and gen[2] == 1:
+                return (label[0] % 4 + 1, label[1]), self.one()
+            return super().image(gen, label)
+
+    M = LadderPhi("rou", period=1)
+    assert M.phi_series(1, 1, (1, 0), 0).at(0) == M.q_power(1)
+    with pytest.raises(ConstructionError):
+        M.phi_series(1, 1, (1, 0), 1)
 
 
 def test_relations_loop_smoke():

@@ -1,5 +1,6 @@
 import operator
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +10,8 @@ from qtoroidal.errors import (DomainError, ExactDivisionError, InputError,
                               MixedOrderError, WindowError)
 from qtoroidal.scalars import (CycScalar, QRat, QScalar, TruncSeries,
                                _iexquo, cyclotomic_polynomial,
-                               cyclotomic_specialize, q_binom, q_factorial,
-                               q_int, series_exp, series_log_coeffs)
+                               cyclotomic_specialize, is_zero_elem, q_binom,
+                               q_factorial, q_int, series_log_coeffs)
 
 
 def test_q_int_two():
@@ -524,7 +525,17 @@ def cyc_operands(draw, order):
     return x, x
 
 
+def assert_canonical_cyc(x):
+    """A CycScalar stores deg Phi_N int coefficients over a positive int
+    denominator coprime to their content: no float and no Fraction."""
+    for c in (*x._n, x._d):
+        assert type(c) is int, (x, c)
+    assert len(x._n) == len(cyclotomic_polynomial(x.order)) - 1
+    assert x._d > 0 and gcd(x._d, *x._n) == 1, (x._n, x._d)
+
+
 def cyc_agree(got, want):
+    assert_canonical_cyc(got)
     assert repr(got) == repr(want)
     assert got.is_zero() == want.is_zero()
     assert got.is_one() == want.is_one()
@@ -647,6 +658,29 @@ def test_series_log_geometric():
     cs = series_log_coeffs(f, order)
     for m, c in enumerate(cs, start=1):
         assert c == (a ** m) * Fraction(1, m)
+
+
+def series_exp(var, coeffs, order, one):
+    """exp(sum_{m>=1} c_m t^m) truncated at ``order``; c given as a list.
+
+    ``one`` is the multiplicative identity of the coefficient ring.  List
+    entries may be None, read as exact zeros.
+    """
+    body_coeffs = {m + 1: c for m, c in enumerate(coeffs)
+                   if c is not None and not is_zero_elem(c)}
+    acc = TruncSeries(var, {0: one}, 0, order)
+    if not body_coeffs or order < 1:
+        return acc
+    body = TruncSeries(var, body_coeffs, 1, order)
+    term = TruncSeries(var, {0: one}, 0, order)
+    for k in range(1, order + 1):
+        term = term * body
+        term = term.scale(Fraction(1, k))
+        term = TruncSeries(var, term.coeffs, 0, order)
+        if term.is_zero():
+            break
+        acc = acc + term
+    return acc
 
 
 @settings(max_examples=40, deadline=None)
