@@ -155,6 +155,167 @@ def _frac_laurent(x):
     return out, lo
 
 
+def _frac(x):
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError("expected int or Fraction, got %r" % (x,))
+
+
+class FractionQScalar:
+    """Laurent polynomial in q as a sparse dict of Fraction coefficients,
+    divided by Fraction long division.  Kept as the oracle for the
+    integer ``QScalar``."""
+
+    __slots__ = ("_c",)
+
+    def __init__(self, coeffs=None):
+        c = {}
+        if coeffs:
+            for e, v in coeffs.items():
+                v = _frac(v)
+                if v:
+                    c[int(e)] = v
+        self._c = c
+
+    @classmethod
+    def one(cls):
+        return cls({0: 1})
+
+    @classmethod
+    def from_const(cls, v):
+        return cls({0: v})
+
+    def items(self):
+        return self._c.items()
+
+    def coeff(self, e):
+        return self._c.get(e, Fraction(0))
+
+    def is_zero(self):
+        return not self._c
+
+    def is_one(self):
+        return self._c == {0: Fraction(1)}
+
+    def as_q_power(self):
+        if len(self._c) == 1:
+            (e, v), = self._c.items()
+            if v == 1:
+                return e
+        return None
+
+    def __bool__(self):
+        return bool(self._c)
+
+    def _coerce(self, other):
+        if isinstance(other, FractionQScalar):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return FractionQScalar.from_const(other)
+        return None
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._c == o._c
+
+    def __hash__(self):
+        return hash(frozenset(self._c.items()))
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        c = dict(self._c)
+        for e, v in o._c.items():
+            c[e] = c.get(e, Fraction(0)) + v
+        return FractionQScalar(c)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionQScalar({e: -v for e, v in self._c.items()})
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        c = {}
+        for e1, v1 in self._c.items():
+            for e2, v2 in o._c.items():
+                c[e1 + e2] = c.get(e1 + e2, Fraction(0)) + v1 * v2
+        return FractionQScalar(c)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n):
+        if n < 0:
+            return self.inverse() ** (-n)
+        acc = FractionQScalar.one()
+        for _ in range(n):
+            acc = acc * self
+        return acc
+
+    def inverse(self):
+        if len(self._c) != 1:
+            raise DomainError("QScalar is invertible only when it has a "
+                              "single term")
+        (e, v), = self._c.items()
+        return FractionQScalar({-e: 1 / v})
+
+    def exact_div(self, other):
+        o = self._coerce(other)
+        if o is None or o.is_zero():
+            raise ExactDivisionError("division by zero or non-scalar")
+        if self.is_zero():
+            return FractionQScalar()
+        num, lo_n = _frac_laurent(self)
+        den, lo_d = _frac_laurent(o)
+        quo, rem = _frac_divmod(num, den)
+        if any(rem):
+            raise ExactDivisionError("inexact Laurent division")
+        return FractionQScalar({i + lo_n - lo_d: v
+                                for i, v in enumerate(quo) if v})
+
+    def __repr__(self):
+        if not self._c:
+            return "0"
+        parts = []
+        for e in sorted(self._c, reverse=True):
+            v = self._c[e]
+            mag = abs(v)
+            if e == 0:
+                body = str(mag)
+            else:
+                var = "q" if e == 1 else "q^%d" % e
+                body = var if mag == 1 else "%s*%s" % (mag, var)
+            if not parts:
+                parts.append(body if v > 0 else "-" + body)
+            else:
+                parts.append((" + " if v > 0 else " - ") + body)
+        return "".join(parts)
+
+
+def to_oracle(x):
+    """The FractionQScalar of an int, a Fraction or a QScalar, read
+    through ``items()`` so that no oracle computes with ``QScalar``."""
+    if isinstance(x, (int, Fraction)):
+        return FractionQScalar.from_const(x)
+    return FractionQScalar(dict(x.items()))
+
+
 class FractionQRat:
     """Rational function in q as a reduced fraction of two Fraction
     QScalars, with a Euclidean gcd over Q[q] after every operation.  Kept
@@ -163,12 +324,8 @@ class FractionQRat:
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=None):
-        if isinstance(num, (int, Fraction)):
-            num = QScalar.from_const(num)
-        if den is None:
-            den = QScalar.one()
-        elif isinstance(den, (int, Fraction)):
-            den = QScalar.from_const(den)
+        num = to_oracle(num)
+        den = FractionQScalar.one() if den is None else to_oracle(den)
         if den.is_zero():
             raise DomainError("zero denominator")
         self.num, self.den = self._reduce(num, den)
@@ -176,7 +333,7 @@ class FractionQRat:
     @staticmethod
     def _reduce(num, den):
         if num.is_zero():
-            return QScalar.zero(), QScalar.one()
+            return FractionQScalar(), FractionQScalar.one()
         npoly, nval = _frac_laurent(num)
         dpoly, dval = _frac_laurent(den)
         g = _frac_gcd(npoly, dpoly)
@@ -184,14 +341,15 @@ class FractionQRat:
             npoly, _ = _frac_divmod(npoly, g)
             dpoly, _ = _frac_divmod(dpoly, g)
         lead = dpoly[-1]
-        num = QScalar({i + nval - dval: v / lead
-                       for i, v in enumerate(npoly) if v})
-        den = QScalar({i: v / lead for i, v in enumerate(dpoly) if v})
+        num = FractionQScalar({i + nval - dval: v / lead
+                               for i, v in enumerate(npoly) if v})
+        den = FractionQScalar({i: v / lead for i, v in enumerate(dpoly)
+                               if v})
         return num, den
 
     @classmethod
     def one(cls):
-        return cls(QScalar.one())
+        return cls(1)
 
     def is_zero(self):
         return self.num.is_zero()
@@ -203,8 +361,7 @@ class FractionQRat:
         if isinstance(other, FractionQRat):
             return other
         if isinstance(other, (QScalar, int, Fraction)):
-            return FractionQRat(other if isinstance(other, QScalar)
-                                else QScalar.from_const(other))
+            return FractionQRat(other)
         return None
 
     def __eq__(self, other):
@@ -418,7 +575,7 @@ class FractionCycScalar:
 
 def frac_specialize(x, n):
     acc = FractionCycScalar(n)
-    for e, v in x.items():
+    for e, v in to_oracle(x).items():
         acc = acc + FractionCycScalar.root_power(n, e) * v
     return acc
 
@@ -507,6 +664,77 @@ def test_qrat_equal_values_hash_equally(args, c, pair):
     y, _ = pair
     back = (x + y) - y
     assert back == x and hash(back) == hash(x)
+
+
+
+laurent_coeffs = st.dictionaries(st.integers(-3, 3), small_fractions,
+                                 max_size=4)
+
+
+@st.composite
+def qscalar_operands(draw):
+    """(QScalar operand, oracle operand): a Laurent polynomial and its
+    oracle copy, or the same int or Fraction handed to both."""
+    kind = draw(st.sampled_from(["laurent", "laurent", "int", "fraction"]))
+    if kind == "laurent":
+        x = draw(laurent)
+        return x, to_oracle(x)
+    x = draw(st.integers(-5, 5) if kind == "int" else small_fractions)
+    return x, x
+
+
+def qs_agree(got, want):
+    assert repr(got) == repr(want)
+    assert dict(got.items()) == dict(want.items())
+    assert all(type(v) is Fraction for _, v in got.items())
+    for e in range(-10, 11):
+        c = got.coeff(e)
+        assert type(c) is Fraction and c == want.coeff(e)
+    assert got.as_q_power() == want.as_q_power()
+    assert got.is_zero() == want.is_zero()
+    assert got.is_one() == want.is_one()
+    assert bool(got) == bool(want)
+
+
+def qs_same_outcome(got, want):
+    """Both calls raise the same library error, or their results agree."""
+    try:
+        w = want()
+    except (DomainError, ExactDivisionError) as exc:
+        with pytest.raises(type(exc)):
+            got()
+        return
+    qs_agree(got(), w)
+
+
+@settings(max_examples=200, deadline=None)
+@given(laurent_coeffs, qscalar_operands(), nonzero_laurent,
+       st.integers(-3, 3))
+def test_qscalar_matches_fraction_oracle(cs, pair, z, n):
+    x, ox = QScalar(cs), FractionQScalar(cs)
+    y, oy = pair
+    oz = to_oracle(z)
+    qs_agree(x, ox)
+    qs_agree(-x, -ox)
+    for op in (operator.add, operator.sub, operator.mul):
+        qs_agree(op(x, y), op(ox, oy))
+        qs_agree(op(y, x), op(oy, ox))
+    qs_same_outcome(lambda: x ** n, lambda: ox ** n)
+    qs_same_outcome(x.inverse, ox.inverse)
+    qs_same_outcome(lambda: x.exact_div(y), lambda: ox.exact_div(oy))
+    if isinstance(y, QScalar):
+        qs_same_outcome(lambda: y.exact_div(x), lambda: oy.exact_div(ox))
+    qs_agree((x * z).exact_div(z), (ox * oz).exact_div(oz))
+    qs_same_outcome(lambda: (x * z + 1).exact_div(z),
+                    lambda: (ox * oz + 1).exact_div(oz))
+    for zero in (0, Fraction(0), QScalar.zero()):
+        with pytest.raises(ExactDivisionError):
+            x.exact_div(zero)
+    assert (x == y) == (ox == oy)
+    assert (y == x) == (oy == ox)
+    back = (x + y) - y
+    assert back == x and hash(back) == hash(x)
+    assert x * z == z * x and hash(x * z) == hash(z * x)
 
 
 cyc_orders = st.integers(1, 12)
