@@ -153,7 +153,7 @@ def coproduct_generator(gen, M1, M2, u_window):
 def _h_images(M1, M2, nodes, m_bound, u_window, images):
     """Derived h images from the logarithm of the phi image series."""
     lo, hi = u_window
-    qq = M1.from_qscalar(QScalar({1: 1, -1: -1}))
+    qq_inv = M1.from_qscalar(QScalar({1: 1, -1: -1})).inverse()
     out = {}
     for i in nodes:
         for sign in (1, -1):
@@ -174,16 +174,12 @@ def _h_images(M1, M2, nodes, m_bound, u_window, images):
                 if c is None:
                     series = TruncSeries("u", {}, lo, hi)
                 else:
-                    series = c.scale(_inv_scalar(qq))
+                    series = c.scale(qq_inv)
                     if sign < 0:
                         series = -series
                 out[("h", i, sign * m)] = UCoproductImage(
                     ("h", i, sign * m), series, False)
     return out
-
-
-def _inv_scalar(x):
-    return x.inverse()
 
 
 def coproduct_relation_check(M1, M2, u_window, r_bound, m_bound):

@@ -20,7 +20,7 @@ from itertools import permutations, product
 from .errors import DomainError, InputError
 from .linalg import (Field, LinOp, kernel_basis, op_matrix, rref,
                      span_grow)
-from .scalars import PolyScalar, QRat, QScalar, is_zero_elem
+from .scalars import PolyScalar, QRat, QScalar
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +225,7 @@ def build_MA(l, A=None):
             for (jj, ww, c) in _z_expansion(w, j, memo):
                 val = ring.param(jj) * ring.from_qscalar(c)
                 col[ww] = col[ww] + val if ww in col else val
-            cols[w] = {k: v for k, v in col.items() if not is_zero_elem(v)}
+            cols[w] = col
         z_ops[j] = LinOp(cols)
     return HeckeModule(l, ring, perms, sigma_ops, z_ops, label="M_A")
 
@@ -585,8 +585,7 @@ def zelevinsky_product(M1, M2):
                                                coef).items():
                     key = (pair[0], pair[1], dp)
                     col[key] = col[key] + val if key in col else val
-            cols[(b1, b2, d)] = {k: v for k, v in col.items()
-                                 if not is_zero_elem(v)}
+            cols[(b1, b2, d)] = col
         sigma_ops[i] = LinOp(cols)
 
     z_ops = {}
@@ -610,8 +609,7 @@ def zelevinsky_product(M1, M2):
                                                   val).items():
                         key = (pair2[0], pair2[1], dp)
                         col[key] = col[key] + x if key in col else x
-            cols[(b1, b2, d)] = {k: v for k, v in col.items()
-                                 if not is_zero_elem(v)}
+            cols[(b1, b2, d)] = col
         z_ops[j] = LinOp(cols)
     return HeckeModule(n, ring, basis, sigma_ops, z_ops,
                        label="%s (x)Z %s" % (M1.label, M2.label))

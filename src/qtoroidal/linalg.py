@@ -2,15 +2,15 @@
 
 ``LinOp`` is a column-sparse operator on an arbitrary hashable basis;
 entries are scalar objects with exact arithmetic (QScalar, CycScalar,
-QRat, PolyScalar).  The dense field routines (row reduction, kernel,
-inverse, determinant, invariant-subspace growth) take a ``Field`` adapter
-supplying zero, one and division.
+QRat, PolyScalar), tested for zero by truth value, and a ``LinOp`` is
+itself falsy exactly when it is zero.  The dense field routines (row
+reduction, kernel, inverse, determinant, invariant-subspace growth) take
+a ``Field`` adapter supplying zero, one and division.
 """
 
 from __future__ import annotations
 
 from .errors import DomainError
-from .scalars import is_zero_elem
 
 
 class LinOp:
@@ -23,8 +23,7 @@ class LinOp:
         self.cols = {}
         if cols:
             for src, col in cols.items():
-                clean = {dst: v for dst, v in col.items()
-                         if not is_zero_elem(v)}
+                clean = {dst: v for dst, v in col.items() if v}
                 if clean:
                     self.cols[src] = clean
 
@@ -38,6 +37,9 @@ class LinOp:
 
     def is_zero(self):
         return not self.cols
+
+    def __bool__(self):
+        return bool(self.cols)
 
     def entry(self, dst, src):
         return self.cols.get(src, {}).get(dst)
@@ -53,7 +55,7 @@ class LinOp:
                 w = v * c
                 if dst in out:
                     w = out[dst] + w
-                if is_zero_elem(w):
+                if not w:
                     out.pop(dst, None)
                 else:
                     out[dst] = w
@@ -65,7 +67,7 @@ class LinOp:
             col = dict(self.cols.get(src, {}))
             for dst, v in other.cols.get(src, {}).items():
                 w = col[dst] + v if dst in col else v
-                if is_zero_elem(w):
+                if not w:
                     col.pop(dst, None)
                 else:
                     col[dst] = w
@@ -115,7 +117,7 @@ class LinOp:
         return LinOp(cols)
 
     def scale(self, s):
-        if is_zero_elem(s):
+        if not s:
             return LinOp.zero()
         r = LinOp.__new__(LinOp)
         r.cols = {src: {dst: v * s for dst, v in col.items()}
@@ -155,7 +157,7 @@ class Field:
         return a / b
 
     def is_zero(self, a):
-        return is_zero_elem(a)
+        return not a
 
 
 def _pivot(rows, col, start, field):

@@ -22,7 +22,7 @@ from .errors import ConstructionError, DomainError, EscapeError, InputError
 from .linalg import Field, LinOp
 from .monomials import YMonomial, mono_format
 from .scalars import (CycScalar, QScalar, TruncSeries, cyclotomic_specialize,
-                      is_zero_elem, q_binom, q_int, series_log_coeffs)
+                      q_binom, q_int, series_log_coeffs)
 
 LETTERS = 4          # basis letters per lattice site in the rank-3 module
 
@@ -226,7 +226,7 @@ class ModuleRealization:
             if tag != "diag":
                 raise ConstructionError("phi image %r of %r is not diagonal"
                                         % (gen, label))
-            if not is_zero_elem(val):
+            if val:
                 coeffs[m] = val
         return TruncSeries("z" if sign > 0 else "w", coeffs, 0, order)
 
@@ -447,7 +447,7 @@ def verify_relations(M, r_bound, m_bound, series_order=None):
                         w = val * coef
                         if lab in acc:
                             w = acc[lab] + w
-                        if is_zero_elem(w):
+                        if not w:
                             acc.pop(lab, None)
                         else:
                             acc[lab] = w
@@ -535,7 +535,7 @@ def l_character(M, series_order=3):
         for g in M.nodes:
             series = M.phi_series(g, 1, label, series_order)
             f0 = series.at(0)
-            if f0 is None or is_zero_elem(f0):
+            if not f0:
                 raise DomainError("phi constant term vanishes on %r"
                                   % (label,))
             delta = f0.as_q_power()
@@ -775,8 +775,7 @@ def _conj(Sinv, M, S, field):
 
 
 def _mat_eq(A, B):
-    return all(is_zero_elem(a - b) for ra, rb in zip(A, B)
-               for a, b in zip(ra, rb))
+    return not any(a - b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
 
 
 def hecke_companion(L):

@@ -1,9 +1,13 @@
 """Exact scalar arithmetic.
 
-Three scalar rings are used throughout the library, all exact:
+Three scalar rings are used throughout the library, all exact, and all
+computing on one core: integer polynomials held as ``int`` lists, low
+degree first (``_iadd``, ``_imul``, ``_iexquo``, ``_igcd``):
 
 * ``QScalar``     -- Laurent polynomials in the quantum parameter q with
-                     ``Fraction`` coefficients,
+                     rational coefficients, held as a power of q times an
+                     integer polynomial over one positive integer
+                     denominator,
 * ``CycScalar``   -- elements of the cyclotomic field Q(e) with e a primitive
                      N-th root of unity, represented modulo the N-th
                      cyclotomic polynomial as an integer polynomial over
@@ -13,6 +17,11 @@ Three scalar rings are used throughout the library, all exact:
                      division; it holds a power of q times a quotient of
                      two polynomials with ``int`` coefficients, reduced
                      by an integer-only gcd.
+
+``Fraction`` appears only at the edges: constructors accept ``int`` and
+``Fraction`` coefficients, and ``QScalar.items``/``coeff`` hand them out
+as ``Fraction``.  Every element type here and ``linalg.LinOp`` is falsy
+exactly when it is zero, which is the zero test the library uses.
 
 ``TruncSeries`` provides window-carrying truncated Laurent series whose
 coefficients may live in any of these rings, or be operators; reading a
@@ -30,80 +39,259 @@ from .errors import (DomainError, ExactDivisionError, InputError,
                      MixedOrderError, WindowError)
 
 
-def _frac(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError("expected int or Fraction, got %r" % (x,))
+# ---------------------------------------------------------------------------
+# the integer polynomial core
+# ---------------------------------------------------------------------------
+
+# The rings compute on integer polynomials: lists of ints, low degree first,
+# with a nonzero top coefficient; the zero polynomial is empty.  The helpers
+# never mutate their arguments, so values may share lists.  Lists, not
+# tuples: the interpreter keeps freed small tuples on per-size free lists,
+# and on repeated l = 3 invariant-subspace runs those kept blocks raised
+# the peak resident set by about 1.2 MiB.
+
+def _iadd(a, b, s):
+    """a + q^s b for s >= 0."""
+    out = list(a)
+    if len(out) < len(b) + s:
+        out.extend([0] * (len(b) + s - len(out)))
+    for i, y in enumerate(b, s):
+        out[i] += y
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _imul(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        c = b[0]
+        return a if c == 1 else [c * x for x in a]
+    out = [0] * (len(a) + len(b) - 1)
+    for j, y in enumerate(b):
+        if y:
+            for i, x in enumerate(a, j):
+                out[i] += x * y
+    return out
+
+
+def _primitive(a):
+    """a over its content, with a positive top coefficient."""
+    c = gcd(*a)
+    if a[-1] < 0:
+        c = -c
+    return a if c == 1 else [x // c for x in a]
+
+
+def _prem(a, b):
+    """A nonzero integer multiple of the remainder of a by b."""
+    r = list(a)
+    nb = len(b) - 1
+    lb = b[-1]
+    while len(r) > nb:
+        c = r.pop()
+        g = gcd(c, lb)
+        m, c = lb // g, c // g
+        if m != 1:
+            r = [x * m for x in r]
+        k = len(r) - nb
+        for j in range(nb):
+            r[k + j] -= c * b[j]
+        while r and not r[-1]:
+            r.pop()
+    return r
+
+
+def _igcd(a, b):
+    """Primitive gcd of two nonzero integer polynomials, by the primitive
+    pseudo-remainder sequence (Brown, J. ACM 18(4), 1971)."""
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        return [1]
+    a, b = _primitive(a), _primitive(b)
+    while True:
+        r = _prem(a, b)
+        if not r:
+            return b
+        if len(r) == 1:
+            return [1]
+        a, b = b, _primitive(r)
+
+
+def _iexquo(a, b):
+    """The integer polynomial a / b; raises ExactDivisionError when b does
+    not divide a in Z[q]."""
+    r = list(a)
+    nb = len(b) - 1
+    lb = b[-1]
+    quo = [0] * max(0, len(r) - nb)
+    for k in range(len(quo) - 1, -1, -1):
+        c, m = divmod(r[k + nb], lb)
+        if m:
+            raise ExactDivisionError("inexact integer polynomial division")
+        if c:
+            quo[k] = c
+            for j in range(nb):
+                r[k + j] -= c * b[j]
+    if any(r[:nb]):
+        raise ExactDivisionError("inexact integer polynomial division")
+    return quo
+
+
+def _cancel(a, b):
+    """a and b divided by their gcd."""
+    if len(a) > 1 and len(b) > 1:
+        g = _igcd(a, b)
+        if len(g) > 1:
+            return _iexquo(a, g), _iexquo(b, g)
+    return a, b
+
+
+def _over_lcm(values):
+    """(ints, m): the int or Fraction values as ints over their least
+    common denominator m."""
+    values = list(values)
+    m = 1
+    for v in values:
+        if isinstance(v, Fraction):
+            m = lcm(m, v.denominator)
+        elif not isinstance(v, int):
+            raise TypeError("expected int or Fraction, got %r" % (v,))
+    return [v.numerator * (m // v.denominator) for v in values], m
+
+
+# Subtraction and powers, shared by the scalar rings: each ring brings
+# ``_coerce`` (None for a foreign operand), ``+``, ``-x``, ``*`` and, for
+# negative powers, ``inverse``.
+
+def _sub(self, other):
+    o = self._coerce(other)
+    if o is None:
+        return NotImplemented
+    return self + (-o)
+
+
+def _rsub(self, other):
+    return (-self) + other
+
+
+def _pow(self, n):
+    if not isinstance(n, int):
+        raise TypeError("exponent must be an integer")
+    if n < 0:
+        return self.inverse() ** (-n)
+    acc = self._coerce(1)
+    base = self
+    while n:
+        if n & 1:
+            acc = acc * base
+        base = base * base
+        n >>= 1
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# Laurent polynomials in q
+# ---------------------------------------------------------------------------
+
+def _qs(n, d, v):
+    """The QScalar q^v n(q)/d, for an int list n with nonzero end
+    coefficients (empty, with v = 0, for zero) and a positive int d."""
+    if d != 1:
+        g = gcd(d, *n)
+        if g != 1:
+            n = [x // g for x in n]
+            d //= g
+    r = QScalar.__new__(QScalar)
+    r._n, r._d, r._v = n, d, v
+    return r
+
+
+def _qconst(c, e=0):
+    """The QScalar c q^e for an int or Fraction c."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError("expected int or Fraction, got %r" % (c,))
+    return _qs([c.numerator], c.denominator, int(e)) if c else _qs([], 1, 0)
 
 
 class QScalar:
-    """Laurent polynomial in q with rational coefficients, sparsely stored."""
+    """Laurent polynomial in q with rational coefficients.
 
-    __slots__ = ("_c",)
+    Stored as q^v n(q)/d: ``_n`` holds int coefficients, low degree first,
+    with nonzero end coefficients, and ``_d`` is a positive int coprime to
+    their content, so the form is unique and equality compares it.  Zero
+    is [] over 1 with v = 0.  Stored lists are shared between values and
+    never mutated.
+    """
+
+    __slots__ = ("_n", "_d", "_v")
 
     def __init__(self, coeffs=None):
-        c = {}
-        if coeffs:
-            for e, v in coeffs.items():
-                v = _frac(v)
-                if v:
-                    c[int(e)] = v
-        self._c = c
+        coeffs = coeffs or {}
+        ints, d = _over_lcm(coeffs.values())
+        terms = {int(e): c for e, c in zip(coeffs, ints) if c}
+        n, v = [], 0
+        if terms:
+            v = min(terms)
+            n = [0] * (max(terms) - v + 1)
+            for e, c in terms.items():
+                n[e - v] = c
+        r = _qs(n, d, v)
+        self._n, self._d, self._v = r._n, r._d, r._v
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls):
-        return cls()
+        return _qs([], 1, 0)
 
     @classmethod
     def one(cls):
-        return cls({0: 1})
+        return _qs([1], 1, 0)
 
     @classmethod
     def q_power(cls, n, coeff=1):
-        return cls({n: coeff})
+        return _qconst(coeff, n)
 
     @classmethod
     def from_const(cls, v):
-        return cls({0: v})
+        return _qconst(v)
 
     # -- structure ----------------------------------------------------
 
     def items(self):
-        return self._c.items()
+        """(exponent, Fraction coefficient) pairs of the nonzero terms."""
+        d, v = self._d, self._v
+        return [(v + i, Fraction(c, d)) for i, c in enumerate(self._n) if c]
 
     def coeff(self, e):
-        return self._c.get(e, Fraction(0))
+        i = e - self._v
+        n = self._n
+        return Fraction(n[i] if 0 <= i < len(n) else 0, self._d)
 
     def is_zero(self):
-        return not self._c
+        return not self._n
 
     def is_one(self):
-        return self._c == {0: Fraction(1)}
+        return self._n == [1] and self._d == 1 and not self._v
 
     def as_q_power(self):
         """Return n if self == q^n, else None."""
-        if len(self._c) == 1:
-            (e, v), = self._c.items()
-            if v == 1:
-                return e
-        return None
+        return self._v if self._n == [1] and self._d == 1 else None
 
     def __bool__(self):
-        return bool(self._c)
+        return bool(self._n)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QScalar.from_const(other)
-        if not isinstance(other, QScalar):
+        o = self._coerce(other)
+        if o is None:
             return NotImplemented
-        return self._c == other._c
+        return self._v == o._v and self._d == o._d and self._n == o._n
 
     def __hash__(self):
-        return hash(frozenset(self._c.items()))
+        return hash((tuple(self._n), self._d, self._v))
 
     # -- arithmetic ---------------------------------------------------
 
@@ -111,146 +299,105 @@ class QScalar:
         if isinstance(other, QScalar):
             return other
         if isinstance(other, (int, Fraction)):
-            return QScalar.from_const(other)
+            return _qconst(other)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        c = dict(self._c)
-        for e, v in o._c.items():
-            nv = c.get(e, Fraction(0)) + v
-            if nv:
-                c[e] = nv
-            else:
-                c.pop(e, None)
-        r = QScalar.__new__(QScalar)
-        r._c = c
-        return r
+        if not o._n:
+            return self
+        if not self._n:
+            return o
+        na, da, va = self._n, self._d, self._v
+        nb, db, vb = o._n, o._d, o._v
+        if va > vb:
+            na, da, va, nb, db, vb = nb, db, vb, na, da, va
+        if da != db:
+            g = gcd(da, db)
+            fa, fb = db // g, da // g
+            na = [x * fa for x in na]
+            nb = [y * fb for y in nb]
+            da *= fa
+        t = _iadd(na, nb, vb - va)
+        if not t:
+            return QScalar.zero()
+        k = 0
+        while not t[k]:
+            k += 1
+        return _qs(t[k:] if k else t, da, va + k)
 
     __radd__ = __add__
 
     def __neg__(self):
-        r = QScalar.__new__(QScalar)
-        r._c = {e: -v for e, v in self._c.items()}
-        return r
+        return _qs([-x for x in self._n], self._d, self._v)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
+    __sub__ = _sub
+    __rsub__ = _rsub
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        c = {}
-        for e1, v1 in self._c.items():
-            for e2, v2 in o._c.items():
-                e = e1 + e2
-                nv = c.get(e, Fraction(0)) + v1 * v2
-                if nv:
-                    c[e] = nv
-                else:
-                    c.pop(e, None)
-        r = QScalar.__new__(QScalar)
-        r._c = c
-        return r
+        if not self._n:
+            return self
+        if not o._n:
+            return o
+        return _qs(_imul(self._n, o._n), self._d * o._d, self._v + o._v)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if not isinstance(n, int):
-            raise TypeError("exponent must be an integer")
-        if n < 0:
-            return self.inverse() ** (-n)
-        acc = QScalar.one()
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
+    __pow__ = _pow
 
     def inverse(self):
-        if len(self._c) != 1:
+        if len(self._n) != 1:
             raise DomainError("QScalar is invertible only when it has a "
                               "single term")
-        (e, v), = self._c.items()
-        return QScalar({-e: Fraction(1, 1) / v})
+        c = self._n[0]
+        return _qs([self._d if c > 0 else -self._d], abs(c), -self._v)
 
     def exact_div(self, other):
-        """Exact division; raises ExactDivisionError on a remainder."""
+        """Exact division; raises ExactDivisionError on a remainder.
+
+        By Gauss's lemma a primitive divisor divides over Q exactly when
+        it divides over Z, so the primitive parts divide as integer
+        polynomials and the contents as rationals.
+        """
         o = self._coerce(other)
-        if o is None or o.is_zero():
+        if o is None or not o._n:
             raise ExactDivisionError("division by zero or non-scalar")
-        if self.is_zero():
-            return QScalar.zero()
-        # shift both operands to honest polynomials
-        lo_n, lo_d = min(self._c), min(o._c)
-        num = _dense(self._c, lo_n)
-        den = _dense(o._c, lo_d)
-        quo, rem = _poly_divmod(num, den)
-        if any(rem):
-            raise ExactDivisionError("inexact Laurent division")
-        return QScalar({i + lo_n - lo_d: v for i, v in enumerate(quo) if v})
+        if not self._n:
+            return self
+        ca, cb = gcd(*self._n), gcd(*o._n)
+        quo = _iexquo([x // ca for x in self._n], [x // cb for x in o._n])
+        f = ca * o._d
+        return _qs([x * f for x in quo], self._d * cb, self._v - o._v)
 
     # -- display ------------------------------------------------------
 
     def __repr__(self):
-        if not self._c:
+        n, d = self._n, self._d
+        if not n:
             return "0"
         parts = []
-        for e in sorted(self._c, reverse=True):
-            v = self._c[e]
-            mag = abs(v)
+        for i in range(len(n) - 1, -1, -1):
+            c = n[i]
+            if not c:
+                continue
+            g = gcd(c, d)
+            num, den = abs(c) // g, d // g
+            mag = str(num) if den == 1 else "%d/%d" % (num, den)
+            e = self._v + i
             if e == 0:
-                body = str(mag)
+                body = mag
             else:
                 var = "q" if e == 1 else "q^%d" % e
-                body = var if mag == 1 else "%s*%s" % (mag, var)
+                body = var if mag == "1" else "%s*%s" % (mag, var)
             if not parts:
-                parts.append(body if v > 0 else "-" + body)
+                parts.append(body if c > 0 else "-" + body)
             else:
-                parts.append((" + " if v > 0 else " - ") + body)
+                parts.append((" + " if c > 0 else " - ") + body)
         return "".join(parts)
-
-
-def _dense(cmap, lo):
-    hi = max(cmap)
-    out = [Fraction(0)] * (hi - lo + 1)
-    for e, v in cmap.items():
-        out[e - lo] = v
-    return out
-
-
-def _poly_divmod(num, den):
-    """Long division of dense Fraction coefficient lists (low to high)."""
-    num = list(num)
-    dd = len(den) - 1
-    while dd > 0 and den[dd] == 0:
-        dd -= 1
-    lead = den[dd]
-    if lead == 0:
-        raise ExactDivisionError("division by zero polynomial")
-    quo = [Fraction(0)] * max(0, len(num) - dd)
-    for i in range(len(num) - 1, dd - 1, -1):
-        c = num[i]
-        if c == 0:
-            continue
-        f = c / lead
-        quo[i - dd] = f
-        for j in range(dd + 1):
-            num[i - dd + j] -= f * den[j]
-    while num and num[-1] == 0:
-        num.pop()
-    return quo, num
 
 
 def q_int(l):
@@ -361,14 +508,7 @@ class CycScalar:
 
     def __init__(self, order, coeffs=()):
         order = int(order)
-        m = 1
-        for v in coeffs:
-            if isinstance(v, Fraction):
-                m = lcm(m, v.denominator)
-            elif not isinstance(v, int):
-                raise TypeError("expected int or Fraction, got %r" % (v,))
-        n = [v.numerator * (m // v.denominator) if isinstance(v, Fraction)
-             else v * m for v in coeffs]
+        n, m = _over_lcm(coeffs)
         r = _cyc(order, _cyc_reduce(n, order), m)
         self.order, self._n, self._d = order, r._n, r._d
 
@@ -441,14 +581,8 @@ class CycScalar:
     def __neg__(self):
         return _cyc(self.order, [-x for x in self._n], self._d)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
+    __sub__ = _sub
+    __rsub__ = _rsub
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -487,17 +621,7 @@ class CycScalar:
     def exact_div(self, other):
         return self.__truediv__(other)
 
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        acc = CycScalar.one(self.order)
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
+    __pow__ = _pow
 
     def __repr__(self):
         parts = []
@@ -567,145 +691,27 @@ def cyclotomic_specialize(x, n):
     if n < 1:
         raise InputError("cyclotomic order must be >= 1")
     powers = _cyc_table(n)[2]
-    terms = list(x.items())
-    m = lcm(*(v.denominator for _, v in terms))
     acc = [0] * len(powers[0])
-    for e, v in terms:
-        c = v.numerator * (m // v.denominator)
-        for j, p in enumerate(powers[e % n]):
-            if p:
-                acc[j] += c * p
-    return _cyc(n, acc, m)
+    for e, c in enumerate(x._n, x._v):
+        if c:
+            for j, p in enumerate(powers[e % n]):
+                if p:
+                    acc[j] += c * p
+    return _cyc(n, acc, x._d)
 
 
 # ---------------------------------------------------------------------------
 # rational functions in q
 # ---------------------------------------------------------------------------
 
-# QRat computes on integer polynomials: lists of ints, low degree first,
-# with a nonzero top coefficient; the zero polynomial is empty.  The helpers
-# never mutate their arguments, so values may share lists.  Lists, not
-# tuples: the interpreter keeps freed small tuples on per-size free lists,
-# and on repeated l = 3 invariant-subspace runs those kept blocks raised
-# the peak resident set by about 1.2 MiB.
-
-def _iadd(a, b, s):
-    """a + q^s b for s >= 0."""
-    out = list(a)
-    if len(out) < len(b) + s:
-        out.extend([0] * (len(b) + s - len(out)))
-    for i, y in enumerate(b, s):
-        out[i] += y
-    while out and not out[-1]:
-        out.pop()
-    return out
-
-
-def _imul(a, b):
-    if len(a) < len(b):
-        a, b = b, a
-    if len(b) == 1:
-        c = b[0]
-        return a if c == 1 else [c * x for x in a]
-    out = [0] * (len(a) + len(b) - 1)
-    for j, y in enumerate(b):
-        if y:
-            for i, x in enumerate(a, j):
-                out[i] += x * y
-    return out
-
-
-def _primitive(a):
-    """a over its content, with a positive top coefficient."""
-    c = gcd(*a)
-    if a[-1] < 0:
-        c = -c
-    return a if c == 1 else [x // c for x in a]
-
-
-def _prem(a, b):
-    """A nonzero integer multiple of the remainder of a by b."""
-    r = list(a)
-    nb = len(b) - 1
-    lb = b[-1]
-    while len(r) > nb:
-        c = r.pop()
-        g = gcd(c, lb)
-        m, c = lb // g, c // g
-        if m != 1:
-            r = [x * m for x in r]
-        k = len(r) - nb
-        for j in range(nb):
-            r[k + j] -= c * b[j]
-        while r and not r[-1]:
-            r.pop()
-    return r
-
-
-def _igcd(a, b):
-    """Primitive gcd of two nonzero integer polynomials, by the primitive
-    pseudo-remainder sequence (Brown, J. ACM 18(4), 1971)."""
-    if len(a) < len(b):
-        a, b = b, a
-    if len(b) == 1:
-        return [1]
-    a, b = _primitive(a), _primitive(b)
-    while True:
-        r = _prem(a, b)
-        if not r:
-            return b
-        if len(r) == 1:
-            return [1]
-        a, b = b, _primitive(r)
-
-
-def _iexquo(a, b):
-    """The integer polynomial a / b; raises ExactDivisionError when b does
-    not divide a in Z[q]."""
-    r = list(a)
-    nb = len(b) - 1
-    lb = b[-1]
-    quo = [0] * max(0, len(r) - nb)
-    for k in range(len(quo) - 1, -1, -1):
-        c, m = divmod(r[k + nb], lb)
-        if m:
-            raise ExactDivisionError("inexact integer polynomial division")
-        if c:
-            quo[k] = c
-            for j in range(nb):
-                r[k + j] -= c * b[j]
-    if any(r[:nb]):
-        raise ExactDivisionError("inexact integer polynomial division")
-    return quo
-
-
-def _cancel(a, b):
-    """a and b divided by their gcd."""
-    if len(a) > 1 and len(b) > 1:
-        g = _igcd(a, b)
-        if len(g) > 1:
-            return _iexquo(a, g), _iexquo(b, g)
-    return a, b
-
-
 def _int_laurent(x):
     """(p, v, m) with x = q^v p(q) / m, p an integer polynomial with a
     nonzero constant term and m a positive int."""
-    if isinstance(x, int):
-        return ([x] if x else []), 0, 1
-    if isinstance(x, Fraction):
+    if isinstance(x, (int, Fraction)):
         return ([x.numerator] if x else []), 0, x.denominator
     if not isinstance(x, QScalar):
         raise TypeError("expected QScalar, int or Fraction, got %r" % (x,))
-    c = x._c
-    if not c:
-        return [], 0, 1
-    lo = min(c)
-    m = lcm(*(f.denominator for f in c.values()))
-    p = [0] * (max(c) - lo + 1)
-    for e, f in c.items():
-        p[e - lo] = f.numerator * (m // f.denominator)
-    return p, lo, m
+    return x._n, x._v, x._d
 
 
 def _qrat(n, d, v):
@@ -773,16 +779,12 @@ class QRat:
     @property
     def num(self):
         """The numerator over the monic denominator ``den``, a QScalar."""
-        lead = self._d[-1]
-        return QScalar({self._v + i: Fraction(c, lead)
-                        for i, c in enumerate(self._n) if c})
+        return _qs(self._n, self._d[-1], self._v)
 
     @property
     def den(self):
         """The monic denominator, a QScalar with a nonzero constant term."""
-        lead = self._d[-1]
-        return QScalar({i: Fraction(c, lead)
-                        for i, c in enumerate(self._d) if c})
+        return _qs(self._d, self._d[-1], 0)
 
     def is_zero(self):
         return not self._n
@@ -848,14 +850,8 @@ class QRat:
     def __neg__(self):
         return _qrat([-x for x in self._n], self._d, self._v)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
+    __sub__ = _sub
+    __rsub__ = _rsub
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -891,17 +887,7 @@ class QRat:
     def inverse(self):
         return QRat.one() / self
 
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        acc = QRat.one()
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base
-            n >>= 1
-        return acc
+    __pow__ = _pow
 
     def __repr__(self):
         if len(self._d) == 1:
@@ -912,12 +898,6 @@ class QRat:
 # ---------------------------------------------------------------------------
 # truncated series
 # ---------------------------------------------------------------------------
-
-def is_zero_elem(x):
-    if hasattr(x, "is_zero"):
-        return x.is_zero()
-    return x == 0
-
 
 class TruncSeries:
     """Laurent series known exactly on a window [lo, hi].
@@ -942,7 +922,7 @@ class TruncSeries:
             if e < lo or e > hi:
                 raise WindowError("coefficient at %d outside window "
                                   "[%d, %d]" % (e, lo, hi))
-            if not is_zero_elem(v):
+            if v:
                 self.coeffs[e] = v
 
     def at(self, e):
@@ -966,7 +946,7 @@ class TruncSeries:
                 continue
             a, b = self.coeffs.get(e), other.coeffs.get(e)
             v = a if b is None else (b if a is None else a + b)
-            if not is_zero_elem(v):
+            if v:
                 c[e] = v
         return TruncSeries(self.var, c, lo, hi)
 
@@ -991,8 +971,7 @@ class TruncSeries:
                     continue
                 prev = c.get(e)
                 c[e] = v1 * v2 if prev is None else prev + v1 * v2
-        return TruncSeries(self.var, {e: v for e, v in c.items()
-                                      if not is_zero_elem(v)}, lo, hi)
+        return TruncSeries(self.var, c, lo, hi)
 
     def inverse(self):
         """Truncated multiplicative inverse; the edge coefficient must be
@@ -1002,7 +981,7 @@ class TruncSeries:
         coefficients are themselves series, as in fusion's h images.
         """
         c0 = self.at(self.lo)
-        if c0 is None or is_zero_elem(c0):
+        if not c0:
             raise DomainError("edge coefficient is not invertible")
         inv0 = invert_elem(c0)
         width = self.hi - self.lo
@@ -1036,17 +1015,16 @@ class TruncSeries:
             raise WindowError("windows do not overlap")
         for e in range(lo, hi + 1):
             a, b = self.coeffs.get(e), other.coeffs.get(e)
-            if a is None and b is None:
-                continue
-            if a is None or b is None:
-                if not is_zero_elem(a if b is None else b):
-                    return False
-            elif not is_zero_elem(a - b):
+            diff = b if a is None else a if b is None else a - b
+            if diff:
                 return False
         return True
 
     def is_zero(self):
         return not self.coeffs
+
+    def __bool__(self):
+        return bool(self.coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, TruncSeries):
@@ -1059,6 +1037,14 @@ class TruncSeries:
         terms = ", ".join("%s^%d: %r" % (self.var, e, self.coeffs[e])
                           for e in sorted(self.coeffs))
         return "Series[%d..%d]{%s}" % (self.lo, self.hi, terms)
+
+
+def _frac(x):
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int):
+        return Fraction(x)
+    raise TypeError("expected int or Fraction, got %r" % (x,))
 
 
 class PolyScalar:
@@ -1107,6 +1093,9 @@ class PolyScalar:
     def is_zero(self):
         return not self._c
 
+    def __bool__(self):
+        return bool(self._c)
+
     def _check(self, other):
         if self.variables != other.variables:
             raise DomainError("mixed variable sets")
@@ -1153,14 +1142,8 @@ class PolyScalar:
         r._c = {e: -v for e, v in self._c.items()}
         return r
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
+    __sub__ = _sub
+    __rsub__ = _rsub
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -1213,7 +1196,7 @@ def series_log_coeffs(f, order):
     if f.lo != 0:
         raise DomainError("series must start at order 0 for log extraction")
     f0 = f.at(0)
-    if f0 is None or is_zero_elem(f0):
+    if not f0:
         raise DomainError("constant term is not invertible")
     if order > f.hi:
         raise WindowError("log order %d exceeds window top %d"

@@ -10,7 +10,7 @@ from qtoroidal.modrep import (ModuleRealization, _relation_instances,
                               l_character_offset, rou_irreducible,
                               verify_relations)
 from qtoroidal.monomials import mono_parse
-from qtoroidal.scalars import QScalar, cyclotomic_specialize, is_zero_elem
+from qtoroidal.scalars import QScalar, cyclotomic_specialize
 
 
 def one_vec(M, label):
@@ -64,7 +64,7 @@ def per_label_apply(M, gen, vec):
         v = scal * c
         if tgt in out:
             v = out[tgt] + v
-        if is_zero_elem(v):
+        if not v:
             out.pop(tgt, None)
         else:
             out[tgt] = v
@@ -151,6 +151,36 @@ def test_h_eigenvalue_from_log():
         # and the negative side mirrors it with t -> -t under q -> q
         got_neg = M.h_eigenvalue(2, -m, v)
         assert got_neg == QScalar.q_power(-t * m) * q_int(m) * Fraction(1, m)
+
+
+def assert_int_qscalar(x):
+    """The stored parts of a QScalar are ints: no float, no Fraction."""
+    for c in (*x._n, x._d, x._v):
+        assert type(c) is int, (x, c)
+
+
+def test_loop_module_scalars_keep_int_parts():
+    M = build_extremal_loop((-2, 2))
+    gens = relation_generators(M)
+    entries = 0
+    for gen in gens:
+        for col in M.op(gen).cols.values():
+            for v in col.values():
+                assert isinstance(v, QScalar)
+                assert_int_qscalar(v)
+                entries += 1
+    assert entries > 0
+    assert any(gen[0] == "h" for gen in gens)
+    # every h eigenvalue up to |m| = 3, past the relations' |m| = 1: the
+    # eigenvalues q^(t m) [m]_q / m carry the denominators 2 and 3
+    denominators = set()
+    for g in M.nodes:
+        for m in (1, -1, 2, -2, 3, -3):
+            for label in M.basis:
+                val = M.h_eigenvalue(g, m, label)
+                assert_int_qscalar(val)
+                denominators.add(val._d)
+    assert denominators == {1, 2, 3}
 
 
 def test_phi_series_rejects_a_ladder_phi_image():

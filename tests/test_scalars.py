@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from qtoroidal.errors import (DomainError, ExactDivisionError, InputError,
                               MixedOrderError, WindowError)
-from qtoroidal.scalars import (CycScalar, QRat, QScalar, TruncSeries,
-                               _iexquo, cyclotomic_polynomial,
-                               cyclotomic_specialize, is_zero_elem, q_binom,
-                               q_factorial, q_int, series_log_coeffs)
+from qtoroidal.linalg import LinOp
+from qtoroidal.scalars import (CycScalar, PolyScalar, QRat, QScalar,
+                               TruncSeries, _iexquo, cyclotomic_polynomial,
+                               cyclotomic_specialize, q_binom, q_factorial,
+                               q_int, series_log_coeffs)
 
 
 def test_q_int_two():
@@ -683,7 +684,20 @@ def qscalar_operands(draw):
     return x, x
 
 
+def assert_canonical_qscalar(x):
+    """A QScalar stores int coefficients with nonzero ends over a positive
+    int denominator coprime to their content: no float and no Fraction."""
+    for c in (*x._n, x._d, x._v):
+        assert type(c) is int, (x, c)
+    if x._n:
+        assert x._n[0] and x._n[-1], x._n
+        assert x._d > 0 and gcd(x._d, *x._n) == 1, (x._n, x._d)
+    else:
+        assert (x._d, x._v) == (1, 0)
+
+
 def qs_agree(got, want):
+    assert_canonical_qscalar(got)
     assert repr(got) == repr(want)
     assert dict(got.items()) == dict(want.items())
     assert all(type(v) is Fraction for _, v in got.items())
@@ -860,6 +874,22 @@ def test_qrat_field_ops():
     assert QRat(q_int(2) * q_int(3), q_int(2)) == QRat(q_int(3))
 
 
+@pytest.mark.parametrize("x", [
+    QScalar({2: Fraction(1, 3), -1: 2}),
+    CycScalar(6, (1, Fraction(2, 5))),
+    QRat(q_int(2), q_int(3)),
+    PolyScalar(("q", "t"), {(1, -1): Fraction(3, 4)}),
+    LinOp({"a": {"a": QScalar.one(), "b": QScalar.q_power(-2)}}),
+    TruncSeries("z", {0: QScalar.one(), 2: q_int(2)}, 0, 3),
+], ids=["QScalar", "CycScalar", "QRat", "PolyScalar", "LinOp",
+        "TruncSeries"])
+def test_elements_are_falsy_exactly_when_zero(x):
+    zero = x - x
+    assert x and not x.is_zero()
+    assert not zero and zero.is_zero()
+    assert bool(-x) and not (-x + x)
+
+
 def test_series_window_rules():
     f = TruncSeries("z", {0: QScalar.one(), 2: q_int(2)}, 0, 4)
     g = TruncSeries("z", {1: QScalar.one()}, 1, 3)
@@ -894,8 +924,7 @@ def series_exp(var, coeffs, order, one):
     ``one`` is the multiplicative identity of the coefficient ring.  List
     entries may be None, read as exact zeros.
     """
-    body_coeffs = {m + 1: c for m, c in enumerate(coeffs)
-                   if c is not None and not is_zero_elem(c)}
+    body_coeffs = {m + 1: c for m, c in enumerate(coeffs) if c}
     acc = TruncSeries(var, {0: one}, 0, order)
     if not body_coeffs or order < 1:
         return acc
