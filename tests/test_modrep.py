@@ -1,10 +1,13 @@
+import gc
+
 import pytest
 
 from qtoroidal.errors import (ConstructionError, DomainError, EscapeError,
                               InputError)
 from qtoroidal.linalg import LinOp
-from qtoroidal.modrep import (ModuleRealization, _relation_instances,
-                              build_extremal_loop, build_root_of_unity,
+from qtoroidal.modrep import (ModuleRealization, RelationReport,
+                              _relation_instances, build_extremal_loop,
+                              build_root_of_unity,
                               display_monomial, expected_phi_series,
                               hecke_companion, l_character,
                               l_character_offset, rou_irreducible,
@@ -221,6 +224,88 @@ def test_corrupted_table_fails_with_witness():
     for f in offenders:
         assert f["witness"] is not None
         assert "relation" in f["witness"] and "vector" in f["witness"]
+
+
+def replay_verify_relations(M, r_bound, m_bound):
+    """The per-vector replay verifier: every term's word is applied to
+    ``{v: one}`` one generator at a time through ``M.apply``.  Kept as
+    the oracle for the memoized word walk in ``verify_relations``."""
+    report = RelationReport()
+    state = {}
+    for family, desc, terms in _relation_instances(M, r_bound, m_bound):
+        fam = state.setdefault(family,
+                               {"instances": 0, "checked": 0, "skipped": 0,
+                                "witness": None})
+        fam["instances"] += 1
+        if fam["witness"] is not None:
+            continue
+        coerced = [(M.from_qscalar(c) if isinstance(c, QScalar) else c, seq)
+                   for c, seq in terms]
+        for v in M.basis:
+            try:
+                acc = {}
+                for coef, seq in coerced:
+                    vec = {v: M.one()}
+                    for gen in reversed(seq):
+                        vec = M.apply(gen, vec)
+                    for lab, val in vec.items():
+                        w = val * coef
+                        if lab in acc:
+                            w = acc[lab] + w
+                        if not w:
+                            acc.pop(lab, None)
+                        else:
+                            acc[lab] = w
+            except EscapeError:
+                fam["skipped"] += 1
+                continue
+            fam["checked"] += 1
+            if acc:
+                lab, val = next(iter(acc.items()))
+                fam["witness"] = {"relation": desc, "vector": list(v),
+                                  "entry": list(lab), "value": repr(val)}
+                break
+    for family, fam in state.items():
+        report.add(family, fam["instances"], fam["checked"], fam["skipped"],
+                   fam["witness"])
+    return report
+
+
+@pytest.mark.parametrize("make, r_bound, m_bound", [
+    (lambda: build_extremal_loop((-2, 2)), 1, 1),
+    # about 46k distinct (word suffix, label) pairs: the memo is cleared
+    # many times over
+    (lambda: build_extremal_loop((-2, 2)), 1, 0),
+    (lambda: build_extremal_loop((-3, 3)), 0, 1),
+    (lambda: build_extremal_loop((-2, 2), corrupt_xp=(1, 1)), 1, 1),
+    (lambda: build_extremal_loop((-2, 2), corrupt_xp=(1, 0)), 1, 1),
+    (lambda: build_root_of_unity(1), 1, 1),
+    (lambda: build_root_of_unity(2), 1, 1),
+    (lambda: build_root_of_unity(3), 1, 1),
+], ids=["loop-r1m1", "loop-r1m0", "loop3-r0m1", "corrupt-r1", "corrupt-r0",
+        "rou1", "rou2", "rou3"])
+def test_verify_relations_matches_replay(make, r_bound, m_bound):
+    M = make()
+    want = replay_verify_relations(M, r_bound, m_bound).to_json()
+    got = verify_relations(M, r_bound, m_bound).to_json()
+    assert got == want
+    if M.corrupt_xp is not None:
+        assert not want["passed"]
+    if M.kind == "loop":
+        assert any(f["skipped_vectors"] for f in want["families"])
+
+
+def test_verify_relations_leaves_no_reference_cycles():
+    # whatever the verifier allocates is freed by reference counting on
+    # return, not left to the cyclic collector
+    M = build_extremal_loop((-2, 2))
+    gc.collect()
+    gc.disable()
+    try:
+        verify_relations(M, 1, 1)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_rou_specializes_loop():
