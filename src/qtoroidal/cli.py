@@ -201,14 +201,18 @@ def build_parser():
     r.add_argument("--L", type=int, default=0,
                    help="build the 4L-dimensional quotient instead")
     r.add_argument("--r-range", type=int, default=2)
-    r.add_argument("--series-order", type=int, default=2)
+    r.add_argument("--series-order", type=int, default=2,
+                   help="bound |m| on the mode index m of the checked "
+                        "relations")
     r.set_defaults(run=_cmd_repcheck)
 
     f = sub.add_parser("fusion", help="deformed coproduct checks")
     f.add_argument("--L", type=int, default=1)
     f.add_argument("--u-order", type=int, default=3)
     f.add_argument("--r-range", type=int, default=1)
-    f.add_argument("--series-order", type=int, default=1)
+    f.add_argument("--series-order", type=int, default=1,
+                   help="bound |m| on the mode index m of the checked "
+                        "relations")
     f.add_argument("--ops", default="",
                    help="two twists: run coassociativity instead")
     f.set_defaults(run=_cmd_fusion)

@@ -12,6 +12,13 @@ per module from the generator tables in ``image()``.  Diagonal
 h-generators have no table of their own: their eigenvalues are recovered
 from the phi-eigenvalue series through the exact truncated logarithm,
 keeping the phi-tables the single source of truth.
+
+Every generator operator is monomial: ``image()`` gives each basis vector
+at most one target.  So the image of a basis vector under a word of
+generators is one (label, scalar) pair, zero, or an escape from the
+window, and the relation verifier evaluates each relation term on a
+basis vector from a bounded memo of word images keyed on (word suffix,
+label) instead of replaying the word through ``apply``.
 """
 
 from __future__ import annotations
@@ -417,16 +424,69 @@ def _relation_instances(M, r_bound, m_bound):
                                    % (tag, a, b, rs, rp), terms)
 
 
-def verify_relations(M, r_bound, m_bound, series_order=None):
+WORD_MEMO_LIMIT = 2000   # word images kept between clears; the suffixes
+                         # a word shares come from adjacent instances
+_MISS = object()
+_ESCAPE = object()       # a word image that needs a label off the window
+
+
+def _word_image(memo, basis, suffixes, cols, label, one):
+    """Image of the basis vector ``label`` under a word of monomial
+    operators: a (label, scalar) pair, None when the word kills it, or
+    _ESCAPE when a letter would act on a label outside the window.
+
+    ``cols[i]`` holds the columns of the word's i-th letter in the order
+    the letters act and ``suffixes[i]`` the word from that letter on.  The
+    image of every (suffix, label) the walk passes through is memoized.
+    The scalar rings have no zero divisors, so a pair's scalar is nonzero.
+    """
+    path = []
+    for suffix, col in zip(suffixes, cols):
+        if label not in basis:
+            img = _ESCAPE
+            break
+        entry = col.get(label)
+        if entry is None:
+            img = None
+            break
+        key = (suffix, label)
+        img = memo.get(key, _MISS)
+        if img is not _MISS:
+            break
+        # one entry per column: every generator operator is monomial
+        (label, scal), = entry.items()
+        path.append((key, scal))
+    else:
+        if not path:
+            return label, one       # the empty word
+        key, scal = path.pop()
+        img = memo[key] = (label, scal)
+    if img is None or img is _ESCAPE:
+        for key, _ in path:
+            memo[key] = img
+        return img
+    label, val = img
+    for key, scal in reversed(path):
+        val = scal * val
+        memo[key] = (label, val)
+    return label, val
+
+
+def verify_relations(M, r_bound, m_bound):
     """Evaluate every defining relation with indices within the bounds on
     every basis vector whose full evaluation stays inside the window.
 
-    The central element is the identity throughout.  Failures carry the
-    first offending (relation, vector, entry) witness.
+    A vector is skipped when some term's word would act on a label outside
+    the window; a word's final image may leave it.  The central element is
+    the identity throughout.  Failures carry the first offending
+    (relation, vector, entry) witness.
     """
-    del series_order  # h extraction is exact at the order each h needs
     report = RelationReport()
     state = {}
+    one = M.one()
+    basis = M._basis_set
+    memo = {}
+    coerced = {}             # QScalar coefficient -> module scalar
     for family, desc, terms in _relation_instances(M, r_bound, m_bound):
         fam = state.setdefault(family,
                                {"instances": 0, "checked": 0, "skipped": 0,
@@ -434,32 +494,44 @@ def verify_relations(M, r_bound, m_bound, series_order=None):
         fam["instances"] += 1
         if fam["witness"] is not None:
             continue
-        coerced = [(M.from_qscalar(c) if isinstance(c, QScalar) else c, seq)
-                   for c, seq in terms]
+        if len(memo) >= WORD_MEMO_LIMIT:
+            memo.clear()
+        words = []
+        for coef, seq in terms:
+            if isinstance(coef, QScalar):
+                c = coerced.get(coef)
+                if c is None:
+                    c = coerced[coef] = M.from_qscalar(coef)
+                coef = c
+            word = tuple(reversed(seq))         # letters in acting order
+            words.append((coef, [word[i:] for i in range(len(word))],
+                          [M.op(gen).cols for gen in word]))
         for v in M.basis:
-            try:
-                acc = {}
-                for coef, seq in coerced:
-                    vec = {v: M.one()}
-                    for gen in reversed(seq):
-                        vec = M.apply(gen, vec)
-                    for lab, val in vec.items():
-                        w = val * coef
-                        if lab in acc:
-                            w = acc[lab] + w
-                        if not w:
-                            acc.pop(lab, None)
-                        else:
-                            acc[lab] = w
-            except EscapeError:
-                fam["skipped"] += 1
-                continue
-            fam["checked"] += 1
-            if acc:
-                lab, val = next(iter(acc.items()))
-                fam["witness"] = {"relation": desc, "vector": list(v),
-                                  "entry": list(lab), "value": repr(val)}
-                break
+            acc = {}
+            for coef, suffixes, cols in words:
+                if cols and v not in cols[0]:
+                    continue                # the first letter kills v
+                img = _word_image(memo, basis, suffixes, cols, v, one)
+                if img is _ESCAPE:
+                    fam["skipped"] += 1
+                    break
+                if img is None:
+                    continue
+                lab, val = img
+                w = val * coef
+                if lab in acc:
+                    w = acc[lab] + w
+                if not w:
+                    acc.pop(lab, None)
+                else:
+                    acc[lab] = w
+            else:
+                fam["checked"] += 1
+                if acc:
+                    lab, val = next(iter(acc.items()))
+                    fam["witness"] = {"relation": desc, "vector": list(v),
+                                      "entry": list(lab), "value": repr(val)}
+                    break
     for family, fam in state.items():
         report.add(family, fam["instances"], fam["checked"], fam["skipped"],
                    fam["witness"])
