@@ -273,8 +273,7 @@ def replay_verify_relations(M, r_bound, m_bound):
 
 @pytest.mark.parametrize("make, r_bound, m_bound", [
     (lambda: build_extremal_loop((-2, 2)), 1, 1),
-    # about 46k distinct (word suffix, label) pairs: the memo is cleared
-    # many times over
+    # the word memo fills and is cleared 7 times here (10 at (1, 1))
     (lambda: build_extremal_loop((-2, 2)), 1, 0),
     (lambda: build_extremal_loop((-3, 3)), 0, 1),
     (lambda: build_extremal_loop((-2, 2), corrupt_xp=(1, 1)), 1, 1),
