@@ -1,11 +1,14 @@
 import pytest
 
+from qtoroidal import fusion
 from qtoroidal.errors import InputError, WindowError
-from qtoroidal.fusion import (coproduct_generator, coproduct_relation_check,
-                              delta_terms, twisted_coassoc_check)
+from qtoroidal.fusion import (_check_fusable, _h_images, coproduct_generator,
+                              coproduct_relation_check, delta_terms,
+                              twisted_coassoc_check)
 from qtoroidal.linalg import LinOp
-from qtoroidal.modrep import (ModuleRealization, build_extremal_loop,
-                              build_root_of_unity)
+from qtoroidal.modrep import (ModuleRealization, _relation_instances,
+                              build_extremal_loop, build_root_of_unity)
+from qtoroidal.scalars import TruncSeries
 
 
 def tensor_op(M1, M2, genA, genB):
@@ -134,3 +137,124 @@ def test_relation_check_fails_on_corrupted_table():
         "relation": "xxp_{0,-1+1} xxp_{1,-1} exchange", "u_degree": -1}
     assert not any(fams[name]["passed"]
                    for name in ("h-x", "xpxm", "quadratic"))
+
+
+def full_window_relation_check(M1, M2, u_window, r_bound, m_bound):
+    """The relation check that multiplies every series out to the padded
+    build window and scales every term by its converted coefficient.
+    Kept as the oracle for ``coproduct_relation_check``."""
+    _check_fusable(M1, M2)
+    lo_req, hi_req = u_window
+    pad = 3 * r_bound + m_bound * m_bound + 4
+    build_window = (lo_req - pad, hi_req + pad)
+    images = {}
+    prefix_cache = {}
+
+    def image(gen):
+        if gen not in images:
+            if gen[0] == "h":
+                images.update(_h_images(M1, M2, M1.nodes, m_bound,
+                                        build_window, images))
+            else:
+                images[gen] = coproduct_generator(gen, M1, M2, build_window)
+        return images[gen]
+
+    tensor_one = LinOp.identity([(a, b) for a in M1.basis
+                                 for b in M2.basis], M1.one())
+    unit = TruncSeries("u", {0: tensor_one}, build_window[0],
+                       build_window[1])
+
+    results = []
+    passed_all = True
+    fam_state = {}
+    for family, desc, terms in _relation_instances(M1, r_bound, m_bound):
+        st = fam_state.setdefault(family, {"instances": 0, "witness": None})
+        st["instances"] += 1
+        if st["witness"] is not None:
+            continue
+        acc = None
+        for coef, seq in terms:
+            if not seq:
+                prod = unit
+            else:
+                prod = None
+                built = ()
+                for gen in seq:
+                    built += (gen,)
+                    hit = prefix_cache.get(built)
+                    if hit is not None:
+                        prod = hit
+                        continue
+                    s = image(gen).series
+                    prod = s if prod is None else prod * s
+                    prefix_cache[built] = prod
+            prod = prod.scale(M1.from_qscalar(coef))
+            acc = prod if acc is None else acc + prod
+        lo = max(acc.lo, lo_req)
+        hi = min(acc.hi, hi_req)
+        if hi < hi_req:
+            raise WindowError("window too narrow for %s (have %d, need %d);"
+                              " enlarge the pad" % (desc, hi, hi_req))
+        bad = None
+        for n in range(lo, hi + 1):
+            v = acc.at(n)
+            if v is not None and not v.is_zero():
+                bad = {"relation": desc, "u_degree": n}
+                break
+        if bad is not None:
+            st["witness"] = bad
+    for family, st in fam_state.items():
+        ok = st["witness"] is None
+        passed_all = passed_all and ok
+        results.append({"family": family, "instances": st["instances"],
+                        "passed": ok, "witness": st["witness"]})
+    return {"passed": passed_all, "u_window": list(u_window),
+            "families": results}
+
+
+@pytest.mark.parametrize("make, w, r_bound, m_bound", [
+    (lambda: build_root_of_unity(1), w, r, m)
+    for w in (1, 2, 3) for r, m in ((0, 0), (0, 1), (1, 1))
+] + [
+    (lambda: build_root_of_unity(2), 1, 0, 1),
+] + [
+    (lambda c=c: ModuleRealization("rou", n=3, period=1, corrupt_xp=c),
+     1, 1, 1)
+    for c in ((1, 0), (0, 1), (2, -1))
+], ids=["rou1-w%d-r%dm%d" % (w, r, m)
+        for w in (1, 2, 3) for r, m in ((0, 0), (0, 1), (1, 1))]
+   + ["rou2-w1-r0m1", "corrupt10", "corrupt01", "corrupt2m1"])
+def test_relation_check_matches_full_window(make, w, r_bound, m_bound):
+    M = make()
+    want = full_window_relation_check(M, M, (-w, w), r_bound, m_bound)
+    got = coproduct_relation_check(M, M, (-w, w), r_bound, m_bound)
+    assert got == want
+    assert want["passed"] is (M.corrupt_xp is None)
+
+
+def test_coassoc_fails_on_dropped_summand(monkeypatch):
+    # negative control: the right side of one x+ image loses its
+    # u^2 summand phi-_{1,-1} (x) phi-_{1,0} (x) x+_{1,1}; that generator
+    # must mismatch at u^2 and the others must still pass
+    dropped = (2, ("phim", 1, -1), ("phim", 1, 0), ("xp", 1, 1))
+    triple_terms = fusion._triple_terms
+
+    def corrupted(gen, s, sp, lo, hi, side):
+        terms = triple_terms(gen, s, sp, lo, hi, side)
+        if gen == ("xp", 1, 0) and side == "right":
+            assert dropped in terms
+            terms = [t for t in terms if t != dropped]
+        return terms
+
+    monkeypatch.setattr(fusion, "_triple_terms", corrupted)
+    M = build_root_of_unity(1)
+    rep = twisted_coassoc_check(M, M, M, 1, 1, (-3, 3),
+                                [("xp", 1, 0), ("xm", 2, 1), ("xp", 0, 0)])
+    assert rep["passed"] is False
+    assert rep["generators"] == [
+        {"generator": ["xp", 1, 0], "passed": False,
+         "first_mismatch_degree": 2},
+        {"generator": ["xm", 2, 1], "passed": True,
+         "first_mismatch_degree": None},
+        {"generator": ["xp", 0, 0], "passed": True,
+         "first_mismatch_degree": None}]

@@ -1,4 +1,5 @@
 import gc
+from fractions import Fraction
 
 import pytest
 
@@ -6,14 +7,16 @@ from qtoroidal.errors import (ConstructionError, DomainError, EscapeError,
                               InputError)
 from qtoroidal.linalg import LinOp
 from qtoroidal.modrep import (ModuleRealization, RelationReport,
-                              _relation_instances, build_extremal_loop,
+                              _b_matrix, _relation_instances,
+                              build_extremal_loop,
                               build_root_of_unity,
                               display_monomial, expected_phi_series,
                               hecke_companion, l_character,
                               l_character_offset, rou_irreducible,
                               verify_relations)
 from qtoroidal.monomials import mono_parse
-from qtoroidal.scalars import QScalar, cyclotomic_specialize
+from qtoroidal.scalars import (QScalar, cyclotomic_specialize, q_binom,
+                               q_int)
 
 
 def one_vec(M, label):
@@ -292,6 +295,149 @@ def test_verify_relations_matches_replay(make, r_bound, m_bound):
         assert not want["passed"]
     if M.kind == "loop":
         assert any(f["skipped_vectors"] for f in want["families"])
+
+
+def rebuilt_relation_instances(M, r_bound, m_bound):
+    """The relation generator as it was before its coefficients were
+    hoisted out of the inner loops: every instance builds its own.  Kept
+    as the oracle for ``_relation_instances``."""
+    nodes = M.nodes
+    one = QScalar.one()
+    rng_r = range(-r_bound, r_bound + 1)
+    rng_m = [m for m in range(-m_bound, m_bound + 1) if m]
+
+    for a in nodes:
+        for b in nodes:
+            yield ("k-cartan", "k_%d k_%d = k_%d k_%d" % (a, b, b, a),
+                   [(one, [("k", a, 1), ("k", b, 1)]),
+                    (-one, [("k", b, 1), ("k", a, 1)])])
+        yield ("k-cartan", "k_%d k_%d^-1 = 1" % (a, a),
+               [(one, [("k", a, 1), ("k", a, -1)]), (-one, [])])
+        for b in nodes:
+            for m in rng_m:
+                yield ("k-cartan", "[k_%d, h_{%d,%d}] = 0" % (a, b, m),
+                       [(one, [("k", a, 1), ("h", b, m)]),
+                        (-one, [("h", b, m), ("k", a, 1)])])
+
+    for a in nodes:
+        for b in nodes:
+            for m in rng_m:
+                for mp in rng_m:
+                    yield ("h-h", "[h_{%d,%d}, h_{%d,%d}] = 0"
+                           % (a, m, b, mp),
+                           [(one, [("h", a, m), ("h", b, mp)]),
+                            (-one, [("h", b, mp), ("h", a, m)])])
+
+    for a in nodes:
+        for b in nodes:
+            B = _b_matrix(a, b)
+            for r in rng_r:
+                for sgn, tag in ((1, "xp"), (-1, "xm")):
+                    yield ("k-x",
+                           "k_%d x%s_{%d,%d} k_%d^-1 = q^%d x%s_{%d,%d}"
+                           % (a, tag, b, r, a, sgn * B, tag, b, r),
+                           [(one, [("k", a, 1), (tag, b, r), ("k", a, -1)]),
+                            (-QScalar.q_power(sgn * B), [(tag, b, r)])])
+
+    for a in nodes:
+        for b in nodes:
+            B = _b_matrix(a, b)
+            for m in rng_m:
+                coef = q_int(m * B) * Fraction(1, m)
+                for sgn, tag in ((1, "xp"), (-1, "xm")):
+                    for r in rng_r:
+                        yield ("h-x",
+                               "[h_{%d,%d}, x%s_{%d,%d}]" % (a, m, tag, b, r),
+                               [(one, [("h", a, m), (tag, b, r)]),
+                                (-one, [(tag, b, r), ("h", a, m)]),
+                                (-QScalar.from_const(sgn) * coef,
+                                 [(tag, b, m + r)])])
+
+    qdiff = QScalar({1: 1, -1: -1})
+    for a in nodes:
+        for b in nodes:
+            for r in rng_r:
+                for rp in rng_r:
+                    terms = [(qdiff, [("xp", a, r), ("xm", b, rp)]),
+                             (-qdiff, [("xm", b, rp), ("xp", a, r)])]
+                    if a == b:
+                        s = r + rp
+                        if s >= 0:
+                            terms.append((-one, [("phip", a, s)]))
+                        if s <= 0:
+                            terms.append((one, [("phim", a, s)]))
+                    yield ("xpxm",
+                           "[x+_{%d,%d}, x-_{%d,%d}] vs phi" % (a, r, b, rp),
+                           terms)
+
+    for a in nodes:
+        for b in nodes:
+            B = _b_matrix(a, b)
+            for sgn, tag in ((1, "xp"), (-1, "xm")):
+                qB = QScalar.q_power(sgn * B)
+                for r in rng_r:
+                    for rp in rng_r:
+                        yield ("quadratic",
+                               "x%s_{%d,%d+1} x%s_{%d,%d} exchange"
+                               % (tag, a, r, tag, b, rp),
+                               [(one, [(tag, a, r + 1), (tag, b, rp)]),
+                                (-qB, [(tag, b, rp), (tag, a, r + 1)]),
+                                (-qB, [(tag, a, r), (tag, b, rp + 1)]),
+                                (one, [(tag, b, rp + 1), (tag, a, r)])])
+
+    for a in nodes:
+        for b in nodes:
+            if a == b:
+                continue
+            c_ab = -1 if (a - b) % 4 in (1, 3) else 0
+            s = 1 - c_ab
+            binoms = [q_binom(s, k) for k in range(s + 1)]
+            for sgn, tag in ((1, "xp"), (-1, "xm")):
+                for r1 in rng_r:
+                    for r2 in rng_r:
+                        if s == 2 and r2 < r1:
+                            continue
+                        for rp in rng_r:
+                            rs = (r1, r2)[:s]
+                            terms = []
+                            perms = {rs, rs[::-1]} if s == 2 else {rs}
+                            for perm in sorted(perms):
+                                weight = 2 if (s == 2 and len(perms) == 1) \
+                                    else 1
+                                for k in range(s + 1):
+                                    seq = [(tag, a, rr) for rr in perm[:k]]
+                                    seq.append((tag, b, rp))
+                                    seq += [(tag, a, rr) for rr in perm[k:]]
+                                    coef = binoms[k] * Fraction(
+                                        (-1) ** k * weight)
+                                    terms.append((coef, seq))
+                            yield ("serre",
+                                   "serre %s (%d,%d) r=%r r'=%d"
+                                   % (tag, a, b, rs, rp), terms)
+
+
+def _instance_listing(gen):
+    return [(family, desc, [(repr(coef), seq) for coef, seq in terms])
+            for family, desc, terms in gen]
+
+
+@pytest.mark.parametrize("make, r_bound, m_bound", [
+    (lambda: build_extremal_loop((-2, 2)), 1, 1),
+    (lambda: build_extremal_loop((-2, 2)), 2, 2),
+    (lambda: build_root_of_unity(1), 1, 1),
+    (lambda: build_root_of_unity(1), 2, 2),
+    (lambda: build_root_of_unity(2), 1, 1),
+    (lambda: build_root_of_unity(2), 2, 2),
+], ids=["loop-r1m1", "loop-r2m2", "rou1-r1m1", "rou1-r2m2", "rou2-r1m1",
+        "rou2-r2m2"])
+def test_relation_instances_match_rebuilt_coefficients(make, r_bound,
+                                                       m_bound):
+    M = make()
+    want = _instance_listing(rebuilt_relation_instances(M, r_bound, m_bound))
+    got = _instance_listing(_relation_instances(M, r_bound, m_bound))
+    assert got == want
+    assert {family for family, _, _ in want} == {
+        "k-cartan", "h-h", "k-x", "h-x", "xpxm", "quadratic", "serre"}
 
 
 def test_verify_relations_leaves_no_reference_cycles():
