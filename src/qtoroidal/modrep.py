@@ -308,24 +308,28 @@ def _b_matrix(a, b):
 
 def _relation_instances(M, r_bound, m_bound):
     """Yield (family, description, terms); a term is (QScalar coefficient,
-    generator sequence applied right to left)."""
+    generator sequence applied right to left).  Coefficients are built
+    once per loop level they depend on and shared between instances;
+    scalars are never mutated."""
     nodes = M.nodes
     one = QScalar.one()
+    neg_one = -one
     rng_r = range(-r_bound, r_bound + 1)
     rng_m = [m for m in range(-m_bound, m_bound + 1) if m]
+    signs = ((1, "xp"), (-1, "xm"))
 
     for a in nodes:
         for b in nodes:
             yield ("k-cartan", "k_%d k_%d = k_%d k_%d" % (a, b, b, a),
                    [(one, [("k", a, 1), ("k", b, 1)]),
-                    (-one, [("k", b, 1), ("k", a, 1)])])
+                    (neg_one, [("k", b, 1), ("k", a, 1)])])
         yield ("k-cartan", "k_%d k_%d^-1 = 1" % (a, a),
-               [(one, [("k", a, 1), ("k", a, -1)]), (-one, [])])
+               [(one, [("k", a, 1), ("k", a, -1)]), (neg_one, [])])
         for b in nodes:
             for m in rng_m:
                 yield ("k-cartan", "[k_%d, h_{%d,%d}] = 0" % (a, b, m),
                        [(one, [("k", a, 1), ("h", b, m)]),
-                        (-one, [("h", b, m), ("k", a, 1)])])
+                        (neg_one, [("h", b, m), ("k", a, 1)])])
 
     for a in nodes:
         for b in nodes:
@@ -334,44 +338,47 @@ def _relation_instances(M, r_bound, m_bound):
                     yield ("h-h", "[h_{%d,%d}, h_{%d,%d}] = 0"
                            % (a, m, b, mp),
                            [(one, [("h", a, m), ("h", b, mp)]),
-                            (-one, [("h", b, mp), ("h", a, m)])])
+                            (neg_one, [("h", b, mp), ("h", a, m)])])
 
     for a in nodes:
         for b in nodes:
             B = _b_matrix(a, b)
+            shifts = [(sgn, tag, -QScalar.q_power(sgn * B))
+                      for sgn, tag in signs]
             for r in rng_r:
-                for sgn, tag in ((1, "xp"), (-1, "xm")):
+                for sgn, tag, neg_qB in shifts:
                     yield ("k-x",
                            "k_%d x%s_{%d,%d} k_%d^-1 = q^%d x%s_{%d,%d}"
                            % (a, tag, b, r, a, sgn * B, tag, b, r),
                            [(one, [("k", a, 1), (tag, b, r), ("k", a, -1)]),
-                            (-QScalar.q_power(sgn * B), [(tag, b, r)])])
+                            (neg_qB, [(tag, b, r)])])
 
     for a in nodes:
         for b in nodes:
             B = _b_matrix(a, b)
             for m in rng_m:
                 coef = q_int(m * B) * Fraction(1, m)
-                for sgn, tag in ((1, "xp"), (-1, "xm")):
+                for sgn, tag in signs:
+                    shifted = -QScalar.from_const(sgn) * coef
                     for r in rng_r:
                         yield ("h-x",
                                "[h_{%d,%d}, x%s_{%d,%d}]" % (a, m, tag, b, r),
                                [(one, [("h", a, m), (tag, b, r)]),
-                                (-one, [(tag, b, r), ("h", a, m)]),
-                                (-QScalar.from_const(sgn) * coef,
-                                 [(tag, b, m + r)])])
+                                (neg_one, [(tag, b, r), ("h", a, m)]),
+                                (shifted, [(tag, b, m + r)])])
 
     qdiff = QScalar({1: 1, -1: -1})
+    neg_qdiff = -qdiff
     for a in nodes:
         for b in nodes:
             for r in rng_r:
                 for rp in rng_r:
                     terms = [(qdiff, [("xp", a, r), ("xm", b, rp)]),
-                             (-qdiff, [("xm", b, rp), ("xp", a, r)])]
+                             (neg_qdiff, [("xm", b, rp), ("xp", a, r)])]
                     if a == b:
                         s = r + rp
                         if s >= 0:
-                            terms.append((-one, [("phip", a, s)]))
+                            terms.append((neg_one, [("phip", a, s)]))
                         if s <= 0:
                             terms.append((one, [("phim", a, s)]))
                     yield ("xpxm",
@@ -381,16 +388,16 @@ def _relation_instances(M, r_bound, m_bound):
     for a in nodes:
         for b in nodes:
             B = _b_matrix(a, b)
-            for sgn, tag in ((1, "xp"), (-1, "xm")):
-                qB = QScalar.q_power(sgn * B)
+            for sgn, tag in signs:
+                neg_qB = -QScalar.q_power(sgn * B)
                 for r in rng_r:
                     for rp in rng_r:
                         yield ("quadratic",
                                "x%s_{%d,%d+1} x%s_{%d,%d} exchange"
                                % (tag, a, r, tag, b, rp),
                                [(one, [(tag, a, r + 1), (tag, b, rp)]),
-                                (-qB, [(tag, b, rp), (tag, a, r + 1)]),
-                                (-qB, [(tag, a, r), (tag, b, rp + 1)]),
+                                (neg_qB, [(tag, b, rp), (tag, a, r + 1)]),
+                                (neg_qB, [(tag, a, r), (tag, b, rp + 1)]),
                                 (one, [(tag, b, rp + 1), (tag, a, r)])])
 
     for a in nodes:
@@ -399,8 +406,12 @@ def _relation_instances(M, r_bound, m_bound):
                 continue
             c_ab = -1 if (a - b) % 4 in (1, 3) else 0
             s = 1 - c_ab
-            binoms = [q_binom(s, k) for k in range(s + 1)]
-            for sgn, tag in ((1, "xp"), (-1, "xm")):
+            # the k-th serre coefficient by weight: a repeated pair of
+            # indices stands for both of its orderings
+            binoms = {weight: [q_binom(s, k) * Fraction((-1) ** k * weight)
+                               for k in range(s + 1)]
+                      for weight in (1, 2)}
+            for sgn, tag in signs:
                 for r1 in rng_r:
                     for r2 in rng_r:
                         if s == 2 and r2 < r1:
@@ -409,15 +420,13 @@ def _relation_instances(M, r_bound, m_bound):
                             rs = (r1, r2)[:s]
                             terms = []
                             perms = {rs, rs[::-1]} if s == 2 else {rs}
+                            weight = 2 if (s == 2 and len(perms) == 1) \
+                                else 1
                             for perm in sorted(perms):
-                                weight = 2 if (s == 2 and len(perms) == 1) \
-                                    else 1
-                                for k in range(s + 1):
+                                for k, coef in enumerate(binoms[weight]):
                                     seq = [(tag, a, rr) for rr in perm[:k]]
                                     seq.append((tag, b, rp))
                                     seq += [(tag, a, rr) for rr in perm[k:]]
-                                    coef = binoms[k] * Fraction(
-                                        (-1) ** k * weight)
                                     terms.append((coef, seq))
                             yield ("serre",
                                    "serre %s (%d,%d) r=%r r'=%d"
