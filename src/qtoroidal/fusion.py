@@ -5,6 +5,14 @@ whose coefficients are exact operators on the tensor basis; negative
 u-exponents are first class.  Windows narrow through products by the
 intersection rule and nothing is ever specialized at u = 1 unless the
 series is complete (its defining sum lies fully inside the window).
+
+The checks compute only what they read.  The relation check forms each
+product up to the top u-degree it compares, and each prefix of that
+product up to that top less the lowest degrees of the factors still to
+multiply; its generator images keep a padded window, which the
+logarithm inside the h images needs.  The coassociativity check
+tensors each triple of generator operators once and compares the two
+sides degree by degree on their columns.
 """
 
 from __future__ import annotations
@@ -192,10 +200,11 @@ def coproduct_relation_check(M1, M2, u_window, r_bound, m_bound):
     """
     _check_fusable(M1, M2)
     lo_req, hi_req = u_window
-    # window losses: up to three ladder factors each costing r_bound of
-    # top room, plus the log extraction inside the h images costing at
-    # most m_bound per z-order; a WindowError (never a wrong answer)
-    # results if this is ever too tight
+    # images are built on a padded window, because the log extraction
+    # inside the h images costs up to m_bound of top room per z-order and
+    # each ladder factor (up to three, r_bound apiece) narrows a product;
+    # products read only up to hi_req, and a WindowError (never a wrong
+    # answer) results if the pad is ever too tight
     pad = 3 * r_bound + m_bound * m_bound + 4
     build_window = (lo_req - pad, hi_req + pad)
     images = {}
@@ -210,8 +219,33 @@ def coproduct_relation_check(M1, M2, u_window, r_bound, m_bound):
                 images[gen] = coproduct_generator(gen, M1, M2, build_window)
         return images[gen]
 
+    def product(seq):
+        factors = [image(gen).series for gen in seq]
+        # the top each prefix must reach; a product lying wholly above
+        # hi_req is still formed at its lowest degree
+        top = max(hi_req, sum(f.lo for f in factors))
+        tops = []
+        for f in reversed(factors):
+            tops.append(top)
+            top -= f.lo
+        tops.reverse()
+        prod = None
+        built = ()
+        for gen, f, top in zip(seq, factors, tops):
+            built += (gen,)
+            hit = prefix_cache.get(built)
+            if hit is not None and hit.hi >= top:
+                prod = hit
+                continue
+            prod = f if prod is None else prod.mul(f, top)
+            prefix_cache[built] = prod
+        return prod
+
+    one = M1.one()
+    neg_one = -one
+    ring = {}           # QScalar coefficient -> the module's scalar
     tensor_one = LinOp.identity([(a, b) for a in M1.basis
-                                 for b in M2.basis], M1.one())
+                                 for b in M2.basis], one)
     unit = TruncSeries("u", {0: tensor_one}, build_window[0],
                        build_window[1])
 
@@ -225,21 +259,17 @@ def coproduct_relation_check(M1, M2, u_window, r_bound, m_bound):
             continue
         acc = None
         for coef, seq in terms:
-            if not seq:
-                prod = unit
-            else:
-                prod = None
-                built = ()
-                for gen in seq:
-                    built += (gen,)
-                    hit = prefix_cache.get(built)
-                    if hit is not None:
-                        prod = hit
-                        continue
-                    s = image(gen).series
-                    prod = s if prod is None else prod * s
-                    prefix_cache[built] = prod
-            prod = prod.scale(M1.from_qscalar(coef))
+            prod = product(seq) if seq else unit
+            c = ring.get(coef)
+            if c is None:
+                c = M1.from_qscalar(coef)
+                # the ring's own +-1, so that the tests below are by identity
+                c = ring[coef] = (one if c == one else
+                                  neg_one if c == neg_one else c)
+            if c is neg_one:
+                prod = -prod
+            elif c is not one:
+                prod = prod.scale(c)
             acc = prod if acc is None else acc + prod
         lo = max(acc.lo, lo_req)
         hi = min(acc.hi, hi_req)
@@ -367,8 +397,16 @@ def twisted_coassoc_check(M1, M2, M3, s, s_prime, u_window, gens):
     _check_fusable(M1, M2, M3)
     lo, hi = u_window
 
+    # both sides expand into the same triples, so each is tensored once
+    triples = {}
+
     def op3(ga, gb, gc):
-        return M1.op(ga).tensor(M2.op(gb)).tensor(M3.op(gc))
+        key = (ga, gb, gc)
+        op = triples.get(key)
+        if op is None:
+            op = triples[key] = (M1.op(ga).tensor(M2.op(gb))
+                                 .tensor(M3.op(gc)))
+        return op
 
     report = []
     ok_all = True
@@ -384,10 +422,9 @@ def twisted_coassoc_check(M1, M2, M3, s, s_prime, u_window, gens):
             sides.append(acc)
         left, right = sides
         mismatch = None
+        zero = LinOp.zero()
         for d in sorted(set(left) | set(right)):
-            lv = left.get(d, LinOp.zero())
-            rv = right.get(d, LinOp.zero())
-            if not (lv - rv).is_zero():
+            if left.get(d, zero) != right.get(d, zero):
                 mismatch = d
                 break
         ok = mismatch is None

@@ -125,21 +125,23 @@ class LinOp:
         return r
 
     def tensor(self, other):
-        """Kronecker product on paired labels."""
-        cols = {}
-        for s1, c1 in self.cols.items():
-            for s2, c2 in other.cols.items():
-                col = {}
-                for d1, v1 in c1.items():
-                    for d2, v2 in c2.items():
-                        col[(d1, d2)] = v1 * v2
-                cols[(s1, s2)] = col
-        return LinOp(cols)
+        """Kronecker product on paired labels.  Both factors are clean and
+        the scalar rings have no zero divisors, so the product is clean as
+        built."""
+        r = LinOp.__new__(LinOp)
+        r.cols = {(s1, s2): {(d1, d2): v1 * v2 for d1, v1 in c1.items()
+                             for d2, v2 in c2.items()}
+                  for s1, c1 in self.cols.items()
+                  for s2, c2 in other.cols.items()}
+        return r
 
     def __eq__(self, other):
+        """Every operation keeps operators clean (no zero entry, no empty
+        column) and every scalar ring compares canonical forms, so two
+        operators are equal exactly when their columns are."""
         if not isinstance(other, LinOp):
             return NotImplemented
-        return (self - other).is_zero()
+        return self.cols == other.cols
 
     def __repr__(self):
         n = sum(len(c) for c in self.cols.values())

@@ -890,6 +890,46 @@ def test_elements_are_falsy_exactly_when_zero(x):
     assert bool(-x) and not (-x + x)
 
 
+def _linops(entries):
+    labels = ("a", "b", "c")
+    return st.builds(
+        LinOp, st.dictionaries(st.sampled_from(labels),
+                                st.dictionaries(st.sampled_from(labels),
+                                                entries, max_size=3),
+                                max_size=3))
+
+
+# entries that cancel often: 0, +-1 and +-q
+small_qscalars = st.builds(
+    lambda c, e: QScalar({e: c}), st.sampled_from([0, 1, -1]),
+    st.sampled_from([0, 1]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_linops(small_qscalars), _linops(small_qscalars),
+       _linops(small_qscalars), st.booleans())
+def test_linop_equality_agrees_with_subtraction(a, c, d, via_cancel):
+    # b equals a through cancelling sums, or differs from it by c - d
+    b = (a + c) - c if via_cancel else a + (c - d)
+    assert (a.cols == b.cols) is (a - b).is_zero()
+    assert (a == b) is (a - b).is_zero()
+    assert (a != b) is not (a - b).is_zero()
+    if via_cancel:
+        assert a == b
+
+
+@settings(max_examples=60, deadline=None)
+@given(_linops(small_qscalars), _linops(small_qscalars))
+def test_linop_tensor_is_clean(a, b):
+    t = a.tensor(b)
+    assert all(col for col in t.cols.values())
+    assert all(v for col in t.cols.values() for v in col.values())
+    assert t == LinOp(t.cols)
+    for (s1, s2), col in t.cols.items():
+        for (d1, d2), v in col.items():
+            assert v == a.entry(d1, s1) * b.entry(d2, s2)
+
+
 def test_series_window_rules():
     f = TruncSeries("z", {0: QScalar.one(), 2: q_int(2)}, 0, 4)
     g = TruncSeries("z", {1: QScalar.one()}, 1, 3)
@@ -901,6 +941,31 @@ def test_series_window_rules():
         h.at(4)
     s = f + g
     assert s.lo == 0 and s.hi == 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.integers(-3, 3), st.integers(-3, 3), max_size=5),
+       st.dictionaries(st.integers(-2, 4), st.integers(-3, 3), max_size=5),
+       st.integers(0, 4), st.integers(0, 4), st.integers(-8, 10))
+def test_series_capped_product(fc, gc, fw, gw, top):
+    def series(coeffs, width):
+        lo = min(coeffs, default=0)
+        return TruncSeries("u", {e: QScalar.from_const(v)
+                                 for e, v in coeffs.items()},
+                           lo, max(coeffs, default=0) + width)
+
+    f, g = series(fc, fw), series(gc, gw)
+    full = f * g
+    assert f.mul(g) == full
+    top = max(top, full.lo)
+    capped = f.mul(g, top)
+    # never claims a degree above the true window, nor above the cap
+    assert capped.lo == full.lo
+    assert capped.hi == min(full.hi, top)
+    for e in range(capped.lo, capped.hi + 1):
+        assert capped.at(e) == full.at(e)
+    with pytest.raises(WindowError):
+        capped.at(capped.hi + 1)
 
 
 def test_series_log_of_one():
