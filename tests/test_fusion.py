@@ -212,22 +212,30 @@ def full_window_relation_check(M1, M2, u_window, r_bound, m_bound):
             "families": results}
 
 
-@pytest.mark.parametrize("make, w, r_bound, m_bound", [
-    (lambda: build_root_of_unity(1), w, r, m)
+def _corrupted(c):
+    return lambda: ModuleRealization("rou", n=3, period=1, corrupt_xp=c)
+
+
+@pytest.mark.parametrize("make, window, r_bound, m_bound", [
+    (lambda: build_root_of_unity(1), (-w, w), r, m)
     for w in (1, 2, 3) for r, m in ((0, 0), (0, 1), (1, 1))
 ] + [
-    (lambda: build_root_of_unity(2), 1, 0, 1),
+    (lambda: build_root_of_unity(2), (-1, 1), 0, 1),
 ] + [
-    (lambda c=c: ModuleRealization("rou", n=3, period=1, corrupt_xp=c),
-     1, 1, 1)
-    for c in ((1, 0), (0, 1), (2, -1))
+    (_corrupted(c), (-1, 1), 1, 1) for c in ((1, 0), (0, 1), (2, -1))
+] + [
+    # windows off centre; at (-3, -3) many products lie wholly above it
+    (lambda: build_root_of_unity(1), (-3, -3), 1, 1),
+    (_corrupted((1, 0)), (-2, -1), 1, 1),
+    (_corrupted((1, 0)), (2, 2), 1, 1),
 ], ids=["rou1-w%d-r%dm%d" % (w, r, m)
         for w in (1, 2, 3) for r, m in ((0, 0), (0, 1), (1, 1))]
-   + ["rou2-w1-r0m1", "corrupt10", "corrupt01", "corrupt2m1"])
-def test_relation_check_matches_full_window(make, w, r_bound, m_bound):
+   + ["rou2-w1-r0m1", "corrupt10", "corrupt01", "corrupt2m1",
+      "rou1-low", "corrupt10-low", "corrupt10-high"])
+def test_relation_check_matches_full_window(make, window, r_bound, m_bound):
     M = make()
-    want = full_window_relation_check(M, M, (-w, w), r_bound, m_bound)
-    got = coproduct_relation_check(M, M, (-w, w), r_bound, m_bound)
+    want = full_window_relation_check(M, M, window, r_bound, m_bound)
+    got = coproduct_relation_check(M, M, window, r_bound, m_bound)
     assert got == want
     assert want["passed"] is (M.corrupt_xp is None)
 
