@@ -406,11 +406,12 @@ def _relation_instances(M, r_bound, m_bound):
                 continue
             c_ab = -1 if (a - b) % 4 in (1, 3) else 0
             s = 1 - c_ab
+            binoms = [q_binom(s, k) for k in range(s + 1)]
             # the k-th serre coefficient by weight: a repeated pair of
             # indices stands for both of its orderings
-            binoms = {weight: [q_binom(s, k) * Fraction((-1) ** k * weight)
-                               for k in range(s + 1)]
-                      for weight in (1, 2)}
+            coefs = {weight: [c * Fraction((-1) ** k * weight)
+                              for k, c in enumerate(binoms)]
+                     for weight in (1, 2)}
             for sgn, tag in signs:
                 for r1 in rng_r:
                     for r2 in rng_r:
@@ -423,7 +424,7 @@ def _relation_instances(M, r_bound, m_bound):
                             weight = 2 if (s == 2 and len(perms) == 1) \
                                 else 1
                             for perm in sorted(perms):
-                                for k, coef in enumerate(binoms[weight]):
+                                for k, coef in enumerate(coefs[weight]):
                                     seq = [(tag, a, rr) for rr in perm[:k]]
                                     seq.append((tag, b, rp))
                                     seq += [(tag, a, rr) for rr in perm[k:]]
