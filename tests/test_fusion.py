@@ -240,18 +240,24 @@ def test_relation_check_matches_full_window(make, window, r_bound, m_bound):
     assert want["passed"] is (M.corrupt_xp is None)
 
 
-def test_coassoc_fails_on_dropped_summand(monkeypatch):
-    # negative control: the right side of one x+ image loses its
-    # u^2 summand phi-_{1,-1} (x) phi-_{1,0} (x) x+_{1,1}; that generator
-    # must mismatch at u^2 and the others must still pass
-    dropped = (2, ("phim", 1, -1), ("phim", 1, 0), ("xp", 1, 1))
+@pytest.mark.parametrize("corrupt", [
+    lambda terms, t: [x for x in terms if x != t],
+    # the same summand twice: the same columns and entry positions as the
+    # true side, so only a comparison of values sees it
+    lambda terms, t: terms + [t],
+], ids=["dropped", "doubled"])
+def test_coassoc_fails_on_corrupted_summand(monkeypatch, corrupt):
+    # negative control: the right side of one x+ image loses, or counts
+    # twice, its u^2 summand phi-_{1,-1} (x) phi-_{1,0} (x) x+_{1,1}; that
+    # generator must mismatch at u^2 and the others must still pass
+    summand = (2, ("phim", 1, -1), ("phim", 1, 0), ("xp", 1, 1))
     triple_terms = fusion._triple_terms
 
     def corrupted(gen, s, sp, lo, hi, side):
         terms = triple_terms(gen, s, sp, lo, hi, side)
         if gen == ("xp", 1, 0) and side == "right":
-            assert dropped in terms
-            terms = [t for t in terms if t != dropped]
+            assert summand in terms
+            terms = corrupt(terms, summand)
         return terms
 
     monkeypatch.setattr(fusion, "_triple_terms", corrupted)
