@@ -2,13 +2,14 @@ import pytest
 
 from qtoroidal import fusion
 from qtoroidal.errors import InputError, WindowError
-from qtoroidal.fusion import (_check_fusable, _h_images, coproduct_generator,
+from qtoroidal.fusion import (ONE, _check_fusable, _h_images,
+                              coproduct_generator,
                               coproduct_relation_check, delta_terms,
                               twisted_coassoc_check)
 from qtoroidal.linalg import LinOp
 from qtoroidal.modrep import (ModuleRealization, _relation_instances,
                               build_extremal_loop, build_root_of_unity)
-from qtoroidal.scalars import TruncSeries
+from qtoroidal.scalars import QScalar, TruncSeries, series_log_coeffs
 
 
 def tensor_op(M1, M2, genA, genB):
@@ -139,6 +140,107 @@ def test_relation_check_fails_on_corrupted_table():
                    for name in ("h-x", "xpxm", "quadratic"))
 
 
+def diagonal_inverse(op):
+    """Inverse of a diagonal operator."""
+    cols = {}
+    for src, col in op.cols.items():
+        assert list(col) == [src], "only diagonal operators are inverted"
+        cols[src] = {src: col[src].inverse()}
+    return LinOp(cols)
+
+
+class PhiZeroSeries(TruncSeries):
+    """The u-series of Delta(phi_{i,0}) as the constant term of a z-series,
+    with the truncated inverse that ``series_log_coeffs`` asks of it."""
+
+    __slots__ = ()
+
+    def inverse(self):
+        c0 = self.at(self.lo)
+        inv0 = diagonal_inverse(c0)
+        width = self.hi - self.lo
+        g = self.shift(-self.lo).scale(inv0)
+        one = g.at(0)
+        neg_u = TruncSeries(self.var, {0: one}, 0, width) - g
+        acc = TruncSeries(self.var, {0: one}, 0, width)
+        term = TruncSeries(self.var, {0: one}, 0, width)
+        for _ in range(width):
+            term = TruncSeries(self.var, (term * neg_u).coeffs, 0, width)
+            if term.is_zero():
+                break
+            acc = acc + term
+        return acc.scale(inv0).shift(-self.lo)
+
+
+def log_h_images(M1, M2, nodes, m_bound, u_window):
+    """h images derived from the phi images by the exact logarithm of the
+    z-series phi(z) whose coefficients are u-series of operators.  Kept as
+    the oracle for the closed-form h images."""
+    lo, hi = u_window
+    qq_inv = M1.from_qscalar(QScalar({1: 1, -1: -1})).inverse()
+    out = {}
+    for i in nodes:
+        for sign in (1, -1):
+            zc = {}
+            for m in range(m_bound + 1):
+                gen = ("phip", i, m) if sign > 0 else ("phim", i, -m)
+                series = coproduct_generator(gen, M1, M2, u_window).series
+                if m == 0:
+                    series = PhiZeroSeries("u", series.coeffs, series.lo,
+                                           series.hi)
+                if not series.is_zero():
+                    zc[m] = series
+            f = TruncSeries("z" if sign > 0 else "w", zc, 0, m_bound)
+            cs = series_log_coeffs(f, m_bound)
+            for m in range(1, m_bound + 1):
+                c = cs[m - 1]
+                if c is None:
+                    series = TruncSeries("u", {}, lo, hi)
+                else:
+                    series = c.scale(qq_inv)
+                    if sign < 0:
+                        series = -series
+                out[("h", i, sign * m)] = series
+    return out
+
+
+def library_h_image(M1, M2, gen, u_window, m_bound):
+    return _h_images(M1, M2, M1.nodes, m_bound, u_window, {})[gen].series
+
+
+def _corrupted(c):
+    return lambda: ModuleRealization("rou", n=3, period=1, corrupt_xp=c)
+
+
+H_IMAGE_MODULES = [(lambda: build_root_of_unity(1), "rou1"),
+                   (lambda: build_root_of_unity(2), "rou2")] + [
+    (_corrupted(c), "corrupt%d%d" % c) for c in ((1, 0), (0, 1), (2, -1))]
+
+
+def h_images_agree(M, m_bound):
+    """Whether the library's h images equal the logarithm oracle's on
+    every degree both windows hold; that common window must hold every
+    term of the image."""
+    pad = m_bound * m_bound + 4
+    window = (-pad, pad)
+    want = log_h_images(M, M, M.nodes, m_bound, window)
+    for (_, i, m), oracle in want.items():
+        got = library_h_image(M, M, ("h", i, m), window, m_bound)
+        lo, hi = max(got.lo, oracle.lo), min(got.hi, oracle.hi)
+        assert lo <= min(0, m) and max(0, m) <= hi, (i, m, lo, hi)
+        if any(got.at(n) != oracle.at(n) for n in range(lo, hi + 1)):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("make, m_bound", [
+    (make, m) for make, _ in H_IMAGE_MODULES for m in (1, 2, 3)],
+    ids=["%s-m%d" % (name, m) for _, name in H_IMAGE_MODULES
+         for m in (1, 2, 3)])
+def test_h_images_match_log_oracle(make, m_bound):
+    assert h_images_agree(make(), m_bound)
+
+
 def full_window_relation_check(M1, M2, u_window, r_bound, m_bound):
     """The relation check that multiplies every series out to the padded
     build window and scales every term by its converted coefficient.
@@ -153,10 +255,11 @@ def full_window_relation_check(M1, M2, u_window, r_bound, m_bound):
     def image(gen):
         if gen not in images:
             if gen[0] == "h":
-                images.update(_h_images(M1, M2, M1.nodes, m_bound,
-                                        build_window, images))
+                images.update(log_h_images(M1, M2, M1.nodes, m_bound,
+                                           build_window))
             else:
-                images[gen] = coproduct_generator(gen, M1, M2, build_window)
+                images[gen] = coproduct_generator(gen, M1, M2,
+                                                  build_window).series
         return images[gen]
 
     tensor_one = LinOp.identity([(a, b) for a in M1.basis
@@ -185,7 +288,7 @@ def full_window_relation_check(M1, M2, u_window, r_bound, m_bound):
                     if hit is not None:
                         prod = hit
                         continue
-                    s = image(gen).series
+                    s = image(gen)
                     prod = s if prod is None else prod * s
                     prefix_cache[built] = prod
             prod = prod.scale(M1.from_qscalar(coef))
@@ -212,10 +315,6 @@ def full_window_relation_check(M1, M2, u_window, r_bound, m_bound):
             "families": results}
 
 
-def _corrupted(c):
-    return lambda: ModuleRealization("rou", n=3, period=1, corrupt_xp=c)
-
-
 @pytest.mark.parametrize("make, window, r_bound, m_bound", [
     (lambda: build_root_of_unity(1), (-w, w), r, m)
     for w in (1, 2, 3) for r, m in ((0, 0), (0, 1), (1, 1))
@@ -228,10 +327,16 @@ def _corrupted(c):
     (lambda: build_root_of_unity(1), (-3, -3), 1, 1),
     (_corrupted((1, 0)), (-2, -1), 1, 1),
     (_corrupted((1, 0)), (2, 2), 1, 1),
+    # m_bound above 1
+    (lambda: build_root_of_unity(1), (-1, 1), 0, 2),
+    (lambda: build_root_of_unity(1), (-1, 1), 0, 3),
+    (lambda: build_root_of_unity(1), (-2, 2), 1, 2),
+    (_corrupted((1, 0)), (-1, 1), 1, 2),
 ], ids=["rou1-w%d-r%dm%d" % (w, r, m)
         for w in (1, 2, 3) for r, m in ((0, 0), (0, 1), (1, 1))]
    + ["rou2-w1-r0m1", "corrupt10", "corrupt01", "corrupt2m1",
-      "rou1-low", "corrupt10-low", "corrupt10-high"])
+      "rou1-low", "corrupt10-low", "corrupt10-high",
+      "rou1-w1-r0m2", "rou1-w1-r0m3", "rou1-w2-r1m2", "corrupt10-r1m2"])
 def test_relation_check_matches_full_window(make, window, r_bound, m_bound):
     M = make()
     want = full_window_relation_check(M, M, window, r_bound, m_bound)
@@ -272,3 +377,108 @@ def test_coassoc_fails_on_corrupted_summand(monkeypatch, corrupt):
          "first_mismatch_degree": None},
         {"generator": ["xp", 0, 0], "passed": True,
          "first_mismatch_degree": None}]
+
+
+def grid_triple_terms(gen, s, sp, lo, hi, side):
+    """The two-level expansion enumerated on a cap-by-cap index grid and
+    filtered to the window.  Kept as the oracle for ``_triple_terms``."""
+    name = gen[0]
+    out = []
+    if name == "k":
+        _, i, e = gen
+        return [(0, ("k", i, e), ("k", i, e), ("k", i, e))]
+    if name == "one":
+        return [(0, ONE, ONE, ONE)]
+    cap = abs(hi) + abs(lo) + (abs(gen[2]) + 2) * (s + sp + 2) + 8
+    if name == "phip":
+        _, i, m = gen
+        for b in range(m + 1):
+            a = m - b
+            if side == "left":
+                for d2 in range(b + 1):
+                    deg = s * b + sp * d2
+                    out.append((deg, ("phip", i, a), ("phip", i, b - d2),
+                                ("phip", i, d2)))
+            else:
+                for e in range(a + 1):
+                    deg = (s + sp) * b + s * e
+                    out.append((deg, ("phip", i, a - e), ("phip", i, e),
+                                ("phip", i, b)))
+    elif name == "phim":
+        _, i, m = gen
+        mm = -m
+        for b in range(mm + 1):
+            a = mm - b
+            if side == "left":
+                for d2 in range(b + 1):
+                    deg = -s * b - sp * d2
+                    out.append((deg, ("phim", i, -a),
+                                ("phim", i, -(b - d2)), ("phim", i, -d2)))
+            else:
+                for e in range(a + 1):
+                    deg = -(s + sp) * b - s * e
+                    out.append((deg, ("phim", i, -(a - e)), ("phim", i, -e),
+                                ("phim", i, -b)))
+    elif name == "xp":
+        _, i, r = gen
+        out.append((0, ("xp", i, r), ONE, ONE))
+        for l in range(cap):
+            out.append((s * (r + l), ("phim", i, -l), ("xp", i, r + l),
+                        ONE))
+        if side == "left":
+            for l in range(cap):
+                for lp in range(cap):
+                    deg = s * (r + l) + sp * (r + l + lp)
+                    out.append((deg, ("phim", i, -l), ("phim", i, -lp),
+                                ("xp", i, r + l + lp)))
+        else:
+            for L in range(cap):
+                for lpp in range(L + 1):
+                    deg = (s + sp) * (r + L) - s * lpp
+                    out.append((deg, ("phim", i, -(L - lpp)),
+                                ("phim", i, -lpp), ("xp", i, r + L)))
+    elif name == "xm":
+        _, i, r = gen
+        if side == "left":
+            out.append(((s + sp) * r, ONE, ONE, ("xm", i, r)))
+            for lp in range(cap):
+                out.append((s * r + sp * lp, ONE, ("xm", i, r - lp),
+                            ("phip", i, lp)))
+            for l in range(cap):
+                for d in range(l + 1):
+                    deg = s * l + sp * d
+                    out.append((deg, ("xm", i, r - l), ("phip", i, l - d),
+                                ("phip", i, d)))
+        else:
+            out.append(((s + sp) * r, ONE, ONE, ("xm", i, r)))
+            for l in range(cap):
+                out.append(((s + sp) * l + s * (r - l), ONE,
+                            ("xm", i, r - l), ("phip", i, l)))
+            for l in range(cap):
+                for e in range(cap):
+                    deg = (s + sp) * l + s * e
+                    out.append((deg, ("xm", i, r - l - e), ("phip", i, e),
+                                ("phip", i, l)))
+    return [(d, a, b, c) for (d, a, b, c) in out if lo <= d <= hi]
+
+
+TWISTS = ((1, 1), (1, 2), (2, 1), (2, 3), (3, 1))
+WINDOWS = ((-3, 3), (-2, 2), (0, 0), (-1, 4), (-5, -1), (2, 6))
+
+
+@pytest.mark.parametrize("name", ["xp", "xm", "phip", "phim"])
+def test_triple_terms_match_grid(name):
+    indices = range(-3, 4) if name in ("xp", "xm") else (
+        range(4) if name == "phip" else range(-3, 1))
+    cases = 0
+    for r in indices:
+        gen = (name, 1, r)
+        for s, sp in TWISTS:
+            for lo, hi in WINDOWS:
+                for side in ("left", "right"):
+                    got = fusion._triple_terms(gen, s, sp, lo, hi, side)
+                    want = grid_triple_terms(gen, s, sp, lo, hi, side)
+                    assert sorted(got) == sorted(want), (gen, s, sp, lo,
+                                                         hi, side)
+                    cases += 1
+    assert cases == len(indices) * len(TWISTS) * len(WINDOWS) * 2

@@ -1,11 +1,13 @@
 import random
+from collections import Counter
+from itertools import product
 
 import pytest
 
 import qtoroidal.hecke
 import qtoroidal.linalg
 from qtoroidal.errors import DomainError, InputError
-from qtoroidal.hecke import (SegmentCollection, build_MA,
+from qtoroidal.hecke import (SegmentCollection, all_perms, build_MA,
                              find_isomorphism, invariant_subspaces,
                              perm_length, reduced_word, right_mul_s,
                              segments_to_drinfeld, verify_presentation,
@@ -134,6 +136,43 @@ def test_l3_invariant_subspaces(exps, irreducible, dims, factor_dims, lines):
     assert rep["dims"] == dims
     assert rep["composition"]["factor_dims"] == factor_dims
     assert rep["line_data"] == lines
+
+
+@pytest.mark.parametrize("exps", [(0, 3, -1), (1, 0, 2), (0, 0, 2)])
+def test_z_operators_triangular_with_permuted_parameters(exps):
+    # in the all_perms basis every z_j is upper triangular, and the
+    # diagonal entries of z_1..z_l on one basis vector are the parameters
+    # in some order; so is every joint z-eigenvalue tuple
+    l = len(exps)
+    params = [q_pow(n) for n in exps]
+    M = build_MA(l, params)
+    index = {w: k for k, w in enumerate(all_perms(l))}
+    for z in M.z_ops.values():
+        for src, col in z.cols.items():
+            assert all(index[dst] <= index[src] for dst in col), src
+    for w in M.basis:
+        diag = [M.z_ops[j].entry(w, w) for j in range(1, l + 1)]
+        assert Counter(diag) == Counter(params), w
+
+
+def product_invariant_subspaces(M, monkeypatch):
+    """``invariant_subspaces`` solving every tuple of parameter values
+    for a joint z-eigenvector, not only their orderings.  Kept as the
+    oracle for the restriction to permutations."""
+    with monkeypatch.context() as mp:
+        mp.setattr(qtoroidal.hecke, "permutations",
+                   lambda values: product(values, repeat=len(values)))
+        return invariant_subspaces(M)
+
+
+@pytest.mark.parametrize("exps", [
+    (0, 2), (2, 0), (0, 0), (0, 5), (3, 1),
+    (1, 0, 2), (0, 3, -1), (0, 2, 4), (4, 2, 0), (0, 0, 2), (2, 0, 0),
+    (0, 2, 0), (1, 1, 1)])
+def test_invariant_subspaces_match_product_oracle(exps, monkeypatch):
+    M = build_MA(len(exps), [q_pow(n) for n in exps])
+    assert invariant_subspaces(M) == product_invariant_subspaces(
+        M, monkeypatch)
 
 
 def _qrats(obj):
