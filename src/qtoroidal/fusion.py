@@ -3,16 +3,15 @@
 Each generator image is a Laurent series in the deformation parameter u
 whose coefficients are exact operators on the tensor basis; negative
 u-exponents are first class.  Windows narrow through products by the
-intersection rule and nothing is ever specialized at u = 1 unless the
-series is complete (its defining sum lies fully inside the window).
+intersection rule.  The phi series are group-like, so the derived h
+images are primitive: Delta(h_{i,m}) = h_{i,m} x 1 + u^m 1 x h_{i,m}.
 
 The checks compute only what they read.  The relation check forms each
 product up to the top u-degree it compares, and each prefix of that
 product up to that top less the lowest degrees of the factors still to
-multiply; its generator images keep a padded window, which the
-logarithm inside the h images needs.  The coassociativity check
-tensors each triple of generator operators once and compares the two
-sides degree by degree on their columns.
+multiply.  The coassociativity check tensors each triple of generator
+operators once and compares the two sides degree by degree on their
+columns.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from __future__ import annotations
 from .errors import DomainError, InputError, WindowError
 from .linalg import LinOp
 from .modrep import _relation_instances
-from .scalars import QScalar, TruncSeries, series_log_coeffs
+from .scalars import TruncSeries
 
 ONE = ("one",)
 
@@ -62,7 +61,7 @@ def _delta_sum_terms(gen, twist, hi):
 
 def delta_terms(gen, twist, hi):
     """All coproduct summands of u-degree at most ``hi``: the standalone
-    term plus the defining sum."""
+    term plus the defining sum, or the two terms of a primitive h."""
     name = gen[0]
     terms = []
     if name == "xp":
@@ -70,51 +69,17 @@ def delta_terms(gen, twist, hi):
     elif name == "xm":
         _, i, r = gen
         terms.append((twist * r, ONE, gen))
-    terms.extend(_delta_sum_terms(gen, twist, hi))
+    if name == "h":
+        terms.extend([(0, gen, ONE), (twist * gen[2], ONE, gen)])
+    else:
+        terms.extend(_delta_sum_terms(gen, twist, hi))
     return [(d, a, b) for (d, a, b) in terms if d <= hi]
 
 
 def _natural_lo(gen, twist):
-    name = gen[0]
-    if name == "xp":
+    if gen[0] in ("xp", "xm", "phim", "h"):
         return min(0, twist * gen[2])
-    if name == "xm":
-        return min(0, twist * gen[2])
-    if name == "phim":
-        return twist * gen[2]
     return 0
-
-
-class UCoproductImage:
-    """Operator-valued u-series of one generator on a tensor product.
-
-    The series window starts at the image's true lower edge so products
-    stay sharp; ``coeff`` additionally answers the requested range below
-    it, where coefficients are exact zeros.
-    """
-
-    __slots__ = ("gen", "series", "complete", "req_lo")
-
-    def __init__(self, gen, series, complete, req_lo=None):
-        self.gen = gen
-        self.series = series
-        self.complete = complete
-        self.req_lo = series.lo if req_lo is None else req_lo
-
-    def coeff(self, n):
-        if self.req_lo <= n < self.series.lo:
-            return None
-        return self.series.at(n)
-
-    def specialize_u1(self):
-        """Sum of all coefficients; only legal when the window is closed."""
-        if not self.complete:
-            raise WindowError("the image of %r has an open tail; u -> 1 "
-                              "is not defined on this window" % (self.gen,))
-        acc = None
-        for _, v in sorted(self.series.coeffs.items()):
-            acc = v if acc is None else acc + v
-        return acc if acc is not None else LinOp.zero()
 
 
 def _check_fusable(*mods):
@@ -130,7 +95,7 @@ def _check_fusable(*mods):
 
 def coproduct_generator(gen, M1, M2, u_window):
     """Exact image of one generator on basis(M1) x basis(M2) within the
-    requested u-window."""
+    requested u-window, as a u-series of operators."""
     lo_req, hi_req = u_window
     _check_fusable(M1, M2)
     twist = 1
@@ -139,88 +104,48 @@ def coproduct_generator(gen, M1, M2, u_window):
         # the window would hide known terms below it; refuse to lie
         raise WindowError("requested window clips the image of %r below "
                           "u^%d" % (gen, lo_nat))
-    complete = gen[0] in ("phip", "phim", "k", "one")
     if hi_req < lo_nat:
         # the whole requested window sits below the image's first term
-        return UCoproductImage(gen, TruncSeries("u", {}, lo_req, hi_req),
-                               False, req_lo=lo_req)
+        return TruncSeries("u", {}, lo_req, hi_req)
     coeffs = {}
     for d, ga, gb in delta_terms(gen, twist, hi_req):
         op = M1.op(ga).tensor(M2.op(gb))
         if op.is_zero():
             continue
         coeffs[d] = coeffs[d] + op if d in coeffs else op
-    series = TruncSeries("u", coeffs, lo_nat, hi_req)
-    return UCoproductImage(gen, series, complete, req_lo=lo_req)
+    return TruncSeries("u", coeffs, lo_nat, hi_req)
 
 
 # ---------------------------------------------------------------------------
 # relation preservation under the coproduct
 # ---------------------------------------------------------------------------
 
-def _h_images(M1, M2, nodes, m_bound, u_window, images):
-    """Derived h images from the logarithm of the phi image series."""
-    lo, hi = u_window
-    qq_inv = M1.from_qscalar(QScalar({1: 1, -1: -1})).inverse()
-    out = {}
-    for i in nodes:
-        for sign in (1, -1):
-            order = m_bound
-            zc = {}
-            for m in range(order + 1):
-                gen = ("phip", i, m) if sign > 0 else ("phim", i, -m)
-                img = images.get(gen)
-                if img is None:
-                    img = coproduct_generator(gen, M1, M2, u_window)
-                    images[gen] = img
-                if not img.series.is_zero():
-                    zc[m] = img.series
-            f = TruncSeries("z" if sign > 0 else "w", zc, 0, order)
-            cs = series_log_coeffs(f, order)
-            for m in range(1, order + 1):
-                c = cs[m - 1]
-                if c is None:
-                    series = TruncSeries("u", {}, lo, hi)
-                else:
-                    series = c.scale(qq_inv)
-                    if sign < 0:
-                        series = -series
-                out[("h", i, sign * m)] = UCoproductImage(
-                    ("h", i, sign * m), series, False)
-    return out
-
-
 def coproduct_relation_check(M1, M2, u_window, r_bound, m_bound):
     """Every defining relation, with generators replaced by their
     coproduct images, must vanish as an operator series on the window.
 
-    The central element is the identity; h images are derived from the
-    phi images by the exact series logarithm.  Failures are data carrying
-    the first nonzero coefficient found.
+    The central element is the identity; h images are primitive.
+    Failures are data carrying the first nonzero coefficient found.
     """
     _check_fusable(M1, M2)
     lo_req, hi_req = u_window
-    # images are built on a padded window, because the log extraction
-    # inside the h images costs up to m_bound of top room per z-order and
-    # each ladder factor (up to three, r_bound apiece) narrows a product;
-    # products read only up to hi_req, and a WindowError (never a wrong
-    # answer) results if the pad is ever too tight
-    pad = 3 * r_bound + m_bound * m_bound + 4
+    # images are built on a padded window, because each factor with a
+    # term below u^0 narrows a product: an h image reaches down to
+    # -m_bound and each ladder factor (up to three) to -r_bound; products
+    # read only up to hi_req, and a WindowError (never a wrong answer)
+    # results if the pad is ever too tight
+    pad = 3 * r_bound + m_bound + 4
     build_window = (lo_req - pad, hi_req + pad)
     images = {}
     prefix_cache = {}
 
     def image(gen):
         if gen not in images:
-            if gen[0] == "h":
-                images.update(_h_images(M1, M2, M1.nodes, m_bound,
-                                        build_window, images))
-            else:
-                images[gen] = coproduct_generator(gen, M1, M2, build_window)
+            images[gen] = coproduct_generator(gen, M1, M2, build_window)
         return images[gen]
 
     def product(seq):
-        factors = [image(gen).series for gen in seq]
+        factors = [image(gen) for gen in seq]
         # the top each prefix must reach; a product lying wholly above
         # hi_req is still formed at its lowest degree
         top = max(hi_req, sum(f.lo for f in factors))
@@ -297,14 +222,18 @@ def coproduct_relation_check(M1, M2, u_window, r_bound, m_bound):
 # twisted coassociativity
 # ---------------------------------------------------------------------------
 
+def _upto(start, step, hi):
+    """The indices n >= 0 with start + step * n <= hi (step >= 1)."""
+    return range(max(0, (hi - start) // step + 1))
+
+
 def _triple_terms(gen, s, sp, lo, hi, side):
     """Two-level coproduct expansion terms (degree, gA, gB, gC).
 
     side "left" is (Id x Delta_{u^sp}) Delta_{u^s}; side "right" is
-    (Delta_{u^s} x Id) Delta_{u^{s+sp}}.  Index grids are enumerated up to
-    a cap that provably covers every term with degree in [lo, hi]: all
-    degree formulas are affine with positive slope in each index once the
-    others are fixed.
+    (Delta_{u^s} x Id) Delta_{u^{s+sp}}.  Every infinite sum is indexed so
+    that its degree grows with each index (twists are positive), and each
+    index stops where the degree passes ``hi``.
     """
     name = gen[0]
     out = []
@@ -313,7 +242,6 @@ def _triple_terms(gen, s, sp, lo, hi, side):
         return [(0, ("k", i, e), ("k", i, e), ("k", i, e))]
     if name == "one":
         return [(0, ONE, ONE, ONE)]
-    cap = abs(hi) + abs(lo) + (abs(gen[2]) + 2) * (s + sp + 2) + 8
     if name == "phip":
         _, i, m = gen
         for b in range(m + 1):
@@ -346,43 +274,44 @@ def _triple_terms(gen, s, sp, lo, hi, side):
     elif name == "xp":
         _, i, r = gen
         out.append((0, ("xp", i, r), ONE, ONE))
-        for l in range(cap):
+        for l in _upto(s * r, s, hi):
             out.append((s * (r + l), ("phim", i, -l), ("xp", i, r + l),
                         ONE))
         if side == "left":
-            for l in range(cap):
-                for lp in range(cap):
-                    deg = s * (r + l) + sp * (r + l + lp)
-                    out.append((deg, ("phim", i, -l), ("phim", i, -lp),
-                                ("xp", i, r + l + lp)))
+            # Delta_{u^sp}(x+_{r+l}) inside the l-th summand
+            for l in _upto((s + sp) * r, s + sp, hi):
+                base = (s + sp) * (r + l)
+                for lp in _upto(base, sp, hi):
+                    out.append((base + sp * lp, ("phim", i, -l),
+                                ("phim", i, -lp), ("xp", i, r + l + lp)))
         else:
-            for L in range(cap):
-                for lpp in range(L + 1):
-                    deg = (s + sp) * (r + L) - s * lpp
-                    out.append((deg, ("phim", i, -(L - lpp)),
-                                ("phim", i, -lpp), ("xp", i, r + L)))
+            # Delta_{u^s}(phi-_{-L}) inside the L-th summand, L = a + b
+            for a in _upto((s + sp) * r, s + sp, hi):
+                base = (s + sp) * (r + a)
+                for b in _upto(base, sp, hi):
+                    out.append((base + sp * b, ("phim", i, -a),
+                                ("phim", i, -b), ("xp", i, r + a + b)))
     elif name == "xm":
         _, i, r = gen
+        out.append(((s + sp) * r, ONE, ONE, ("xm", i, r)))
         if side == "left":
-            out.append(((s + sp) * r, ONE, ONE, ("xm", i, r)))
-            for lp in range(cap):
+            for lp in _upto(s * r, sp, hi):
                 out.append((s * r + sp * lp, ONE, ("xm", i, r - lp),
                             ("phip", i, lp)))
-            for l in range(cap):
-                for d in range(l + 1):
-                    deg = s * l + sp * d
-                    out.append((deg, ("xm", i, r - l), ("phip", i, l - d),
-                                ("phip", i, d)))
+            # Delta_{u^sp}(phi+_l) inside the l-th summand, l = a + d
+            for d in _upto(0, s + sp, hi):
+                for a in _upto((s + sp) * d, s, hi):
+                    out.append(((s + sp) * d + s * a, ("xm", i, r - a - d),
+                                ("phip", i, a), ("phip", i, d)))
         else:
-            out.append(((s + sp) * r, ONE, ONE, ("xm", i, r)))
-            for l in range(cap):
-                out.append(((s + sp) * l + s * (r - l), ONE,
-                            ("xm", i, r - l), ("phip", i, l)))
-            for l in range(cap):
-                for e in range(cap):
-                    deg = (s + sp) * l + s * e
-                    out.append((deg, ("xm", i, r - l - e), ("phip", i, e),
-                                ("phip", i, l)))
+            for l in _upto(s * r, sp, hi):
+                out.append((s * r + sp * l, ONE, ("xm", i, r - l),
+                            ("phip", i, l)))
+            # Delta_{u^s}(x-_{r-l}) inside the l-th summand
+            for l in _upto(0, s + sp, hi):
+                for e in _upto((s + sp) * l, s, hi):
+                    out.append(((s + sp) * l + s * e, ("xm", i, r - l - e),
+                                ("phip", i, e), ("phip", i, l)))
     else:
         raise InputError("no coproduct formula for %r" % (gen,))
     return [(d, a, b, c) for (d, a, b, c) in out if lo <= d <= hi]

@@ -15,7 +15,7 @@ nothing about submodule generators is assumed.
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import permutations
 
 from .errors import DomainError, InputError
 from .linalg import (Field, LinOp, kernel_basis, op_matrix, rref,
@@ -312,6 +312,12 @@ def invariant_subspaces(M):
     """All submodules reachable by common-z-eigenvector closure, saturated
     under sums and intersections; feasible at these dimensions.
 
+    Only orderings of the parameters are tried as joint z-eigenvalues.
+    By the left normal form (``_z_expansion``) each z_j is triangular in
+    the ``all_perms`` basis, with the parameters in some order down the
+    diagonals of z_1..z_l; the last nonzero coordinate of a common
+    eigenvector therefore reads off its eigenvalues as one such ordering.
+
     Returns a report with every subspace dimension found, a composition
     chain, and the one-dimensional constituents' eigenvalue data.
     """
@@ -329,7 +335,7 @@ def invariant_subspaces(M):
 
     candidates = []
     values = [ring.param(j) for j in range(1, M.l + 1)]
-    for lam in product(values, repeat=M.l):
+    for lam in permutations(values):
         stacked = []
         for j in range(1, M.l + 1):
             zm = mats[("z", j)]

@@ -104,18 +104,6 @@ class LinOp:
             return NotImplemented
         return self.scale(other)
 
-    def inverse(self):
-        """Inverse of a diagonal operator (all that series logs need)."""
-        cols = {}
-        for src, col in self.cols.items():
-            if list(col) != [src]:
-                raise DomainError("only diagonal operators are inverted "
-                                  "here")
-            v = col[src]
-            cols[src] = {src: v.inverse() if hasattr(v, "inverse")
-                         else 1 / v}
-        return LinOp(cols)
-
     def scale(self, s):
         if not s:
             return LinOp.zero()

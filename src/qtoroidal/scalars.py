@@ -26,8 +26,8 @@ exactly when it is zero, which is the zero test the library uses.
 ``TruncSeries`` provides window-carrying truncated Laurent series whose
 coefficients may live in any of these rings, or be operators; reading a
 coefficient outside the window is an error, never a silent zero.  The
-exact truncated logarithm ``series_log_coeffs`` recovers the derived
-h-generators from the phi series.
+exact truncated logarithm ``series_log_coeffs`` recovers the eigenvalues
+of the derived h-generators from a module's scalar phi series.
 """
 
 from __future__ import annotations
@@ -981,30 +981,6 @@ class TruncSeries:
                 c[e] = v1 * v2 if prev is None else prev + v1 * v2
         return TruncSeries(self.var, c, lo, hi)
 
-    def inverse(self):
-        """Truncated multiplicative inverse; the edge coefficient must be
-        invertible and commute with the other coefficients.
-
-        ``series_log_coeffs`` reaches this through ``invert_elem`` when the
-        coefficients are themselves series, as in fusion's h images.
-        """
-        c0 = self.at(self.lo)
-        if not c0:
-            raise DomainError("edge coefficient is not invertible")
-        inv0 = invert_elem(c0)
-        width = self.hi - self.lo
-        g = self.shift(-self.lo).scale(inv0)
-        one = g.at(0)
-        neg_u = TruncSeries(self.var, {0: one}, 0, width) - g
-        acc = TruncSeries(self.var, {0: one}, 0, width)
-        term = TruncSeries(self.var, {0: one}, 0, width)
-        for _ in range(width):
-            term = TruncSeries(self.var, (term * neg_u).coeffs, 0, width)
-            if term.is_zero():
-                break
-            acc = acc + term
-        return acc.scale(inv0).shift(-self.lo)
-
     def scale(self, s):
         return TruncSeries(self.var,
                            {e: v * s for e, v in self.coeffs.items()},
@@ -1185,16 +1161,6 @@ class PolyScalar:
         return " + ".join(parts)
 
 
-def invert_elem(x):
-    if hasattr(x, "inverse"):
-        return x.inverse()
-    if isinstance(x, Fraction) or isinstance(x, int):
-        if x == 0:
-            raise DomainError("zero constant term")
-        return Fraction(1) / Fraction(x)
-    raise DomainError("cannot invert %r" % (x,))
-
-
 def series_log_coeffs(f, order):
     """Coefficients c_1..c_order with f = f(0) exp(sum c_m t^m).
 
@@ -1209,7 +1175,7 @@ def series_log_coeffs(f, order):
     if order > f.hi:
         raise WindowError("log order %d exceeds window top %d"
                           % (order, f.hi))
-    inv0 = invert_elem(f0)
+    inv0 = f0.inverse()
     g = f.scale(inv0)
     one = g.at(0)
     u = g - TruncSeries(f.var, {0: one}, 0, f.hi)   # valuation >= 1

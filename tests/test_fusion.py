@@ -2,8 +2,7 @@ import pytest
 
 from qtoroidal import fusion
 from qtoroidal.errors import InputError, WindowError
-from qtoroidal.fusion import (ONE, _check_fusable, _h_images,
-                              coproduct_generator,
+from qtoroidal.fusion import (ONE, _check_fusable, coproduct_generator,
                               coproduct_relation_check, delta_terms,
                               twisted_coassoc_check)
 from qtoroidal.linalg import LinOp
@@ -23,10 +22,18 @@ def tensor_op(M1, M2, genA, genB):
 def test_k_image_is_group_like():
     M = build_root_of_unity(1)
     img = coproduct_generator(("k", 2, 1), M, M, (-2, 3))
-    assert img.complete
-    assert img.coeff(0) == tensor_op(M, M, ("k", 2, 1), ("k", 2, 1))
-    assert all(img.coeff(n) is None for n in (-2, -1, 1, 2, 3))
-    assert img.specialize_u1() == img.coeff(0)
+    assert (img.lo, img.hi) == (0, 3)
+    assert img.coeffs == {0: tensor_op(M, M, ("k", 2, 1), ("k", 2, 1))}
+
+
+def test_h_image_is_primitive():
+    M = build_root_of_unity(1)
+    # (h_{0,2} and h_{0,-2} act as zero on this module)
+    for m in (-3, 1):
+        img = coproduct_generator(("h", 0, m), M, M, (-3, 3))
+        assert (img.lo, img.hi) == (min(0, m), 3)
+        assert img.coeffs == {0: tensor_op(M, M, ("h", 0, m), ("one",)),
+                              m: tensor_op(M, M, ("one",), ("h", 0, m))}
 
 
 def test_xp_u0_coefficient():
@@ -34,17 +41,17 @@ def test_xp_u0_coefficient():
     img = coproduct_generator(("xp", 1, 0), M, M, (-3, 4))
     want = (tensor_op(M, M, ("xp", 1, 0), ("one",))
             + tensor_op(M, M, ("phim", 1, 0), ("xp", 1, 0)))
-    assert img.coeff(0) == want
-    assert not img.complete
+    assert img.at(0) == want
+    # the defining sum runs on past the window, which never reads it
     with pytest.raises(WindowError):
-        img.specialize_u1()
+        img.at(5)
 
 
 def test_xp_u2_coefficient_is_single_summand():
     M = build_root_of_unity(1)
     img = coproduct_generator(("xp", 1, 0), M, M, (-3, 4))
     want = tensor_op(M, M, ("phim", 1, -2), ("xp", 1, 2))
-    assert img.coeff(2) == want
+    assert img.at(2) == want
 
 
 def test_per_degree_finiteness():
@@ -59,9 +66,8 @@ def test_per_degree_finiteness():
 def test_phim_image_has_negative_degrees():
     M = build_root_of_unity(1)
     img = coproduct_generator(("phim", 2, -2), M, M, (-4, 4))
-    assert img.series.lo == -2
-    assert img.complete
-    assert img.coeff(-2) is not None
+    assert img.lo == -2
+    assert img.at(-2) is not None
 
 
 def test_window_clip_detected():
@@ -184,7 +190,7 @@ def log_h_images(M1, M2, nodes, m_bound, u_window):
             zc = {}
             for m in range(m_bound + 1):
                 gen = ("phip", i, m) if sign > 0 else ("phim", i, -m)
-                series = coproduct_generator(gen, M1, M2, u_window).series
+                series = coproduct_generator(gen, M1, M2, u_window)
                 if m == 0:
                     series = PhiZeroSeries("u", series.coeffs, series.lo,
                                            series.hi)
@@ -204,10 +210,6 @@ def log_h_images(M1, M2, nodes, m_bound, u_window):
     return out
 
 
-def library_h_image(M1, M2, gen, u_window, m_bound):
-    return _h_images(M1, M2, M1.nodes, m_bound, u_window, {})[gen].series
-
-
 def _corrupted(c):
     return lambda: ModuleRealization("rou", n=3, period=1, corrupt_xp=c)
 
@@ -225,7 +227,7 @@ def h_images_agree(M, m_bound):
     window = (-pad, pad)
     want = log_h_images(M, M, M.nodes, m_bound, window)
     for (_, i, m), oracle in want.items():
-        got = library_h_image(M, M, ("h", i, m), window, m_bound)
+        got = coproduct_generator(("h", i, m), M, M, window)
         lo, hi = max(got.lo, oracle.lo), min(got.hi, oracle.hi)
         assert lo <= min(0, m) and max(0, m) <= hi, (i, m, lo, hi)
         if any(got.at(n) != oracle.at(n) for n in range(lo, hi + 1)):
@@ -258,8 +260,7 @@ def full_window_relation_check(M1, M2, u_window, r_bound, m_bound):
                 images.update(log_h_images(M1, M2, M1.nodes, m_bound,
                                            build_window))
             else:
-                images[gen] = coproduct_generator(gen, M1, M2,
-                                                  build_window).series
+                images[gen] = coproduct_generator(gen, M1, M2, build_window)
         return images[gen]
 
     tensor_one = LinOp.identity([(a, b) for a in M1.basis
@@ -313,6 +314,31 @@ def full_window_relation_check(M1, M2, u_window, r_bound, m_bound):
                         "passed": ok, "witness": st["witness"]})
     return {"passed": passed_all, "u_window": list(u_window),
             "families": results}
+
+
+def test_h_images_and_relations_fail_on_dropped_phi_summand(monkeypatch):
+    # negative control for Delta(phi): Delta(phi+_{i,1}) loses its u^1
+    # summand phi+_{i,0} (x) phi+_{i,1}.  The h images no longer come from
+    # the phi images, so the logarithm oracle must disagree with them, and
+    # the relation check must still see the broken phi image in xpxm
+    delta_sum_terms = fusion._delta_sum_terms
+
+    def dropped(gen, twist, hi):
+        terms = delta_sum_terms(gen, twist, hi)
+        if gen[0] == "phip" and gen[2] == 1:
+            summand = (twist, ("phip", gen[1], 0), ("phip", gen[1], 1))
+            assert summand in terms
+            terms = [t for t in terms if t != summand]
+        return terms
+
+    monkeypatch.setattr(fusion, "_delta_sum_terms", dropped)
+    M = build_root_of_unity(1)
+    assert not h_images_agree(M, 1)
+    rep = coproduct_relation_check(M, M, (-1, 1), 1, 1)
+    assert rep["passed"] is False
+    fams = {f["family"]: f for f in rep["families"]}
+    assert fams["xpxm"]["witness"] == {
+        "relation": "[x+_{0,0}, x-_{0,1}] vs phi", "u_degree": 1}
 
 
 @pytest.mark.parametrize("make, window, r_bound, m_bound", [

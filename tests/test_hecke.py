@@ -159,10 +159,17 @@ def product_invariant_subspaces(M, monkeypatch):
     """``invariant_subspaces`` solving every tuple of parameter values
     for a joint z-eigenvector, not only their orderings.  Kept as the
     oracle for the restriction to permutations."""
+    calls = []
+
+    def every_tuple(values):
+        calls.append(values)
+        return product(values, repeat=len(values))
+
     with monkeypatch.context() as mp:
-        mp.setattr(qtoroidal.hecke, "permutations",
-                   lambda values: product(values, repeat=len(values)))
-        return invariant_subspaces(M)
+        mp.setattr(qtoroidal.hecke, "permutations", every_tuple)
+        rep = invariant_subspaces(M)
+    assert len(calls) == 1 and len(calls[0]) == M.l
+    return rep
 
 
 @pytest.mark.parametrize("exps", [
