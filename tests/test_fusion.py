@@ -42,7 +42,8 @@ def test_xp_u0_coefficient():
     want = (tensor_op(M, M, ("xp", 1, 0), ("one",))
             + tensor_op(M, M, ("phim", 1, 0), ("xp", 1, 0)))
     assert img.at(0) == want
-    # the defining sum runs on past the window, which never reads it
+    # the defining sum runs on past the window top: reading there is an
+    # error, not a silent zero
     with pytest.raises(WindowError):
         img.at(5)
 
