@@ -1,11 +1,15 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qtoroidal import qchar
 from qtoroidal.cartan import (build_cartan, cartan_preset, finite_type_a,
                               infinite_a)
 from qtoroidal.errors import AlgorithmFailure, DomainError, InputError
-from qtoroidal.monomials import YMonomial, a_monomial, mono_format, mono_parse
+from qtoroidal.monomials import (YMonomial, a_monomial, kmerge, mono_format,
+                                 mono_parse)
 from qtoroidal.qchar import (QCharacter, _add_term_maps, char_from_json,
                              char_product, char_to_dot, char_to_json,
                              fm_expand, is_special, kr_qchar,
@@ -208,6 +212,104 @@ def test_char_product_matches_nested_loop(C, tops):
                 == nested_loop_product(shallow[:n], 5, 1))
 
 
+def tuple_char_product(chars, depth, offset=0):
+    """The truncated product on triple-tuple keys: each factor bucketed
+    by height, each pair of keys merged with ``kmerge``.  Kept as the
+    oracle for ``char_product``."""
+    budget = depth - offset
+    acc = {(): (1, 0)}
+    for ch in chars:
+        buckets = {}
+        for m, c in ch.terms.items():
+            buckets.setdefault(ch.heights[m], []).append((m.key, c))
+        nxt = {}
+        for k1, (c1, h1) in acc.items():
+            for h2, bucket in sorted(buckets.items()):
+                if h1 + h2 > budget:
+                    break
+                for k2, c2 in bucket:
+                    g = kmerge(k1, k2)
+                    prev = nxt.get(g)
+                    if prev is None:
+                        nxt[g] = (c1 * c2, h1 + h2)
+                    elif prev[1] != h1 + h2:
+                        raise AlgorithmFailure(
+                            "height clash in truncated product")
+                    else:
+                        nxt[g] = (prev[0] + c1 * c2, h1 + h2)
+        acc = nxt
+    return {YMonomial._from_key(k): (c, offset + h)
+            for k, (c, h) in acc.items()}
+
+
+@pytest.mark.parametrize("C, tops", [
+    (A3TOR, ["Y[0,0]", "Y[1,1] Y[1,3]", "Y[2,0] Y[3,1]"]),
+    (AINF, ["Y[0,0]", "Y[1,1] Y[1,3]", "Y[-1,2]"]),
+])
+def test_char_product_matches_tuple_oracle(C, tops):
+    chars = [fm_expand(C, mono_parse(t), 6) for t in tops]
+    for depth in (0, 2, 4, 6):
+        for n in range(4):
+            for offset in (0, depth // 2, depth + 1):
+                got = char_product(chars[:n], depth, offset)
+                assert got == tuple_char_product(chars[:n], depth, offset)
+                # equal maps of equal keys: compare the stored keys too
+                assert (sorted(m.key for m in got)
+                        == sorted(m.key for m in
+                                  tuple_char_product(chars[:n], depth,
+                                                     offset)))
+
+
+BIG = 2 ** 70
+
+# hand-built characters: a few monomials over a small (node, spectral)
+# grid, exponents small (so products collide and cancel) or up to 2**70,
+# heights drawn freely (so some products clash)
+exponents = st.one_of(st.integers(-3, 3), st.integers(-BIG, BIG)).filter(
+    bool)
+hand_keys = st.dictionaries(
+    st.tuples(st.integers(-2, 2), st.integers(-3, 3)), exponents,
+    max_size=5).map(lambda d: YMonomial(d))
+hand_chars = st.dictionaries(
+    hand_keys, st.tuples(st.integers(1, 3), st.integers(0, 4)),
+    min_size=1, max_size=6).map(
+        lambda d: QCharacter(None, YMonomial.one(), 4,
+                             {m: c for m, (c, _) in d.items()},
+                             {m: h for m, (_, h) in d.items()}))
+
+
+def product_or_clash(fn, chars, depth, offset):
+    try:
+        return fn(chars, depth, offset)
+    except AlgorithmFailure as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(hand_chars, max_size=3), st.integers(0, 8),
+       st.integers(0, 3))
+def test_char_product_matches_tuple_oracle_on_hand_built(chars, depth,
+                                                         offset):
+    got = product_or_clash(char_product, chars, depth, offset)
+    want = product_or_clash(tuple_char_product, chars, depth, offset)
+    assert got == want
+    if isinstance(got, dict):
+        assert (sorted(m.key for m in got)
+                == sorted(m.key for m in want))
+
+
+def test_char_product_wide_exponents():
+    # a factor whose exponents need 71-bit fields, squared and cubed
+    big = YMonomial({(0, 0): BIG, (1, 1): -BIG, (0, 2): 1})
+    small = YMonomial({(0, 0): -1, (1, 1): 1})
+    ch = QCharacter(None, big, 2, {big: 1, small: 2}, {big: 0, small: 1})
+    for n in (2, 3):
+        got = char_product([ch] * n, 2)
+        assert got == tuple_char_product([ch] * n, 2)
+        assert got[YMonomial({(0, 0): n * BIG, (1, 1): -n * BIG,
+                              (0, 2): n})] == (1, 0)
+
+
 def clashing_character():
     """Heights that are not additive: 1 * Y^2 sits at height 1 but
     Y * Y at height 2."""
@@ -241,6 +343,83 @@ def test_octahedron_k0_plane_is_tsystem():
     rep = octahedron_verify(AINF, 2, [1], [1], [1])
     assert rep["holds"]
     assert verify_tsystem(AINF, 1, 1, 0, 2)["holds"]
+
+
+def deepest_copy_added(monkeypatch, length):
+    """Make every expansion of a ``length``-string top carry one extra
+    copy of a deepest term (the largest key among the highest)."""
+    real = qchar.fm_expand
+
+    def fm_expand_plus(C, mtop, depth, order_rng=None):
+        ch = real(C, mtop, depth, order_rng)
+        if sum(e for (_, _, e) in mtop.key) == length:
+            m = max(ch.terms, key=lambda m: (ch.heights[m], m.key))
+            ch.terms[m] += 1
+        return ch
+
+    monkeypatch.setattr(qchar, "fm_expand", fm_expand_plus)
+
+
+@pytest.mark.parametrize("C, depth", [(A3TOR, 6), (AINF, 6)])
+def test_tsystem_negative_control(monkeypatch, C, depth):
+    assert verify_tsystem(C, 0, 2, 0, depth)["holds"]
+    deepest_copy_added(monkeypatch, 3)
+    rep = verify_tsystem(C, 0, 2, 0, depth)
+    assert not rep["holds"]
+    assert rep["mismatches"]
+
+
+def test_octahedron_negative_control(monkeypatch):
+    assert octahedron_verify(AINF, 5, [0], [2], [0])["holds"]
+    deepest_copy_added(monkeypatch, 3)
+    rep = octahedron_verify(AINF, 5, [0], [2], [0])
+    assert not rep["holds"]
+    assert rep["cells"][0]["mismatches"]
+
+
+def transported(ch, nodes, d):
+    """``ch`` with node j moved to ``nodes[j]`` and every spectral
+    exponent shifted by d."""
+    def move(m):
+        return YMonomial._from_key(tuple(sorted(
+            (nodes[i], l + d, e) for (i, l, e) in m.key)))
+    return (move(ch.top), {move(m): c for m, c in ch.terms.items()},
+            {move(m): h for m, h in ch.heights.items()})
+
+
+def string_char(C, i, k, l, depth):
+    """kr_qchar through the orbit of its (node, k): the node-0 character
+    at spectral 0, moved to node i and shifted to q^l."""
+    ch = kr_qchar(C, 0, k, 0, depth)
+    nodes = {j: (j + i) % C.cycle_len if C.cycle_len else j + i
+             for m in ch.terms for (j, _, _) in m.key}
+    return transported(ch, nodes, l)
+
+
+@pytest.mark.parametrize("C, nodes", [(A3TOR, range(4)),
+                                      (AINF, range(-2, 3))])
+def test_string_characters_are_equivariant(C, nodes):
+    """A node move that preserves the Cartan data, with a spectral shift,
+    carries one string character onto another: 189 cases at depth 6."""
+    for i in nodes:
+        for k in (1, 2, 3):
+            for l in range(-3, 4):
+                ch = kr_qchar(C, i, k, l, 6)
+                assert string_char(C, i, k, l, 6) == (
+                    ch.top, ch.terms, ch.heights), (i, k, l)
+
+
+@pytest.mark.parametrize("name", ["A1tor", "Bnp:3,2", "Bnp:2,3"])
+def test_string_characters_shift_spectrally(name):
+    C = cartan_preset(name)
+    for i in C.nodes:
+        for k in (1, 2):
+            base = kr_qchar(C, i, k, 0, 5)
+            ident = {j: j for j in C.nodes}
+            for l in (-3, 1, 4):
+                ch = kr_qchar(C, i, k, l, 5)
+                assert transported(base, ident, l) == (
+                    ch.top, ch.terms, ch.heights), (i, k, l)
 
 
 def test_octahedron_requires_infinite_line():
