@@ -5,6 +5,13 @@ expands every node-dominant monomial through its rank-1 string
 decomposition, assigning each generated monomial the maximum multiplicity
 demanded across nodes.  Characters carry a truncation depth certificate:
 every stored term lies within ``depth`` A-inverse steps of the top.
+
+The T-system and octahedron checks expand each string character once per
+orbit: a spectral shift, and a node move checked to preserve the Cartan
+data, carry one expansion onto the others.  Truncated products run on
+packed integer keys, one balanced signed field per (node, spectral) pair,
+so multiplying two monomials is one ``int`` addition; the two sides of an
+identity are compared packed and only mismatches are decoded.
 """
 
 from __future__ import annotations
@@ -141,8 +148,11 @@ def fm_expand(C, mtop, depth, order_rng=None):
                         "monomial %s must head %d new node-%s families "
                         "but is not dominant there"
                         % (mono_format(m), excess, i))
+                room = depth - h
+                if room == 0:
+                    continue        # every flip would leave the window
                 strings = _string_decomposition(part, C.r(i))
-                ranges = [range(s + 1) for (_, s) in strings]
+                ranges = [range(min(s, room) + 1) for (_, s) in strings]
                 for combo in itertools.product(*ranges):
                     v = sum(combo)
                     if v == 0 or h + v > depth:
@@ -227,14 +237,96 @@ def _floor_div(a, b):
 # truncated products and identities
 # ---------------------------------------------------------------------------
 
-def _height_buckets(ch):
-    """The terms of ``ch`` grouped by height: a list of
-    (height, [(key, coeff), ...]) in rising height."""
-    buckets = {}
-    heights = ch.heights
-    for m, c in ch.terms.items():
-        buckets.setdefault(heights[m], []).append((m.key, c))
-    return sorted(buckets.items())
+class _Fields:
+    """Packed keys for the monomials of the products one check compares.
+
+    Each (node, spectral) pair the factors use owns one balanced signed
+    field of ``width`` bits, the pairs in sorted order from the low bits
+    up, so a monomial packs to the int sum(e << shift[pair]) and a product
+    of monomials packs to the sum of their ints.  The width is set up
+    front from the largest |exponent| any of the products can reach, the
+    sum over its factors of their largest |exponent|, so no field can
+    wrap and every packed key decodes exactly.
+    """
+
+    __slots__ = ("pairs", "width", "shift", "_flip")
+
+    def __init__(self, products):
+        """``products`` lists the factor lists of every product whose
+        packed keys will be met in one map."""
+        pairs = set()
+        reach = 0
+        for chars in products:
+            total = 0
+            for ch in chars:
+                keys = [m.key for m in ch.terms]
+                pairs.update((i, l) for key in keys for (i, l, _) in key)
+                total += max((abs(e) for key in keys for (_, _, e) in key),
+                             default=0)
+            reach = max(reach, total)
+        self.pairs = sorted(pairs)
+        # 2**(width-1) > reach: every field value lies in [-half, half)
+        self.width = w = reach.bit_length() + 1
+        self.shift = {p: w * n for n, p in enumerate(self.pairs)}
+        self._flip = sum(1 << (w * n + w - 1) for n in range(len(pairs)))
+
+    def buckets(self, ch):
+        """The packed terms of ``ch`` grouped by height: a list of
+        (height, [(packed key, coeff), ...]) in rising height."""
+        shift = self.shift
+        heights = ch.heights
+        out = {}
+        for m, c in ch.terms.items():
+            g = 0
+            for (i, l, e) in m.key:
+                g += e << shift[i, l]
+            out.setdefault(heights[m], []).append((g, c))
+        return sorted(out.items())
+
+    def product(self, chars, depth, offset=0):
+        """{packed key: (coeff, height)} of the product of ``chars``,
+        keeping relative heights at most ``depth - offset``; each partial
+        product only meets the factor buckets that still fit."""
+        budget = depth - offset
+        acc = {0: (1, 0)}
+        for ch in chars:
+            buckets = self.buckets(ch)
+            nxt = {}
+            for k1, (c1, h1) in acc.items():
+                room = budget - h1
+                for h2, bucket in buckets:
+                    if h2 > room:
+                        break
+                    h = h1 + h2
+                    for k2, c2 in bucket:
+                        g = k1 + k2
+                        prev = nxt.get(g)
+                        if prev is None:
+                            nxt[g] = (c1 * c2, h)
+                        elif prev[1] != h:
+                            raise AlgorithmFailure(
+                                "height clash in truncated product")
+                        else:
+                            nxt[g] = (prev[0] + c1 * c2, h)
+            acc = nxt
+        return {g: (c, offset + h) for g, (c, h) in acc.items()}
+
+    def decode(self, g):
+        """The monomial packed as ``g``."""
+        w = self.width
+        mask = (1 << w) - 1
+        half = 1 << (w - 1)
+        # adding then xoring the half bits turns each balanced field into
+        # its w-bit two's complement, and each zero field into 0
+        z = (g + self._flip) ^ self._flip
+        key = []
+        while z:
+            n = ((z & -z).bit_length() - 1) // w
+            f = (z >> (w * n)) & mask
+            z ^= f << (w * n)
+            i, l = self.pairs[n]
+            key.append((i, l, f - (mask + 1) if f >= half else f))
+        return YMonomial._from_key(tuple(key))
 
 
 def char_product(chars, depth, offset=0):
@@ -242,34 +334,11 @@ def char_product(chars, depth, offset=0):
     (offset + sum of factor heights) at most ``depth``.
 
     Soundness rests on heights being additive under products.  Returns
-    {monomial: (coeff, height)} with absolute heights.  Each factor's
-    terms are bucketed by height once, so a partial product only meets
-    the buckets that still fit the depth budget.
+    {monomial: (coeff, height)} with absolute heights.
     """
-    budget = depth - offset
-    acc = {(): (1, 0)}
-    for ch in chars:
-        buckets = _height_buckets(ch)
-        nxt = {}
-        for k1, (c1, h1) in acc.items():
-            room = budget - h1
-            for h2, bucket in buckets:
-                if h2 > room:
-                    break
-                h = h1 + h2
-                for k2, c2 in bucket:
-                    g = kmerge(k1, k2)
-                    prev = nxt.get(g)
-                    if prev is None:
-                        nxt[g] = (c1 * c2, h)
-                    elif prev[1] != h:
-                        raise AlgorithmFailure(
-                            "height clash in truncated product")
-                    else:
-                        nxt[g] = (prev[0] + c1 * c2, h)
-        acc = nxt
-    return {YMonomial._from_key(k): (c, offset + h)
-            for k, (c, h) in acc.items()}
+    fields = _Fields([chars])
+    return {fields.decode(g): v
+            for g, v in fields.product(chars, depth, offset).items()}
 
 
 def _add_term_maps(a, b):
@@ -295,6 +364,118 @@ def _diff_term_maps(a, b):
     return out
 
 
+def _mismatch_rows(fields, mism):
+    return sorted((mono_format(fields.decode(g)), ca, cb)
+                  for g, (ca, cb) in mism.items())
+
+
+class _StringChars:
+    """The string characters ``kr_qchar(C, i, k, l, depth)`` one identity
+    check reads, expanding each (node, k) orbit once.
+
+    A spectral shift by d maps A_{i,q^l} to A_{i,q^(l+d)}, so it carries
+    the character at q^l onto the one at q^(l+d) for all Cartan data.  A
+    node move sigma carries node-i characters onto node-sigma(i) ones
+    only where it preserves the data, C(sigma i, sigma j) = C(i, j) and
+    r(sigma i) = r(i); that is checked on every node the expansion reads,
+    not assumed.  The moves tried are the rotations of a ``cycle_len``
+    cycle on nodes 0..n-1 and the translations of the infinite line, each
+    from node 0.
+    """
+
+    def __init__(self, C, depth):
+        self.C = C
+        self.depth = depth
+        self.bases = {}         # (node, k) -> expansion at q^0
+        self.moves = {}         # node -> (source node, node map or None)
+        self.chars = {}         # (node, k, l) -> character
+
+    def __call__(self, i, k, l):
+        ch = self.chars.get((i, k, l))
+        if ch is None:
+            if k == 0:
+                ch = trivial_character(self.C, self.depth)
+            else:
+                src, move = self._move(i)
+                base = self.bases.get((src, k))
+                if base is None:
+                    base = self.bases[src, k] = kr_qchar(
+                        self.C, src, k, 0, self.depth)
+                ch = _transport(base, move, l)
+            self.chars[i, k, l] = ch
+        return ch
+
+    def _move(self, i):
+        """(source node, node map) of the checked move onto node i; the
+        map is None when the character is only shifted."""
+        got = self.moves.get(i)
+        if got is None:
+            C = self.C
+            n = C.cycle_len
+            if C.infinite:
+                def move(j):
+                    return j + i
+            elif n is not None and sorted(C.nodes) == list(range(n)):
+                def move(j):
+                    return (j + i) % n
+            else:
+                move = None
+            if move is None or move(0) == 0 or not self._preserves(move):
+                got = (i, None)
+            else:
+                got = (0, move)
+            self.moves[i] = got
+        return got
+
+    def _preserves(self, move):
+        """True iff ``move`` keeps r and every entry at each node within
+        ``depth`` steps of node 0, which holds all that the expansion
+        from node 0 reads."""
+        C = self.C
+        seen = {0}
+        ring = [0]
+        for _ in range(self.depth):
+            ring = [j for x in ring for j in C.neighbors(x) if j not in seen]
+            seen.update(ring)
+        for x in seen:
+            mx = move(x)
+            if C.r(mx) != C.r(x) or C.C(mx, mx) != C.C(x, x):
+                return False
+            nbrs = C.neighbors(x)
+            if sorted(map(move, nbrs)) != sorted(C.neighbors(mx)):
+                return False
+            for j in nbrs:
+                if (C.C(mx, move(j)) != C.C(x, j)
+                        or C.C(move(j), mx) != C.C(j, x)):
+                    return False
+        return True
+
+
+def _transport(ch, move, d):
+    """``ch`` with each node j moved to ``move(j)`` (when a move is given)
+    and every spectral exponent shifted by d."""
+    if move is None:
+        if d == 0:
+            return ch
+
+        def image(key):
+            return YMonomial._from_key(tuple([(i, l + d, e)
+                                              for (i, l, e) in key]))
+    else:
+        def image(key):
+            return YMonomial._from_key(tuple(sorted(
+                [(move(i), l + d, e) for (i, l, e) in key])))
+    terms = {}
+    heights = {}
+    old_heights = ch.heights
+    for m, c in ch.terms.items():
+        g = image(m.key)
+        terms[g] = c
+        heights[g] = old_heights[m]
+    return QCharacter(ch.cartan, image(ch.top.key), ch.depth, terms,
+                      heights)
+
+
 def verify_tsystem(C, i, k, l, depth):
     """Exact truncated check of the three-term recurrence at (i, k, q^l).
 
@@ -303,19 +484,19 @@ def verify_tsystem(C, i, k, l, depth):
     """
     if depth < 1:
         raise InputError("depth must be >= 1")
+    chars = _StringChars(C, depth)
     two_ri = 2 * C.r(i)
-    w_k_a = kr_qchar(C, i, k, l, depth)
-    w_k_aq2 = kr_qchar(C, i, k, l + two_ri, depth)
-    w_kp = kr_qchar(C, i, k + 1, l, depth)
-    w_km = kr_qchar(C, i, k - 1, l + two_ri, depth)
+    w_k_a = chars(i, k, l)
+    w_k_aq2 = chars(i, k, l + two_ri)
+    w_kp = chars(i, k + 1, l)
+    w_km = chars(i, k - 1, l + two_ri)
 
     m0 = w_k_a.top * w_k_aq2.top
     if w_kp.top * w_km.top != m0:
         raise AlgorithmFailure("product tops disagree")
 
     st = s_term(C, i, k, l)
-    s_chars = [kr_qchar(C, j, kk, ll, depth)
-               for (j, kk, ll) in st["factors"] if kk > 0]
+    s_chars = [chars(j, kk, ll) for (j, kk, ll) in st["factors"] if kk > 0]
     s_top = YMonomial.one()
     for ch in s_chars:
         s_top = s_top * ch.top
@@ -325,19 +506,21 @@ def verify_tsystem(C, i, k, l, depth):
                                "product top")
     s_offset = len(s_fact)
 
-    lhs = char_product([w_k_a, w_k_aq2], depth)
-    rhs = char_product([w_kp, w_km], depth)
+    sides = [[w_k_a, w_k_aq2], [w_kp, w_km]]
     if s_offset <= depth:
-        rhs = _add_term_maps(rhs,
-                             char_product(s_chars, depth, offset=s_offset))
+        sides.append(s_chars)
+    fields = _Fields(sides)
+    lhs = fields.product(sides[0], depth)
+    rhs = fields.product(sides[1], depth)
+    if s_offset <= depth:
+        rhs = _add_term_maps(rhs, fields.product(s_chars, depth, s_offset))
     mism = _diff_term_maps(lhs, rhs)
     return {
         "holds": not mism,
         "depth": depth,
         "s_offset": s_offset,
         "nu": st["nu"],
-        "mismatches": sorted((mono_format(m), ca, cb)
-                             for m, (ca, cb) in mism.items()),
+        "mismatches": _mismatch_rows(fields, mism),
     }
 
 
@@ -359,10 +542,7 @@ def r_shift(x, steps, cartan=None):
             raise InputError("rotating a bare monomial needs the matrix")
         return x.shift_nodes(steps, _cycle_length(cartan))
     n = _cycle_length(x.cartan)
-    terms = {m.shift_nodes(steps, n): c for m, c in x.terms.items()}
-    heights = {m.shift_nodes(steps, n): h for m, h in x.heights.items()}
-    return QCharacter(x.cartan, x.top.shift_nodes(steps, n), x.depth,
-                      terms, heights)
+    return _transport(x, lambda i: (i + steps) % n, 0)
 
 
 def is_special(char):
@@ -385,12 +565,10 @@ def octahedron_verify(C, depth, i_range, k_range, t_range):
     if not C.infinite:
         raise DomainError("the octahedron lattice lives on the infinite "
                           "line")
-    cache = {}
+    chars = _StringChars(C, depth)
 
     def T(i, k, t):
-        if (i, k, t) not in cache:
-            cache[(i, k, t)] = kr_qchar(C, i, k, t + 1 - k, depth)
-        return cache[(i, k, t)]
+        return chars(i, k, t + 1 - k)
 
     cells = []
     ok = True
@@ -409,16 +587,18 @@ def octahedron_verify(C, depth, i_range, k_range, t_range):
                     raise AlgorithmFailure("octahedron correction top is "
                                            "not below the cell top")
                 off = len(fs)
-                lhs = char_product(lhs_f, depth)
-                rhs = char_product(rhs2_f, depth)
+                sides = [lhs_f, rhs2_f]
                 if off <= depth:
-                    rhs = _add_term_maps(
-                        rhs, char_product(rhs1_f, depth, offset=off))
+                    sides.append(rhs1_f)
+                fields = _Fields(sides)
+                lhs = fields.product(lhs_f, depth)
+                rhs = fields.product(rhs2_f, depth)
+                if off <= depth:
+                    rhs = _add_term_maps(rhs,
+                                         fields.product(rhs1_f, depth, off))
                 mism = _diff_term_maps(lhs, rhs)
                 cells.append({"cell": (i, k, t), "holds": not mism,
-                              "mismatches": sorted(
-                                  (mono_format(m), ca, cb)
-                                  for m, (ca, cb) in mism.items())})
+                              "mismatches": _mismatch_rows(fields, mism)})
                 ok = ok and not mism
     return {"holds": ok, "depth": depth, "cells": cells}
 
@@ -461,26 +641,39 @@ def char_to_dot(char):
         if c != 1:
             label = "%d x %s" % (c, label)
         lines.append('  %s [label="%s"];' % (ids[m], label))
-    by_height = {}
+    # m -> g is an edge when m / g is one A-monomial A_{i,q^l}.  Its
+    # entry at (i, l + r_i) is +1, so there either m is positive or g is
+    # negative, never both: probing A_{i,q^(x - r_i)} at each positive
+    # entry (i, x) of m and each negative entry of g finds every edge once
+    groups = {}
     for m in order:
-        by_height.setdefault(char.heights[m], []).append(m)
+        groups.setdefault(char.heights[m], {})[m.key] = m
+    rank = {m: n for n, m in enumerate(order)}
     a_keys = {}             # (node, spectral) -> key of that A-monomial
+
+    def a_key(i, x):
+        key = a_keys.get((i, x))
+        if key is None:
+            key = a_keys[i, x] = a_monomial(C, i, x - C.r(i)).key
+        return key
+
+    edges = {}              # m -> [(rank of g, node)]
     for m in order:
-        for g in by_height.get(char.heights[m] + 1, ()):
-            d = kmerge_scaled(m.key, g.key, -1)    # should be one A-monomial
-            if not d:
-                continue
-            cand = max(((i, l) for (i, l, e) in d if e > 0),
-                       key=lambda t: t[1], default=None)
-            if cand is None:
-                continue
-            i, lm = cand
-            il = (i, lm - C.r(i))
-            a_key = a_keys.get(il)
-            if a_key is None:
-                a_key = a_keys[il] = a_monomial(C, *il).key
-            if d == a_key:
-                lines.append('  %s -> %s [label="%s"];'
-                             % (ids[m], ids[g], i))
+        h = char.heights[m]
+        below = groups.get(h + 1)
+        above = groups.get(h - 1)
+        for (i, x, e) in m.key:
+            if e > 0 and below:
+                g = below.get(kmerge_scaled(m.key, a_key(i, x), -1))
+                if g is not None:
+                    edges.setdefault(m, []).append((rank[g], i))
+            elif e < 0 and above:
+                p = above.get(kmerge(m.key, a_key(i, x)))
+                if p is not None:
+                    edges.setdefault(p, []).append((rank[m], i))
+    for m in order:
+        for n, i in sorted(edges.get(m, ())):
+            lines.append('  %s -> %s [label="%s"];'
+                         % (ids[m], ids[order[n]], i))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -205,6 +205,8 @@ def test_char_product_matches_nested_loop(C, tops):
                 got = char_product(chars[:n], depth, offset)
                 want = nested_loop_product(chars[:n], depth, offset)
                 assert got == want, (n, depth, offset)
+                assert_same_keys(got, tuple_char_product(chars[:n], depth,
+                                                         offset))
     # factors truncated below the product depth
     shallow = [fm_expand(C, mono_parse(t), 2) for t in tops]
     for n in range(4):
@@ -242,22 +244,10 @@ def tuple_char_product(chars, depth, offset=0):
             for k, (c, h) in acc.items()}
 
 
-@pytest.mark.parametrize("C, tops", [
-    (A3TOR, ["Y[0,0]", "Y[1,1] Y[1,3]", "Y[2,0] Y[3,1]"]),
-    (AINF, ["Y[0,0]", "Y[1,1] Y[1,3]", "Y[-1,2]"]),
-])
-def test_char_product_matches_tuple_oracle(C, tops):
-    chars = [fm_expand(C, mono_parse(t), 6) for t in tops]
-    for depth in (0, 2, 4, 6):
-        for n in range(4):
-            for offset in (0, depth // 2, depth + 1):
-                got = char_product(chars[:n], depth, offset)
-                assert got == tuple_char_product(chars[:n], depth, offset)
-                # equal maps of equal keys: compare the stored keys too
-                assert (sorted(m.key for m in got)
-                        == sorted(m.key for m in
-                                  tuple_char_product(chars[:n], depth,
-                                                     offset)))
+def assert_same_keys(got, want):
+    """Equal term maps whose monomials also carry equal stored keys."""
+    assert got == want
+    assert sorted(m.key for m in got) == sorted(m.key for m in want)
 
 
 BIG = 2 ** 70
@@ -292,10 +282,10 @@ def test_char_product_matches_tuple_oracle_on_hand_built(chars, depth,
                                                          offset):
     got = product_or_clash(char_product, chars, depth, offset)
     want = product_or_clash(tuple_char_product, chars, depth, offset)
-    assert got == want
-    if isinstance(got, dict):
-        assert (sorted(m.key for m in got)
-                == sorted(m.key for m in want))
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert_same_keys(got, want)
 
 
 def test_char_product_wide_exponents():
@@ -305,7 +295,7 @@ def test_char_product_wide_exponents():
     ch = QCharacter(None, big, 2, {big: 1, small: 2}, {big: 0, small: 1})
     for n in (2, 3):
         got = char_product([ch] * n, 2)
-        assert got == tuple_char_product([ch] * n, 2)
+        assert_same_keys(got, tuple_char_product([ch] * n, 2))
         assert got[YMonomial({(0, 0): n * BIG, (1, 1): -n * BIG,
                               (0, 2): n})] == (1, 0)
 
@@ -377,49 +367,44 @@ def test_octahedron_negative_control(monkeypatch):
     assert rep["cells"][0]["mismatches"]
 
 
-def transported(ch, nodes, d):
-    """``ch`` with node j moved to ``nodes[j]`` and every spectral
-    exponent shifted by d."""
-    def move(m):
-        return YMonomial._from_key(tuple(sorted(
-            (nodes[i], l + d, e) for (i, l, e) in m.key)))
-    return (move(ch.top), {move(m): c for m, c in ch.terms.items()},
-            {move(m): h for m, h in ch.heights.items()})
-
-
-def string_char(C, i, k, l, depth):
-    """kr_qchar through the orbit of its (node, k): the node-0 character
-    at spectral 0, moved to node i and shifted to q^l."""
-    ch = kr_qchar(C, 0, k, 0, depth)
-    nodes = {j: (j + i) % C.cycle_len if C.cycle_len else j + i
-             for m in ch.terms for (j, _, _) in m.key}
-    return transported(ch, nodes, l)
+def as_triple(ch):
+    return ch.top, ch.terms, ch.heights
 
 
 @pytest.mark.parametrize("C, nodes", [(A3TOR, range(4)),
                                       (AINF, range(-2, 3))])
 def test_string_characters_are_equivariant(C, nodes):
     """A node move that preserves the Cartan data, with a spectral shift,
-    carries one string character onto another: 189 cases at depth 6."""
+    carries the node-0 string character at q^0 onto every other one:
+    189 cases at depth 6, from three expansions."""
+    chars = qchar._StringChars(C, 6)
     for i in nodes:
         for k in (1, 2, 3):
             for l in range(-3, 4):
-                ch = kr_qchar(C, i, k, l, 6)
-                assert string_char(C, i, k, l, 6) == (
-                    ch.top, ch.terms, ch.heights), (i, k, l)
+                assert (as_triple(chars(i, k, l))
+                        == as_triple(kr_qchar(C, i, k, l, 6))), (i, k, l)
+    assert sorted(chars.bases) == [(0, 1), (0, 2), (0, 3)]
 
 
-@pytest.mark.parametrize("name", ["A1tor", "Bnp:3,2", "Bnp:2,3"])
-def test_string_characters_shift_spectrally(name):
-    C = cartan_preset(name)
+# the 4-node path labelled as a 4-cycle: rotating it moves an end node
+# onto an inner one, so only spectral shifts may be used
+CYCLE_LABELLED_PATH = build_cartan(
+    [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
+    list(range(4)), cycle_len=4)
+
+
+@pytest.mark.parametrize("C", [cartan_preset("A1tor"),
+                               cartan_preset("Bnp:3,2"),
+                               cartan_preset("Bnp:2,3"),
+                               CYCLE_LABELLED_PATH])
+def test_string_characters_shift_spectrally(C):
+    chars = qchar._StringChars(C, 5)
     for i in C.nodes:
         for k in (1, 2):
-            base = kr_qchar(C, i, k, 0, 5)
-            ident = {j: j for j in C.nodes}
-            for l in (-3, 1, 4):
-                ch = kr_qchar(C, i, k, l, 5)
-                assert transported(base, ident, l) == (
-                    ch.top, ch.terms, ch.heights), (i, k, l)
+            for l in (-3, 0, 1, 4):
+                assert (as_triple(chars(i, k, l))
+                        == as_triple(kr_qchar(C, i, k, l, 5))), (i, k, l)
+    assert sorted(chars.bases) == [(i, k) for i in C.nodes for k in (1, 2)]
 
 
 def test_octahedron_requires_infinite_line():
