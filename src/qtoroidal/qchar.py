@@ -249,7 +249,7 @@ class _Fields:
     wrap and every packed key decodes exactly.
     """
 
-    __slots__ = ("pairs", "width", "shift", "_flip")
+    __slots__ = ("pairs", "width", "shift", "_flip", "_triples")
 
     def __init__(self, products):
         """``products`` lists the factor lists of every product whose
@@ -269,6 +269,9 @@ class _Fields:
         self.width = w = reach.bit_length() + 1
         self.shift = {p: w * n for n, p in enumerate(self.pairs)}
         self._flip = sum(1 << (w * n + w - 1) for n in range(len(pairs)))
+        # decoded keys share their (node, spectral, exponent) triples, as
+        # the keys merged from the factors' keys did
+        self._triples = {}      # one field's bits, in place -> its triple
 
     def buckets(self, ch):
         """The packed terms of ``ch`` grouped by height: a list of
@@ -319,13 +322,19 @@ class _Fields:
         # adding then xoring the half bits turns each balanced field into
         # its w-bit two's complement, and each zero field into 0
         z = (g + self._flip) ^ self._flip
+        triples = self._triples
         key = []
         while z:
-            n = ((z & -z).bit_length() - 1) // w
-            f = (z >> (w * n)) & mask
-            z ^= f << (w * n)
-            i, l = self.pairs[n]
-            key.append((i, l, f - (mask + 1) if f >= half else f))
+            s = ((z & -z).bit_length() - 1) // w * w
+            piece = z & (mask << s)
+            z ^= piece
+            t = triples.get(piece)
+            if t is None:
+                f = piece >> s
+                i, l = self.pairs[s // w]
+                t = triples[piece] = (i, l, f - (mask + 1) if f >= half
+                                      else f)
+            key.append(t)
         return YMonomial._from_key(tuple(key))
 
 
