@@ -237,6 +237,44 @@ def _floor_div(a, b):
 # truncated products and identities
 # ---------------------------------------------------------------------------
 
+class _Factor:
+    """A character as a product factor reads it: its terms grouped by
+    height (a list of (height, [(key, coeff), ...]) in rising height),
+    the (node, spectral) pairs they use and their largest |exponent|.
+
+    ``moved`` gives the same terms read through a node map and a spectral
+    shift: ``images`` maps each pair to the pair it stands for, and
+    packing applies it, so a transported character is never built.
+    """
+
+    __slots__ = ("top", "groups", "pairs", "reach", "images")
+
+    def __init__(self, ch):
+        heights = ch.heights
+        groups = {}
+        for m, c in ch.terms.items():
+            groups.setdefault(heights[m], []).append((m.key, c))
+        keys = [m.key for m in ch.terms]
+        self.top = ch.top
+        self.groups = sorted(groups.items())
+        self.pairs = {(i, l) for key in keys for (i, l, _) in key}
+        self.reach = max((abs(e) for key in keys for (_, _, e) in key),
+                         default=0)
+        self.images = None      # each pair stands for itself
+
+    def moved(self, move, d):
+        """This factor with node j read as ``move(j)`` and spectral
+        exponent l as l + d."""
+        out = _Factor.__new__(_Factor)
+        out.groups = self.groups
+        out.pairs = self.pairs
+        out.reach = self.reach
+        out.images = {(i, l): (move(i), l + d) for (i, l) in self.pairs}
+        out.top = YMonomial({(move(i), l + d): e
+                             for (i, l, e) in self.top.key})
+        return out
+
+
 class _Fields:
     """Packed keys for the monomials of the products one check compares.
 
@@ -256,14 +294,11 @@ class _Fields:
         packed keys will be met in one map."""
         pairs = set()
         reach = 0
-        for chars in products:
-            total = 0
-            for ch in chars:
-                keys = [m.key for m in ch.terms]
-                pairs.update((i, l) for key in keys for (i, l, _) in key)
-                total += max((abs(e) for key in keys for (_, _, e) in key),
-                             default=0)
-            reach = max(reach, total)
+        for factors in products:
+            for f in factors:
+                pairs.update(f.pairs if f.images is None
+                             else f.images.values())
+            reach = max(reach, sum(f.reach for f in factors))
         self.pairs = sorted(pairs)
         # 2**(width-1) > reach: every field value lies in [-half, half)
         self.width = w = reach.bit_length() + 1
@@ -273,27 +308,30 @@ class _Fields:
         # the keys merged from the factors' keys did
         self._triples = {}      # one field's bits, in place -> its triple
 
-    def buckets(self, ch):
-        """The packed terms of ``ch`` grouped by height: a list of
-        (height, [(packed key, coeff), ...]) in rising height."""
-        shift = self.shift
-        heights = ch.heights
-        out = {}
-        for m, c in ch.terms.items():
-            g = 0
-            for (i, l, e) in m.key:
-                g += e << shift[i, l]
-            out.setdefault(heights[m], []).append((g, c))
-        return sorted(out.items())
+    def buckets(self, f):
+        """The packed terms of factor ``f`` grouped by height."""
+        loc = self.shift
+        if f.images is not None:
+            loc = {p: loc[q] for p, q in f.images.items()}
+        out = []
+        for h, group in f.groups:
+            bucket = []
+            for key, c in group:
+                g = 0
+                for (i, l, e) in key:
+                    g += e << loc[i, l]
+                bucket.append((g, c))
+            out.append((h, bucket))
+        return out
 
-    def product(self, chars, depth, offset=0):
-        """{packed key: (coeff, height)} of the product of ``chars``,
+    def product(self, factors, depth, offset=0):
+        """{packed key: (coeff, height)} of the product of ``factors``,
         keeping relative heights at most ``depth - offset``; each partial
         product only meets the factor buckets that still fit."""
         budget = depth - offset
         acc = {0: (1, 0)}
-        for ch in chars:
-            buckets = self.buckets(ch)
+        for f in factors:
+            buckets = self.buckets(f)
             nxt = {}
             for k1, (c1, h1) in acc.items():
                 room = budget - h1
@@ -345,9 +383,10 @@ def char_product(chars, depth, offset=0):
     Soundness rests on heights being additive under products.  Returns
     {monomial: (coeff, height)} with absolute heights.
     """
-    fields = _Fields([chars])
+    factors = [_Factor(ch) for ch in chars]
+    fields = _Fields([factors])
     return {fields.decode(g): v
-            for g, v in fields.product(chars, depth, offset).items()}
+            for g, v in fields.product(factors, depth, offset).items()}
 
 
 def _add_term_maps(a, b):
@@ -378,9 +417,13 @@ def _mismatch_rows(fields, mism):
                   for g, (ca, cb) in mism.items())
 
 
+def _same_node(i):
+    return i
+
+
 class _StringChars:
     """The string characters ``kr_qchar(C, i, k, l, depth)`` one identity
-    check reads, expanding each (node, k) orbit once.
+    check reads, as product factors, expanding each (node, k) orbit once.
 
     A spectral shift by d maps A_{i,q^l} to A_{i,q^(l+d)}, so it carries
     the character at q^l onto the one at q^(l+d) for all Cartan data.  A
@@ -395,28 +438,28 @@ class _StringChars:
     def __init__(self, C, depth):
         self.C = C
         self.depth = depth
-        self.bases = {}         # (node, k) -> expansion at q^0
-        self.moves = {}         # node -> (source node, node map or None)
-        self.chars = {}         # (node, k, l) -> character
+        self.bases = {}         # (node, k) -> factor of the char at q^0
+        self.moves = {}         # node -> (source node, node map)
+        self.factors = {}       # (node, k, l) -> factor
 
     def __call__(self, i, k, l):
-        ch = self.chars.get((i, k, l))
-        if ch is None:
+        f = self.factors.get((i, k, l))
+        if f is None:
             if k == 0:
-                ch = trivial_character(self.C, self.depth)
+                f = _Factor(trivial_character(self.C, self.depth))
             else:
                 src, move = self._move(i)
                 base = self.bases.get((src, k))
                 if base is None:
-                    base = self.bases[src, k] = kr_qchar(
-                        self.C, src, k, 0, self.depth)
-                ch = _transport(base, move, l)
-            self.chars[i, k, l] = ch
-        return ch
+                    base = self.bases[src, k] = _Factor(kr_qchar(
+                        self.C, src, k, 0, self.depth))
+                f = base if src == i and l == 0 else base.moved(move, l)
+            self.factors[i, k, l] = f
+        return f
 
     def _move(self, i):
         """(source node, node map) of the checked move onto node i; the
-        map is None when the character is only shifted."""
+        source is i itself when no move applies."""
         got = self.moves.get(i)
         if got is None:
             C = self.C
@@ -430,7 +473,7 @@ class _StringChars:
             else:
                 move = None
             if move is None or move(0) == 0 or not self._preserves(move):
-                got = (i, None)
+                got = (i, _same_node)
             else:
                 got = (0, move)
             self.moves[i] = got
@@ -458,31 +501,6 @@ class _StringChars:
                         or C.C(move(j), mx) != C.C(j, x)):
                     return False
         return True
-
-
-def _transport(ch, move, d):
-    """``ch`` with each node j moved to ``move(j)`` (when a move is given)
-    and every spectral exponent shifted by d."""
-    if move is None:
-        if d == 0:
-            return ch
-
-        def image(key):
-            return YMonomial._from_key(tuple([(i, l + d, e)
-                                              for (i, l, e) in key]))
-    else:
-        def image(key):
-            return YMonomial._from_key(tuple(sorted(
-                [(move(i), l + d, e) for (i, l, e) in key])))
-    terms = {}
-    heights = {}
-    old_heights = ch.heights
-    for m, c in ch.terms.items():
-        g = image(m.key)
-        terms[g] = c
-        heights[g] = old_heights[m]
-    return QCharacter(ch.cartan, image(ch.top.key), ch.depth, terms,
-                      heights)
 
 
 def verify_tsystem(C, i, k, l, depth):
@@ -551,7 +569,10 @@ def r_shift(x, steps, cartan=None):
             raise InputError("rotating a bare monomial needs the matrix")
         return x.shift_nodes(steps, _cycle_length(cartan))
     n = _cycle_length(x.cartan)
-    return _transport(x, lambda i: (i + steps) % n, 0)
+    terms = {m.shift_nodes(steps, n): c for m, c in x.terms.items()}
+    heights = {m.shift_nodes(steps, n): h for m, h in x.heights.items()}
+    return QCharacter(x.cartan, x.top.shift_nodes(steps, n), x.depth,
+                      terms, heights)
 
 
 def is_special(char):
