@@ -42,9 +42,6 @@ class CartanData:
             return 1
         return self._r[i]
 
-    def q_i(self, i):
-        return QScalar.q_power(self.r(i))
-
     def neighbors(self, i):
         if self.infinite:
             return (i - 1, i + 1)

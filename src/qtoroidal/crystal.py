@@ -16,6 +16,8 @@ compute but the crystal axioms are not promised.
 
 from __future__ import annotations
 
+import math
+
 from .errors import DomainError, InputError
 from .monomials import a_monomial, mono_format
 
@@ -146,7 +148,7 @@ def root_of_unity_period(C, seed, op_cycle, n):
     if n == 1:
         P = shift_period
     else:
-        P = shift_period * (n // _gcd(delta % n or n, n))
+        P = shift_period * (n // math.gcd(delta % n or n, n))
     # materialize one full reduced period plus one more for the scan
     while len(walk) <= 2 * P:
         t = len(walk)
@@ -176,12 +178,6 @@ def _uniform_spectral_shift(a, b):
         elif l2 - l1 != d:
             return None
     return 0 if d is None else d
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n):

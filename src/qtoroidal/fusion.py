@@ -9,12 +9,16 @@ images are primitive: Delta(h_{i,m}) = h_{i,m} x 1 + u^m 1 x h_{i,m}.
 The checks compute only what they read.  The relation check forms each
 product up to the top u-degree it compares, and each prefix of that
 product up to that top less the lowest degrees of the factors still to
-multiply.  The coassociativity check tensors each triple of generator
+multiply.  The coassociativity check builds both two-level sides by
+composing the one-level coproduct ``delta_terms`` with itself, so both
+checks read one definition of Delta; it tensors each triple of generator
 operators once and compares the two sides degree by degree on their
 columns.
 """
 
 from __future__ import annotations
+
+from itertools import count
 
 from .errors import DomainError, InputError, WindowError
 from .linalg import LinOp
@@ -24,59 +28,67 @@ from .scalars import TruncSeries
 ONE = ("one",)
 
 
-def _delta_sum_terms(gen, twist, hi):
+def _no_low(a, b):
+    return 0
+
+
+def _delta_sum_terms(gen, twist, hi, low=_no_low):
     """The summation part of the coproduct image, as (u-degree, left
-    generator, right generator); exactly one summand per u-degree."""
+    generator, right generator); exactly one summand per u-degree.
+
+    An infinite x sum keeps a summand while its degree plus
+    ``low(left, right)`` (0 by default) is at most ``hi``; for a
+    positive twist that bound grows along the sum, so the sum stops at the
+    first summand past it.  The finite phi sums are returned whole."""
     name = gen[0]
-    out = []
-    if name == "xp":
+    if name in ("xp", "xm"):
         _, i, r = gen
-        l = 0
-        while twist * (r + l) <= hi:
-            out.append((twist * (r + l), ("phim", i, -l), ("xp", i, r + l)))
-            l += 1
-    elif name == "xm":
-        _, i, r = gen
-        l = 0
-        while twist * l <= hi:
-            out.append((twist * l, ("xm", i, r - l), ("phip", i, l)))
-            l += 1
-    elif name == "phip":
+        out = []
+        for l in count():
+            if name == "xp":
+                t = (twist * (r + l), ("phim", i, -l), ("xp", i, r + l))
+            else:
+                t = (twist * l, ("xm", i, r - l), ("phip", i, l))
+            if t[0] + low(t[1], t[2]) > hi:
+                return out
+            out.append(t)
+    if name == "phip":
         _, i, m = gen
-        for l in range(m + 1):
-            out.append((twist * l, ("phip", i, m - l), ("phip", i, l)))
-    elif name == "phim":
+        return [(twist * l, ("phip", i, m - l), ("phip", i, l))
+                for l in range(m + 1)]
+    if name == "phim":
         _, i, m = gen
-        for l in range(-m + 1):
-            out.append((-twist * l, ("phim", i, m + l), ("phim", i, -l)))
-    elif name == "k":
-        _, i, e = gen
-        out.append((0, ("k", i, e), ("k", i, e)))
-    elif name == "one":
-        out.append((0, ONE, ONE))
-    else:
-        raise InputError("no coproduct formula for %r" % (gen,))
-    return out
+        return [(-twist * l, ("phim", i, m + l), ("phim", i, -l))
+                for l in range(-m + 1)]
+    if name == "k":
+        return [(0, gen, gen)]
+    if name == "one":
+        return [(0, ONE, ONE)]
+    raise InputError("no coproduct formula for %r" % (gen,))
 
 
-def delta_terms(gen, twist, hi):
+def delta_terms(gen, twist, hi, low=_no_low):
     """All coproduct summands of u-degree at most ``hi``: the standalone
-    term plus the defining sum, or the two terms of a primitive h."""
+    term plus the defining sum, or the two terms of a primitive h.
+
+    With ``low``, a summand (d, a, b) is kept while d + low(a, b) <= hi:
+    the bound an expansion of a or b needs to reach down to its own
+    lowest degree."""
     name = gen[0]
     terms = []
     if name == "xp":
         terms.append((0, gen, ONE))
     elif name == "xm":
-        _, i, r = gen
-        terms.append((twist * r, ONE, gen))
+        terms.append((twist * gen[2], ONE, gen))
     if name == "h":
         terms.extend([(0, gen, ONE), (twist * gen[2], ONE, gen)])
     else:
-        terms.extend(_delta_sum_terms(gen, twist, hi))
-    return [(d, a, b) for (d, a, b) in terms if d <= hi]
+        terms.extend(_delta_sum_terms(gen, twist, hi, low))
+    return [(d, a, b) for (d, a, b) in terms if d + low(a, b) <= hi]
 
 
 def _natural_lo(gen, twist):
+    """The lowest u-degree in the image of ``gen`` under Delta_{u^twist}."""
     if gen[0] in ("xp", "xm", "phim", "h"):
         return min(0, twist * gen[2])
     return 0
@@ -222,99 +234,28 @@ def coproduct_relation_check(M1, M2, u_window, r_bound, m_bound):
 # twisted coassociativity
 # ---------------------------------------------------------------------------
 
-def _upto(start, step, hi):
-    """The indices n >= 0 with start + step * n <= hi (step >= 1)."""
-    return range(max(0, (hi - start) // step + 1))
-
-
 def _triple_terms(gen, s, sp, lo, hi, side):
-    """Two-level coproduct expansion terms (degree, gA, gB, gC).
+    """Two-level coproduct expansion terms (degree, gA, gB, gC), composed
+    from the one-level coproduct ``delta_terms``.
 
-    side "left" is (Id x Delta_{u^sp}) Delta_{u^s}; side "right" is
-    (Delta_{u^s} x Id) Delta_{u^{s+sp}}.  Every infinite sum is indexed so
-    that its degree grows with each index (twists are positive), and each
-    index stops where the degree passes ``hi``.
+    side "left" is (Id x Delta_{u^sp}) Delta_{u^s}, which expands each
+    right factor again; side "right" is (Delta_{u^s} x Id)
+    Delta_{u^{s+sp}}, which expands each left factor.  An outer summand is
+    kept while its degree plus the lowest degree of the factor still to
+    expand is at most ``hi``.
     """
-    name = gen[0]
     out = []
-    if name == "k":
-        _, i, e = gen
-        return [(0, ("k", i, e), ("k", i, e), ("k", i, e))]
-    if name == "one":
-        return [(0, ONE, ONE, ONE)]
-    if name == "phip":
-        _, i, m = gen
-        for b in range(m + 1):
-            a = m - b
-            if side == "left":
-                for d2 in range(b + 1):
-                    deg = s * b + sp * d2
-                    out.append((deg, ("phip", i, a), ("phip", i, b - d2),
-                                ("phip", i, d2)))
-            else:
-                for e in range(a + 1):
-                    deg = (s + sp) * b + s * e
-                    out.append((deg, ("phip", i, a - e), ("phip", i, e),
-                                ("phip", i, b)))
-    elif name == "phim":
-        _, i, m = gen
-        mm = -m
-        for b in range(mm + 1):
-            a = mm - b
-            if side == "left":
-                for d2 in range(b + 1):
-                    deg = -s * b - sp * d2
-                    out.append((deg, ("phim", i, -a),
-                                ("phim", i, -(b - d2)), ("phim", i, -d2)))
-            else:
-                for e in range(a + 1):
-                    deg = -(s + sp) * b - s * e
-                    out.append((deg, ("phim", i, -(a - e)), ("phim", i, -e),
-                                ("phim", i, -b)))
-    elif name == "xp":
-        _, i, r = gen
-        out.append((0, ("xp", i, r), ONE, ONE))
-        for l in _upto(s * r, s, hi):
-            out.append((s * (r + l), ("phim", i, -l), ("xp", i, r + l),
-                        ONE))
-        if side == "left":
-            # Delta_{u^sp}(x+_{r+l}) inside the l-th summand
-            for l in _upto((s + sp) * r, s + sp, hi):
-                base = (s + sp) * (r + l)
-                for lp in _upto(base, sp, hi):
-                    out.append((base + sp * lp, ("phim", i, -l),
-                                ("phim", i, -lp), ("xp", i, r + l + lp)))
-        else:
-            # Delta_{u^s}(phi-_{-L}) inside the L-th summand, L = a + b
-            for a in _upto((s + sp) * r, s + sp, hi):
-                base = (s + sp) * (r + a)
-                for b in _upto(base, sp, hi):
-                    out.append((base + sp * b, ("phim", i, -a),
-                                ("phim", i, -b), ("xp", i, r + a + b)))
-    elif name == "xm":
-        _, i, r = gen
-        out.append(((s + sp) * r, ONE, ONE, ("xm", i, r)))
-        if side == "left":
-            for lp in _upto(s * r, sp, hi):
-                out.append((s * r + sp * lp, ONE, ("xm", i, r - lp),
-                            ("phip", i, lp)))
-            # Delta_{u^sp}(phi+_l) inside the l-th summand, l = a + d
-            for d in _upto(0, s + sp, hi):
-                for a in _upto((s + sp) * d, s, hi):
-                    out.append(((s + sp) * d + s * a, ("xm", i, r - a - d),
-                                ("phip", i, a), ("phip", i, d)))
-        else:
-            for l in _upto(s * r, sp, hi):
-                out.append((s * r + sp * l, ONE, ("xm", i, r - l),
-                            ("phip", i, l)))
-            # Delta_{u^s}(x-_{r-l}) inside the l-th summand
-            for l in _upto(0, s + sp, hi):
-                for e in _upto((s + sp) * l, s, hi):
-                    out.append(((s + sp) * l + s * e, ("xm", i, r - l - e),
-                                ("phip", i, e), ("phip", i, l)))
+    if side == "left":
+        for d, a, b in delta_terms(gen, s, hi,
+                                   lambda a, b: _natural_lo(b, sp)):
+            for e, b1, b2 in delta_terms(b, sp, hi - d):
+                out.append((d + e, a, b1, b2))
     else:
-        raise InputError("no coproduct formula for %r" % (gen,))
-    return [(d, a, b, c) for (d, a, b, c) in out if lo <= d <= hi]
+        for d, a, b in delta_terms(gen, s + sp, hi,
+                                   lambda a, b: _natural_lo(a, s)):
+            for e, a1, a2 in delta_terms(a, s, hi - d):
+                out.append((d + e, a1, a2, b))
+    return [t for t in out if t[0] >= lo]
 
 
 def twisted_coassoc_check(M1, M2, M3, s, s_prime, u_window, gens):

@@ -144,10 +144,8 @@ def _rmul_sigma_terms(terms, i):
     out = []
     for (j, w, c) in terms:
         ws = right_mul_s(w, i)
-        if perm_length(ws) > perm_length(w):
-            out.append((j, ws, c))
-        else:
-            out.append((j, ws, c))
+        out.append((j, ws, c))
+        if perm_length(ws) < perm_length(w):
             out.append((j, w, c * _QDIFF))
     return out
 

@@ -112,12 +112,6 @@ class YMonomial:
     def exponents(self):
         return {(i, l): e for (i, l, e) in self.key}
 
-    def exponent(self, i, l):
-        for (ni, nl, e) in self.key:
-            if ni == i and nl == l:
-                return e
-        return 0
-
     def is_identity(self):
         return not self.key
 

@@ -215,7 +215,8 @@ def s_term(C, i, k, l):
         c_ij = C.C(i, j)
         c_ji = C.C(j, i)
         for lp in range(1, -c_ij + 1):
-            kk = -c_ji + _floor_div(C.r(i) * (k - lp), C.r(j))
+            # Python floor division is the integral part here
+            kk = -c_ji + C.r(i) * (k - lp) // C.r(j)
             num = -C.r(j) * (2 * lp - 1)
             if num % c_ij != 0:
                 raise DomainError("spectral shift off the q-lattice for "
@@ -227,10 +228,6 @@ def s_term(C, i, k, l):
             factors.append((j, kk, l + shift))
             nu = nu - WeightVector.fundamental(j).scale(kk)
     return {"factors": factors, "nu": nu}
-
-
-def _floor_div(a, b):
-    return a // b       # Python floor division is the integral part here
 
 
 # ---------------------------------------------------------------------------

@@ -317,22 +317,26 @@ def full_window_relation_check(M1, M2, u_window, r_bound, m_bound):
             "families": results}
 
 
-def test_h_images_and_relations_fail_on_dropped_phi_summand(monkeypatch):
-    # negative control for Delta(phi): Delta(phi+_{i,1}) loses its u^1
-    # summand phi+_{i,0} (x) phi+_{i,1}.  The h images no longer come from
-    # the phi images, so the logarithm oracle must disagree with them, and
-    # the relation check must still see the broken phi image in xpxm
-    delta_sum_terms = fusion._delta_sum_terms
-
-    def dropped(gen, twist, hi):
-        terms = delta_sum_terms(gen, twist, hi)
+def _dropping_phi_summand(delta_sum_terms):
+    """``_delta_sum_terms`` with Delta(phi+_{i,1}) missing its u^1 summand
+    phi+_{i,0} (x) phi+_{i,1}; any further arguments pass through."""
+    def dropped(gen, twist, hi, *rest):
+        terms = delta_sum_terms(gen, twist, hi, *rest)
         if gen[0] == "phip" and gen[2] == 1:
             summand = (twist, ("phip", gen[1], 0), ("phip", gen[1], 1))
             assert summand in terms
             terms = [t for t in terms if t != summand]
         return terms
+    return dropped
 
-    monkeypatch.setattr(fusion, "_delta_sum_terms", dropped)
+
+def test_h_images_and_relations_fail_on_dropped_phi_summand(monkeypatch):
+    # negative control for Delta(phi): Delta(phi+_{i,1}) loses its u^1
+    # summand phi+_{i,0} (x) phi+_{i,1}.  The h images no longer come from
+    # the phi images, so the logarithm oracle must disagree with them, and
+    # the relation check must still see the broken phi image in xpxm
+    monkeypatch.setattr(fusion, "_delta_sum_terms",
+                        _dropping_phi_summand(fusion._delta_sum_terms))
     M = build_root_of_unity(1)
     assert not h_images_agree(M, 1)
     rep = coproduct_relation_check(M, M, (-1, 1), 1, 1)
@@ -340,6 +344,25 @@ def test_h_images_and_relations_fail_on_dropped_phi_summand(monkeypatch):
     fams = {f["family"]: f for f in rep["families"]}
     assert fams["xpxm"]["witness"] == {
         "relation": "[x+_{0,0}, x-_{0,1}] vs phi", "u_degree": 1}
+
+
+def test_coassoc_fails_on_dropped_phi_summand(monkeypatch):
+    # the same broken Delta(phi+_{i,1}) must reach the coassociativity
+    # check: the x- and phi+ generators whose two-level expansions pass
+    # through phi+_{i,1} mismatch at u^2, while x+ reads only phi-
+    monkeypatch.setattr(fusion, "_delta_sum_terms",
+                        _dropping_phi_summand(fusion._delta_sum_terms))
+    M = build_root_of_unity(1)
+    rep = twisted_coassoc_check(M, M, M, 1, 1, (-3, 3),
+                                [("xm", 2, 1), ("phip", 1, 2), ("xp", 1, 0)])
+    assert rep["passed"] is False
+    assert rep["generators"] == [
+        {"generator": ["xm", 2, 1], "passed": False,
+         "first_mismatch_degree": 2},
+        {"generator": ["phip", 1, 2], "passed": False,
+         "first_mismatch_degree": 2},
+        {"generator": ["xp", 1, 0], "passed": True,
+         "first_mismatch_degree": None}]
 
 
 @pytest.mark.parametrize("make, window, r_bound, m_bound", [
@@ -411,11 +434,9 @@ def grid_triple_terms(gen, s, sp, lo, hi, side):
     filtered to the window.  Kept as the oracle for ``_triple_terms``."""
     name = gen[0]
     out = []
-    if name == "k":
-        _, i, e = gen
-        return [(0, ("k", i, e), ("k", i, e), ("k", i, e))]
-    if name == "one":
-        return [(0, ONE, ONE, ONE)]
+    if name in ("k", "one"):
+        a = gen if name == "k" else ONE
+        return [(0, a, a, a)] if lo <= 0 <= hi else []
     cap = abs(hi) + abs(lo) + (abs(gen[2]) + 2) * (s + sp + 2) + 8
     if name == "phip":
         _, i, m = gen
@@ -493,13 +514,13 @@ TWISTS = ((1, 1), (1, 2), (2, 1), (2, 3), (3, 1))
 WINDOWS = ((-3, 3), (-2, 2), (0, 0), (-1, 4), (-5, -1), (2, 6))
 
 
-@pytest.mark.parametrize("name", ["xp", "xm", "phip", "phim"])
+@pytest.mark.parametrize("name", ["xp", "xm", "phip", "phim", "k", "one"])
 def test_triple_terms_match_grid(name):
-    indices = range(-3, 4) if name in ("xp", "xm") else (
-        range(4) if name == "phip" else range(-3, 1))
+    indices = {"xp": range(-3, 4), "xm": range(-3, 4), "phip": range(4),
+               "phim": range(-3, 1), "k": (-1, 1), "one": (None,)}[name]
     cases = 0
     for r in indices:
-        gen = (name, 1, r)
+        gen = (name, 1, r) if name != "one" else ONE
         for s, sp in TWISTS:
             for lo, hi in WINDOWS:
                 for side in ("left", "right"):
@@ -509,3 +530,29 @@ def test_triple_terms_match_grid(name):
                                                          hi, side)
                     cases += 1
     assert cases == len(indices) * len(TWISTS) * len(WINDOWS) * 2
+
+
+def test_natural_lo_is_lowest_delta_degree():
+    # the outer sums of the two-level expansion stop on _natural_lo, so it
+    # must be exactly the lowest degree of the one-level image
+    gens = ([(name, 1, r) for name in ("xp", "xm") for r in range(-3, 4)]
+            + [("h", 1, m) for m in range(-3, 4) if m]
+            + [("phip", 1, m) for m in range(4)]
+            + [("phim", 1, m) for m in range(-3, 1)]
+            + [("k", 1, 1), ("k", 1, -1), ONE])
+    cases = 0
+    for twist in (1, 2, 3):
+        for gen in gens:
+            assert fusion._natural_lo(gen, twist) == min(
+                d for d, _, _ in delta_terms(gen, twist, 0)), (gen, twist)
+            cases += 1
+    assert cases == 3 * 31
+
+
+def test_coassoc_h_generators():
+    # h images are primitive, and both sides expand them through the same
+    # one-level coproduct as every other generator
+    M = build_root_of_unity(1)
+    rep = twisted_coassoc_check(M, M, M, 1, 1, (-3, 3),
+                                [("h", 1, 1), ("h", 2, -2)])
+    assert rep["passed"], rep
