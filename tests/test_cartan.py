@@ -1,9 +1,13 @@
 import math
 import random
+from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
-from qtoroidal.cartan import (WeightVector, b_np, build_cartan, cartan_preset,
+from qtoroidal.cartan import (WeightVector, _leading_minors,
+                              _minimal_symmetrizer, b_np, build_cartan,
+                              cartan_preset,
                               cyclic_a, finite_type_a, finite_type_d4,
                               infinite_a, minimal_affinization_check,
                               node_geometry, node_geometry_at,
@@ -222,3 +226,134 @@ def test_weight_vector_bookkeeping():
     lam = WeightVector.fundamental(0).scale(2) - alpha0
     assert lam.pairing(1) == 1
     assert not (WeightVector({0: -1})).is_dominant()
+
+
+def oracle_leading_minors(rows):
+    """Leading principal minors by a private Gaussian elimination over
+    Fraction; kept as the oracle for the linalg-based minors."""
+    n = len(rows)
+    minors = []
+    for m in range(1, n + 1):
+        mat = [[Fraction(rows[i][j]) for j in range(m)] for i in range(m)]
+        det = Fraction(1)
+        for col in range(m):
+            piv = None
+            for row in range(col, m):
+                if mat[row][col] != 0:
+                    piv = row
+                    break
+            if piv is None:
+                det = Fraction(0)
+                break
+            if piv != col:
+                mat[col], mat[piv] = mat[piv], mat[col]
+                det = -det
+            det *= mat[col][col]
+            inv = 1 / mat[col][col]
+            for row in range(col + 1, m):
+                f = mat[row][col] * inv
+                if f:
+                    for k in range(col, m):
+                        mat[row][k] -= f * mat[col][k]
+        minors.append(det)
+    return minors
+
+
+def oracle_minimal_symmetrizer(nodes, C):
+    """Ratios propagated over each component, then a second search that
+    finds the components again to clear denominators; kept as the oracle
+    for the one-walk symmetrizer."""
+    ratio = {}
+    for start in nodes:
+        if start in ratio:
+            continue
+        ratio[start] = Fraction(1)
+        stack = [start]
+        while stack:
+            i = stack.pop()
+            for j in nodes:
+                if j == i or C(i, j) == 0:
+                    continue
+                want = ratio[i] * Fraction(C(i, j), C(j, i))
+                if j in ratio:
+                    if ratio[j] != want:
+                        raise ConstructionError("matrix is not symmetrizable")
+                else:
+                    ratio[j] = want
+                    stack.append(j)
+    seen = set()
+    r = {}
+    for start in nodes:
+        if start in seen:
+            continue
+        comp = [start]
+        seen.add(start)
+        idx = 0
+        while idx < len(comp):
+            i = comp[idx]
+            idx += 1
+            for j in nodes:
+                if j not in seen and j != i and C(i, j) != 0:
+                    seen.add(j)
+                    comp.append(j)
+        denom = 1
+        for j in comp:
+            denom = denom * ratio[j].denominator // math.gcd(
+                denom, ratio[j].denominator)
+        vals = {j: int(ratio[j] * denom) for j in comp}
+        g = 0
+        for v in vals.values():
+            g = math.gcd(g, v)
+        for j, v in vals.items():
+            r[j] = v // g
+    return r
+
+
+def _gcm(n, pair_entries):
+    """The n-node GCM with entries (C_ij, C_ji) for each pair i < j."""
+    rows = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for (i, j), (a, b) in zip(combinations(range(n), 2), pair_entries):
+        rows[i][j], rows[j][i] = a, b
+    return rows
+
+
+def _symmetrizer_or_error(fn, rows):
+    try:
+        return fn(list(range(len(rows))), lambda i, j: rows[i][j])
+    except ConstructionError:
+        return ConstructionError
+
+
+def _all_small_gcms():
+    # off-diagonal entries in {0, -1, -2, -3}, zero pattern symmetric
+    pairs = [(0, 0)] + list(product((-1, -2, -3), repeat=2))
+    for n in (1, 2, 3):
+        for entries in product(pairs, repeat=n * (n - 1) // 2):
+            yield _gcm(n, entries)
+
+
+def _random_gcms(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(4, 6)
+        entries = [(0, 0) if rng.random() < 0.5 else
+                   (rng.choice((-1, -2, -3)), rng.choice((-1, -2, -3)))
+                   for _ in range(n * (n - 1) // 2)]
+        yield _gcm(n, entries)
+
+
+@pytest.mark.parametrize("gcms", [_all_small_gcms, lambda: _random_gcms(
+    3000, 2008)], ids=["every_1_to_3_node", "random_4_to_6_node"])
+def test_minors_and_symmetrizer_match_oracles(gcms):
+    outcomes = set()
+    count = 0
+    for rows in gcms():
+        count += 1
+        assert _leading_minors(rows) == oracle_leading_minors(rows), rows
+        got = _symmetrizer_or_error(_minimal_symmetrizer, rows)
+        assert got == _symmetrizer_or_error(oracle_minimal_symmetrizer,
+                                            rows), rows
+        outcomes.add(got is ConstructionError)
+    assert count in (1011, 3000)
+    # both the symmetrizable and the rejected cases were compared
+    assert outcomes == {False, True}

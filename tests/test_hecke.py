@@ -1,6 +1,6 @@
 import random
 from collections import Counter
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -12,6 +12,7 @@ from qtoroidal.hecke import (SegmentCollection, all_perms, build_MA,
                              perm_length, reduced_word, right_mul_s,
                              segments_to_drinfeld, verify_presentation,
                              zelevinsky_product)
+from qtoroidal.linalg import kernel_basis, op_matrix
 from qtoroidal.scalars import QRat, QScalar
 
 
@@ -172,14 +173,38 @@ def product_invariant_subspaces(M, monkeypatch):
     return rep
 
 
-@pytest.mark.parametrize("exps", [
+ORDERING_EXPS = [
     (0, 2), (2, 0), (0, 0), (0, 5), (3, 1),
     (1, 0, 2), (0, 3, -1), (0, 2, 4), (4, 2, 0), (0, 0, 2), (2, 0, 0),
-    (0, 2, 0), (1, 1, 1)])
+    (0, 2, 0), (1, 1, 1)]
+
+
+@pytest.mark.parametrize("exps", ORDERING_EXPS)
 def test_invariant_subspaces_match_product_oracle(exps, monkeypatch):
     M = build_MA(len(exps), [q_pow(n) for n in exps])
     assert invariant_subspaces(M) == product_invariant_subspaces(
         M, monkeypatch)
+
+
+@pytest.mark.parametrize("exps", ORDERING_EXPS)
+def test_non_ordering_tuples_have_no_joint_z_eigenvector(exps):
+    # the product oracle above reaches invariant_subspaces through the
+    # name it patches, so it cannot tell a search cut to fewer orderings
+    # from the full one; this checks the fact the restriction rests on,
+    # on the module itself
+    l = len(exps)
+    M = build_MA(l, [q_pow(n) for n in exps])
+    field = M.ring.field()
+    zs = [op_matrix(M.z_ops[j], M.basis, field.zero)
+          for j in range(1, l + 1)]
+    orderings = set(permutations(exps))
+    others = [lam for lam in product(sorted(set(exps)), repeat=l)
+              if lam not in orderings]
+    for lam in others:
+        stacked = [[zm[r][c] - (q_pow(e) if r == c else field.zero)
+                    for c in range(M.dim)] for r in range(M.dim)
+                   for zm, e in zip(zs, lam)]
+        assert kernel_basis(stacked, field) == [], lam
 
 
 def _qrats(obj):

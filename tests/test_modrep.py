@@ -525,9 +525,57 @@ def test_rou_l1_irreducible():
 
 
 def test_hecke_companion_relation_and_spectra():
-    for L in (1, 2, 3):
+    for L in range(1, 8):
         rep = hecke_companion(L).verify()
-        assert rep["passed"], rep
+        assert rep == {"relation": True, "x_spectrum": True,
+                       "y_spectrum": True, "dual_basis": True,
+                       "passed": True}, L
+
+
+def _corrupt_companion(comp, kind):
+    L = comp.L
+    if kind == "y_reversed":
+        comp.Y = LinOp({"w%d" % i: {"w%d" % ((i - 2) % L + 1):
+                                    comp.eps_power(0)}
+                        for i in range(1, L + 1)})
+    elif kind == "x_eps2":
+        comp.X = comp.X.scale(comp.eps_power(2))
+    elif kind == "x_swap":
+        cols = {src: dict(col) for src, col in comp.X.cols.items()}
+        if L > 1:
+            cols["w1"]["w1"], cols["w2"]["w2"] = (cols["w2"]["w2"],
+                                                  cols["w1"]["w1"])
+        comp.X = LinOp(cols)
+    else:
+        assert kind == "y_eps"
+        comp.Y = comp.Y.scale(comp.eps_power(1))
+    return comp
+
+
+def _companion_failures(kind, L):
+    """The report keys a corrupted companion must fail."""
+    if kind == "y_reversed":
+        # for L <= 2 the reversed cycle is the cycle itself
+        return set() if L <= 2 else {"relation", "dual_basis"}
+    if kind == "x_swap":
+        # nothing to swap at L = 1; at L = 2 the swap is X -> -X, which
+        # keeps the relation and the spectrum
+        return {1: set(), 2: {"dual_basis"}}.get(L, {"relation",
+                                                     "dual_basis"})
+    spectrum = "x_spectrum" if kind == "x_eps2" else "y_spectrum"
+    return {spectrum, "dual_basis"}
+
+
+@pytest.mark.parametrize("kind", ["y_reversed", "x_eps2", "x_swap",
+                                  "y_eps"])
+@pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
+def test_hecke_companion_negative_controls(kind, L):
+    rep = _corrupt_companion(hecke_companion(L), kind).verify()
+    fails = _companion_failures(kind, L)
+    want = {key: key not in fails for key in ("relation", "x_spectrum",
+                                              "y_spectrum", "dual_basis")}
+    want["passed"] = not fails
+    assert rep == want
 
 
 def test_hecke_companion_rejects_bad_l():
