@@ -7,6 +7,7 @@ import math
 from fractions import Fraction
 
 from .errors import ConstructionError, DomainError, InputError
+from .linalg import Field, determinant
 from .scalars import QScalar
 
 
@@ -66,32 +67,9 @@ class CartanData:
 
 def _leading_minors(rows):
     """Exact leading principal minors of an integer matrix."""
-    n = len(rows)
-    minors = []
-    for m in range(1, n + 1):
-        mat = [[Fraction(rows[i][j]) for j in range(m)] for i in range(m)]
-        det = Fraction(1)
-        for col in range(m):
-            piv = None
-            for row in range(col, m):
-                if mat[row][col] != 0:
-                    piv = row
-                    break
-            if piv is None:
-                det = Fraction(0)
-                break
-            if piv != col:
-                mat[col], mat[piv] = mat[piv], mat[col]
-                det = -det
-            det *= mat[col][col]
-            inv = 1 / mat[col][col]
-            for row in range(col + 1, m):
-                f = mat[row][col] * inv
-                if f:
-                    for k in range(col, m):
-                        mat[row][k] -= f * mat[col][k]
-        minors.append(det)
-    return minors
+    field = Field(Fraction(0), Fraction(1))
+    return [determinant([row[:m] for row in rows[:m]], field)
+            for m in range(1, len(rows) + 1)]
 
 
 def _minimal_symmetrizer(nodes, C):
@@ -100,11 +78,11 @@ def _minimal_symmetrizer(nodes, C):
     Propagates ratios along edges of each connected component, then clears
     denominators and divides by the component gcd.
     """
-    ratio = {}
+    r = {}
     for start in nodes:
-        if start in ratio:
+        if start in r:
             continue
-        ratio[start] = Fraction(1)
+        ratio = {start: Fraction(1)}
         stack = [start]
         while stack:
             i = stack.pop()
@@ -118,32 +96,10 @@ def _minimal_symmetrizer(nodes, C):
                 else:
                     ratio[j] = want
                     stack.append(j)
-    # normalize per connected component
-    seen = set()
-    r = {}
-    for start in nodes:
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        idx = 0
-        while idx < len(comp):
-            i = comp[idx]
-            idx += 1
-            for j in nodes:
-                if j not in seen and j != i and C(i, j) != 0:
-                    seen.add(j)
-                    comp.append(j)
-        denom = 1
-        for j in comp:
-            denom = denom * ratio[j].denominator // math.gcd(
-                denom, ratio[j].denominator)
-        vals = {j: int(ratio[j] * denom) for j in comp}
-        g = 0
-        for v in vals.values():
-            g = math.gcd(g, v)
-        for j, v in vals.items():
-            r[j] = v // g
+        denom = math.lcm(*(x.denominator for x in ratio.values()))
+        vals = {j: int(x * denom) for j, x in ratio.items()}
+        g = math.gcd(*vals.values())
+        r.update((j, v // g) for j, v in vals.items())
     return r
 
 

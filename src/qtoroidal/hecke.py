@@ -18,8 +18,8 @@ from __future__ import annotations
 from itertools import permutations
 
 from .errors import DomainError, InputError
-from .linalg import (Field, LinOp, kernel_basis, op_matrix, rref,
-                     span_grow)
+from .linalg import (Field, LinOp, determinant, kernel_basis, op_matrix,
+                     rref, span_grow, sum_entries)
 from .scalars import PolyScalar, QRat, QScalar
 
 
@@ -387,9 +387,7 @@ def invariant_subspaces(M):
 def _line_data(M, mats, field, vec):
     out = {}
     for key, mat in mats.items():
-        img = [sum((mat[r][c] * vec[c] for c in range(len(vec))
-                    if not field.is_zero(vec[c])), field.zero)
-               for r in range(len(vec))]
+        img = [sum_entries(mat, vec, field, r) for r in range(len(vec))]
         lam = None
         for r in range(len(vec)):
             if not field.is_zero(vec[r]):
@@ -651,7 +649,6 @@ def find_isomorphism(M1, M2):
                     row[k * dim + c] = row[k * dim + c] - A[r][k]
                 rows.append(row)
     basis = kernel_basis(rows, field)
-    from .linalg import determinant
     for combo_bits in range(1, min(1 << len(basis), 64)):
         vec = [field.zero] * (dim * dim)
         for t, b in enumerate(basis):

@@ -4,13 +4,11 @@
 entries are scalar objects with exact arithmetic (QScalar, CycScalar,
 QRat, PolyScalar), tested for zero by truth value, and a ``LinOp`` is
 itself falsy exactly when it is zero.  The dense field routines (row
-reduction, kernel, inverse, determinant, invariant-subspace growth) take
-a ``Field`` adapter supplying zero, one and division.
+reduction, kernel, determinant, invariant-subspace growth) take a
+``Field`` adapter supplying zero, one and division.
 """
 
 from __future__ import annotations
-
-from .errors import DomainError
 
 
 class LinOp:
@@ -183,11 +181,8 @@ def rref(matrix, field):
     return rows, pivots
 
 
-def kernel_basis(matrix, field, ncols=None):
-    """Right kernel basis vectors of a rows-by-cols matrix."""
-    if not matrix:
-        return [[field.one if i == j else field.zero
-                 for j in range(ncols or 0)] for i in range(ncols or 0)]
+def kernel_basis(matrix, field):
+    """Right kernel basis vectors of a nonempty rows-by-cols matrix."""
     ncols = len(matrix[0])
     rows, pivots = rref(matrix, field)
     free = [c for c in range(ncols) if c not in pivots]
@@ -199,16 +194,6 @@ def kernel_basis(matrix, field, ncols=None):
             vec[pc] = -rows[r][fc]
         basis.append(vec)
     return basis
-
-
-def invert_matrix(matrix, field):
-    n = len(matrix)
-    aug = [list(matrix[r]) + [field.one if c == r else field.zero
-                              for c in range(n)] for r in range(n)]
-    rows, pivots = rref(aug, field)
-    if pivots != list(range(n)):
-        raise DomainError("matrix is singular")
-    return [rows[r][n:] for r in range(n)]
 
 
 def determinant(matrix, field):
@@ -243,7 +228,7 @@ def op_matrix(op, basis, zero):
     return rows
 
 
-def span_grow(vectors, ops, field, dim_cap=None):
+def span_grow(vectors, ops, field):
     """Smallest op-invariant subspace containing the given vectors.
 
     Vectors are dense coefficient lists; ops are dense matrices.  Returns
@@ -270,8 +255,6 @@ def span_grow(vectors, ops, field, dim_cap=None):
         if row is None:
             continue
         basis_rows.append((row, pc))
-        if dim_cap is not None and len(basis_rows) > dim_cap:
-            raise DomainError("invariant subspace exceeded the cap")
         for mat in ops:
             img = [sum_entries(mat, row, field, r)
                    for r in range(len(row))]

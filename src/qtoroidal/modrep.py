@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ConstructionError, DomainError, EscapeError, InputError
-from .linalg import Field, LinOp
+from .linalg import Field, LinOp, determinant, op_matrix
 from .monomials import YMonomial, mono_format
 from .scalars import (CycScalar, QScalar, TruncSeries, cyclotomic_specialize,
                       q_binom, q_int, series_log_coeffs)
@@ -53,14 +53,9 @@ class ModuleRealization:
     ("k", a, +-1), the unit ("one",) and the derived ("h", a, m != 0).
     """
 
-    def __init__(self, kind, *, n=3, window=None, period=None,
-                 corrupt_xp=None):
-        if n != 3:
-            raise InputError("only the rank-3 realization is verified; "
-                             "other ranks are not wired up")
+    def __init__(self, kind, *, window=None, period=None, corrupt_xp=None):
         self.kind = kind
-        self.n = n
-        self.nodes = tuple(range(n + 1))
+        self.nodes = (0, 1, 2, 3)         # the nodes of the A3 cycle
         self.corrupt_xp = corrupt_xp      # (node, r): flip one table's sign
         if kind == "loop":
             if window is None or window[0] > window[1]:
@@ -253,16 +248,15 @@ class ModuleRealization:
         return -val if sign < 0 else val
 
 
-def build_extremal_loop(window, n=3, corrupt_xp=None):
+def build_extremal_loop(window, corrupt_xp=None):
     """The integrable loop realization over generic q on a basis window."""
-    return ModuleRealization("loop", n=n, window=window,
-                             corrupt_xp=corrupt_xp)
+    return ModuleRealization("loop", window=window, corrupt_xp=corrupt_xp)
 
 
-def build_root_of_unity(L, n=3):
+def build_root_of_unity(L):
     """The 4L-dimensional periodic quotient over the order-4L cyclotomic
     field; for L = 1 this is the explicit 4-dimensional module."""
-    return ModuleRealization("rou", n=n, period=L)
+    return ModuleRealization("rou", period=L)
 
 
 # ---------------------------------------------------------------------------
@@ -781,7 +775,6 @@ class HeckeCompanion:
     def verify(self):
         """Exact checks: the exchange relation, both spectra, and the
         Fourier change of basis reproducing the dual action."""
-        from .linalg import invert_matrix, op_matrix
         eps4 = self.eps_power(4)
         relation_ok = (self.X * self.Y - (self.Y * self.X).scale(eps4)) \
             .is_zero()
@@ -796,68 +789,39 @@ class HeckeCompanion:
         ann_x = self._annihilates(self.X, spectrum, field)
         ann_y = self._annihilates(self.Y, spectrum, field)
 
-        # w_i = sum_j eps^(4ij) m_j; conjugating must give X m_j = m_{j-1}
-        # and Y m_j = eps^(4j) m_j
-        S = [[self.eps_power(4 * i * j) for j in range(1, self.L + 1)]
-             for i in range(1, self.L + 1)]
-        Sinv = invert_matrix(S, field)
-        Xw = op_matrix(self.X, self.basis, field.zero)
-        Yw = op_matrix(self.Y, self.basis, field.zero)
-        # columns of S^-1 are the w-coordinates of the m_j (S is symmetric)
-        Xm = _conj(S, Xw, Sinv, field)
-        Ym = _conj(S, Yw, Sinv, field)
-        Xm_want = [[field.one if (i + 1) % self.L == j % self.L else
-                    field.zero for j in range(self.L)]
-                   for i in range(self.L)]
-        Ym_want = [[self.eps_power(4 * (j + 1)) if i == j else field.zero
-                    for j in range(self.L)] for i in range(self.L)]
-        dual_ok = _mat_eq(Xm, Xm_want) and _mat_eq(Ym, Ym_want)
+        # w_i = sum_j eps^(4ij) m_j, so the m-basis is the Fourier dual of
+        # the w-basis exactly when S is invertible and intertwines X, Y
+        # with X m_j = m_{j-1} and Y m_j = eps^(4j) m_j
+        w = self.basis
+        S = LinOp({w[j]: {w[i]: self.eps_power(4 * (i + 1) * (j + 1))
+                          for i in range(self.L)} for j in range(self.L)})
+        Xm = LinOp({w[j]: {w[(j - 1) % self.L]: field.one}
+                    for j in range(self.L)})
+        Ym = LinOp({w[j]: {w[j]: self.eps_power(4 * (j + 1))}
+                    for j in range(self.L)})
+        dual_ok = (not field.is_zero(determinant(
+            op_matrix(S, w, field.zero), field))
+            and S * self.X == Xm * S and S * self.Y == Ym * S)
 
         return {"relation": relation_ok, "x_spectrum": xs_ok and ann_x,
                 "y_spectrum": ys_ok and ann_y, "dual_basis": dual_ok,
                 "passed": relation_ok and xs_ok and ys_ok and ann_x
                 and ann_y and dual_ok}
 
+    def _shifted(self, op, lam):
+        """op - lam * 1."""
+        return op - LinOp.identity(self.basis, lam)
+
     def _is_eigenvalue(self, op, lam, field):
-        from .linalg import determinant, op_matrix
-        mat = op_matrix(op, self.basis, field.zero)
-        shifted = [[mat[r][c] - (lam if r == c else field.zero)
-                    for c in range(self.L)] for r in range(self.L)]
-        return field.is_zero(determinant(shifted, field))
+        return field.is_zero(determinant(
+            op_matrix(self._shifted(op, lam), self.basis, field.zero),
+            field))
 
     def _annihilates(self, op, spectrum, field):
-        from .linalg import op_matrix
-        n = self.L
-        acc = [[field.one if r == c else field.zero for c in range(n)]
-               for r in range(n)]
-        mat = op_matrix(op, self.basis, field.zero)
+        acc = LinOp.identity(self.basis, field.one)
         for lam in spectrum:
-            shifted = [[mat[r][c] - (lam if r == c else field.zero)
-                        for c in range(n)] for r in range(n)]
-            acc = _mat_mul(acc, shifted, field)
-        return all(field.is_zero(acc[r][c]) for r in range(n)
-                   for c in range(n))
-
-
-def _mat_mul(A, B, field):
-    n = len(A)
-    return [[_dot(A[r], [B[k][c] for k in range(n)], field)
-             for c in range(n)] for r in range(n)]
-
-
-def _dot(row, col, field):
-    acc = field.zero
-    for a, b in zip(row, col):
-        acc = acc + a * b
-    return acc
-
-
-def _conj(Sinv, M, S, field):
-    return _mat_mul(_mat_mul(Sinv, M, field), S, field)
-
-
-def _mat_eq(A, B):
-    return not any(a - b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
+            acc = acc * self._shifted(op, lam)
+        return acc.is_zero()
 
 
 def hecke_companion(L):

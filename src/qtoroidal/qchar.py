@@ -414,6 +414,37 @@ def _mismatch_rows(fields, mism):
                   for g, (ca, cb) in mism.items())
 
 
+def _three_term(C, lhs, rhs, corr, depth):
+    """Compare the product of the factors ``lhs`` with that of ``rhs``
+    plus that of ``corr`` on every monomial of height at most ``depth``
+    below their shared top.  The correction's top sits below it by a
+    product of A^-1's; returns (their count, the mismatch rows)."""
+    m0 = _top(lhs)
+    if _top(rhs) != m0:
+        raise AlgorithmFailure("product tops disagree")
+    fs = dominance_leq(C, _top(corr), m0, depth + 64)
+    if fs is None:
+        raise AlgorithmFailure("correction term does not sit below the "
+                               "product top")
+    offset = len(fs)
+    sides = [lhs, rhs]
+    if offset <= depth:
+        sides.append(corr)
+    fields = _Fields(sides)
+    want = fields.product(rhs, depth)
+    if offset <= depth:
+        want = _add_term_maps(want, fields.product(corr, depth, offset))
+    mism = _diff_term_maps(fields.product(lhs, depth), want)
+    return offset, _mismatch_rows(fields, mism)
+
+
+def _top(factors):
+    m = YMonomial.one()
+    for f in factors:
+        m = m * f.top
+    return m
+
+
 def _same_node(i):
     return i
 
@@ -515,36 +546,16 @@ def verify_tsystem(C, i, k, l, depth):
     w_kp = chars(i, k + 1, l)
     w_km = chars(i, k - 1, l + two_ri)
 
-    m0 = w_k_a.top * w_k_aq2.top
-    if w_kp.top * w_km.top != m0:
-        raise AlgorithmFailure("product tops disagree")
-
     st = s_term(C, i, k, l)
     s_chars = [chars(j, kk, ll) for (j, kk, ll) in st["factors"] if kk > 0]
-    s_top = YMonomial.one()
-    for ch in s_chars:
-        s_top = s_top * ch.top
-    s_fact = dominance_leq(C, s_top, m0, depth + 64)
-    if s_fact is None:
-        raise AlgorithmFailure("correction term does not sit below the "
-                               "product top")
-    s_offset = len(s_fact)
-
-    sides = [[w_k_a, w_k_aq2], [w_kp, w_km]]
-    if s_offset <= depth:
-        sides.append(s_chars)
-    fields = _Fields(sides)
-    lhs = fields.product(sides[0], depth)
-    rhs = fields.product(sides[1], depth)
-    if s_offset <= depth:
-        rhs = _add_term_maps(rhs, fields.product(s_chars, depth, s_offset))
-    mism = _diff_term_maps(lhs, rhs)
+    s_offset, rows = _three_term(C, [w_k_a, w_k_aq2], [w_kp, w_km], s_chars,
+                                 depth)
     return {
-        "holds": not mism,
+        "holds": not rows,
         "depth": depth,
         "s_offset": s_offset,
         "nu": st["nu"],
-        "mismatches": _mismatch_rows(fields, mism),
+        "mismatches": rows,
     }
 
 
@@ -602,31 +613,13 @@ def octahedron_verify(C, depth, i_range, k_range, t_range):
     for i in i_range:
         for k in k_range:
             for t in t_range:
-                lhs_f = [T(i, k, t - 1), T(i, k, t + 1)]
-                rhs1_f = [T(i + 1, k, t), T(i - 1, k, t)]
-                rhs2_f = [T(i, k + 1, t), T(i, k - 1, t)]
-                m0 = lhs_f[0].top * lhs_f[1].top
-                if rhs2_f[0].top * rhs2_f[1].top != m0:
-                    raise AlgorithmFailure("octahedron tops disagree")
-                r1_top = rhs1_f[0].top * rhs1_f[1].top
-                fs = dominance_leq(C, r1_top, m0, depth + 64)
-                if fs is None:
-                    raise AlgorithmFailure("octahedron correction top is "
-                                           "not below the cell top")
-                off = len(fs)
-                sides = [lhs_f, rhs2_f]
-                if off <= depth:
-                    sides.append(rhs1_f)
-                fields = _Fields(sides)
-                lhs = fields.product(lhs_f, depth)
-                rhs = fields.product(rhs2_f, depth)
-                if off <= depth:
-                    rhs = _add_term_maps(rhs,
-                                         fields.product(rhs1_f, depth, off))
-                mism = _diff_term_maps(lhs, rhs)
-                cells.append({"cell": (i, k, t), "holds": not mism,
-                              "mismatches": _mismatch_rows(fields, mism)})
-                ok = ok and not mism
+                _, rows = _three_term(
+                    C, [T(i, k, t - 1), T(i, k, t + 1)],
+                    [T(i, k + 1, t), T(i, k - 1, t)],
+                    [T(i + 1, k, t), T(i - 1, k, t)], depth)
+                cells.append({"cell": (i, k, t), "holds": not rows,
+                              "mismatches": rows})
+                ok = ok and not rows
     return {"holds": ok, "depth": depth, "cells": cells}
 
 

@@ -128,7 +128,7 @@ def test_relation_check_monotone_in_window():
 def test_relation_check_fails_on_corrupted_table():
     # negative control: one x+ table with a flipped sign must break the
     # relations that read it, with a u-degree witness, and leave the rest
-    M = ModuleRealization("rou", n=3, period=1, corrupt_xp=(1, 0))
+    M = ModuleRealization("rou", period=1, corrupt_xp=(1, 0))
     rep = coproduct_relation_check(M, M, (-1, 1), 1, 1)
     assert rep["passed"] is False
     fams = {f["family"]: f for f in rep["families"]}
@@ -212,7 +212,7 @@ def log_h_images(M1, M2, nodes, m_bound, u_window):
 
 
 def _corrupted(c):
-    return lambda: ModuleRealization("rou", n=3, period=1, corrupt_xp=c)
+    return lambda: ModuleRealization("rou", period=1, corrupt_xp=c)
 
 
 H_IMAGE_MODULES = [(lambda: build_root_of_unity(1), "rou1"),
