@@ -1,4 +1,8 @@
+import hashlib
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -133,3 +137,70 @@ def test_empty_character_payload():
     assert code == 0
     payload = json.loads(text)["payload"]
     assert payload["terms"][0]["monomial"] == "1"
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# the stdout of every command in the README's "Command line" block, with
+# elapsed_ms masked: (argv, exit code, sha256 of the masked text)
+README_GOLDEN = [
+    (["qchar", "--type", "A3tor", "--node", "0", "--k", "1", "--spectral",
+      "0", "--depth", "4", "--format", "dot"], 0,
+     "c18258e68c0a7198a7cc844f7e7b9aea93b7f36996af8e6076f7bf9e67b66951"),
+    (["tsystem", "--type", "A3tor", "--node", "0", "--k", "1",
+      "--spectral", "0", "--depth", "4"], 0,
+     "b8974152e9ec7db6a00a94c6a147b80a1e7993e0df9b908e232e65cc50cf3411"),
+    (["tableau", "--n", "3", "--k", "2", "--node", "1", "--spectral", "-1",
+      "--depth", "4"], 0,
+     "c13ace40ba7208e419585eaa40d4296452bbb0f512c0f3297346d855fa079e8a"),
+    (["crystal", "--type", "A3tor", "--seed", "Y[1,0]Y[0,1]^-1", "--ops",
+      "1,2,3,0", "--steps", "8", "--root-of-unity", "4"], 0,
+     "b8f1d378d4d31a05b0b12911fbc91cef9e2be75572da99c6467e131cef2b3c86"),
+    (["repcheck", "--window=-3,3", "--r-range", "2", "--series-order",
+      "2"], 0,
+     "c2bbb7fecdcdf9032edaab89dcb7b93691c965c8f6cbd4289ec7aff4e2897218"),
+    (["repcheck", "--L", "1", "--r-range", "3", "--series-order", "3"], 0,
+     "a8d6a370382a1d0cba37d02089e304c7259c3f50d65ce668195a78202e9ae082"),
+    (["fusion", "--L", "1", "--u-order", "4", "--r-range", "2",
+      "--series-order", "2"], 0,
+     "12a283ca15cde17cf2de18b99610803b62179131dcbddfe9c4e303e83b39911e"),
+    (["fusion", "--L", "1", "--u-order", "3", "--ops", "1,2"], 0,
+     "2a24feec4c3fdc0c414f402a9c1821ccb1727c85c633b9c719acc3d8ce70533a"),
+    (["hecke", "--l", "2", "--a", "0,2"], 0,
+     "7beca15b527a50fc9f322af1e6c4da2a7d9ec41ee84b9d8195d35c141e02dc4e"),
+    (["octahedron", "--depth", "3", "--window=-2,2", "--k", "1,2",
+      "--steps", "2"], 0,
+     "801895632a93abdbf4a597540bfd6e1e3b4c1b519c5da86be6ae50b25df32945"),
+]
+
+
+def readme_commands():
+    """Argument lists of the README's "Command line" block, one per
+    command, with continuation lines joined and comments dropped."""
+    text = README.read_text()
+    section = text.split("## Command line", 1)[1].split("## Library tour")[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    argvs = []
+    for line in block.replace("\\\n", " ").splitlines():
+        argv = shlex.split(line, comments=True)
+        if argv:
+            assert argv[0] == "qtoroidal", line
+            argvs.append(argv[1:])
+    return argvs
+
+
+def masked_digest(text):
+    text = re.sub(r'"elapsed_ms": \d+', '"elapsed_ms": 0', text)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_golden_list_is_the_readme_block():
+    assert [argv for argv, _, _ in README_GOLDEN] == readme_commands()
+
+
+@pytest.mark.parametrize("argv, code, digest", README_GOLDEN,
+                         ids=["%d-%s" % (n, argv[0]) for n, (argv, _, _)
+                              in enumerate(README_GOLDEN)])
+def test_readme_command_output_is_byte_stable(argv, code, digest):
+    got_code, text = run(argv)
+    assert (got_code, masked_digest(text)) == (code, digest)

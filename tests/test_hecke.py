@@ -207,6 +207,58 @@ def test_non_ordering_tuples_have_no_joint_z_eigenvector(exps):
         assert kernel_basis(stacked, field) == [], lam
 
 
+def oracle_subspace_key(rows):
+    return tuple(tuple(repr(x) for x in r) for r in rows)
+
+
+def oracle_composition_chain(M, field, subspaces):
+    """The chain search as it was before containment became one rank
+    test: each containment solves for the intersection."""
+    dim = M.dim
+
+    def contains(big, small):
+        if not small:
+            return True
+        return len(qtoroidal.hecke._intersect(big, small, field, dim)) \
+            == len(small)
+
+    chain_rows = []
+    last = []
+    while len(last) < dim:
+        bigger = [rows for rows in subspaces.values()
+                  if len(rows) > len(last) and contains(rows, last)]
+        if not bigger:
+            break
+        nxt = min(bigger, key=len)
+        chain_rows.append(nxt)
+        last = nxt
+    factors = []
+    prev_dim = 0
+    for rows in chain_rows:
+        factors.append(len(rows) - prev_dim)
+        prev_dim = len(rows)
+    return {"subspace_dims": [len(r) for r in chain_rows],
+            "factor_dims": factors}
+
+
+SUBSPACE_EXPS = ORDERING_EXPS + [
+    (0,), (3,), (1, 3), (0, -2), (-1, 1), (2, 2), (0, 1),
+    (0, 2, 2), (3, 1, -1), (0, 4, 2), (2, 4, 6), (1, -1, 3), (0, 2, -2)]
+
+
+@pytest.mark.parametrize("exps", SUBSPACE_EXPS)
+def test_invariant_subspaces_match_repr_key_oracle(exps, monkeypatch):
+    # subspaces keyed by the repr text of their echelon rows, and a chain
+    # whose containment test intersects, give the same whole report
+    M = build_MA(len(exps), [q_pow(n) for n in exps])
+    got = invariant_subspaces(M)
+    monkeypatch.setattr(qtoroidal.hecke, "_subspace_key",
+                        oracle_subspace_key)
+    monkeypatch.setattr(qtoroidal.hecke, "_composition_chain",
+                        oracle_composition_chain)
+    assert got == invariant_subspaces(M)
+
+
 def _qrats(obj):
     if isinstance(obj, QRat):
         yield obj
