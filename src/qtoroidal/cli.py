@@ -19,7 +19,7 @@ from . import modrep as modrep_mod
 from . import qchar as qchar_mod
 from . import tableaux as tableaux_mod
 from .cartan import cartan_preset
-from .errors import QtorError
+from .errors import InputError, QtorError
 from .monomials import mono_format, mono_parse
 from .scalars import QRat, QScalar
 
@@ -40,8 +40,16 @@ def emit(result, fmt="json"):
     raise QtorError("unknown format %r" % fmt)
 
 
-def _ints(text):
-    return [int(tok) for tok in text.split(",") if tok != ""]
+def _ints(text, count=None):
+    """The integers of a comma list, exactly ``count`` of them if given."""
+    try:
+        vals = [int(tok) for tok in text.split(",") if tok != ""]
+    except ValueError:
+        raise InputError("not a comma list of integers: %r" % text) from None
+    if count is not None and len(vals) != count:
+        raise InputError("expected %d comma-separated integers, got %r"
+                         % (count, text))
+    return vals
 
 
 def _result(command, status, payload, t0):
@@ -97,8 +105,7 @@ def _cmd_repcheck(args, t0):
     if args.L:
         M = modrep_mod.build_root_of_unity(args.L)
     else:
-        window = _ints(args.window)
-        M = modrep_mod.build_extremal_loop((window[0], window[1]))
+        M = modrep_mod.build_extremal_loop(_ints(args.window, 2))
     rep = modrep_mod.verify_relations(M, args.r_range, args.series_order)
     payload = rep.to_json()
     payload["module"] = M.kind
@@ -112,7 +119,7 @@ def _cmd_fusion(args, t0):
     M = modrep_mod.build_root_of_unity(args.L)
     window = (-args.u_order, args.u_order)
     if args.ops:
-        twists = _ints(args.ops)
+        twists = _ints(args.ops, 2)
         gens = [("xp", 1, 0), ("xm", 2, 1), ("k", 0, 1), ("phip", 1, 2)]
         rep = fusion_mod.twisted_coassoc_check(M, M, M, twists[0],
                                                twists[1], window, gens)
@@ -143,7 +150,7 @@ def _cmd_hecke(args, t0):
 
 def _cmd_octahedron(args, t0):
     C = cartan_preset("Ainf")
-    i_lo, i_hi = _ints(args.window)
+    i_lo, i_hi = _ints(args.window, 2)
     ks = _ints(args.k)
     rep = qchar_mod.octahedron_verify(
         C, args.depth, range(i_lo, i_hi + 1), ks,

@@ -1,7 +1,7 @@
 """Monomial crystal operators and orbit walks.
 
 The operator conventions (spectral offsets +-r_i, the smallest-position
-tie rule for lowering and the largest-position rule for ravising) are
+tie rule for lowering and the largest-position rule for raising) are
 pinned so that the displayed rank-one chain over the 4-node cycle is
 reproduced exactly; they are the single normative convention of this
 module.
@@ -17,55 +17,37 @@ compute but the crystal axioms are not promised.
 from __future__ import annotations
 
 import math
+from itertools import cycle, islice
 
 from .errors import DomainError, InputError
 from .monomials import a_monomial, mono_format
 
 
-def phi_eps(m, i):
-    """(phi_i, eps_i) from running partial sums of the node-i exponents.
+def _scan(part):
+    """(phi, f position, eps, e position) of a node part {L: exponent}.
 
-    phi_i is the largest prefix sum S_{<=L}, eps_i the largest negated
-    suffix sum -T_{>=L}, both clamped at zero; their difference is always
-    the total node-i exponent sum.
+    phi is the largest prefix sum S_{<=L} and the f position the smallest
+    L attaining it; eps is the largest negated suffix sum -T_{>=L} and the
+    e position the largest L attaining it.  Both are clamped at zero, where
+    the position is None.  One pass suffices: -T_{>=L} = S_{<L} - S.
     """
-    part = m.node_part(i)
-    ls = sorted(part)
-    phi = 0
-    acc = 0
-    for l in ls:
+    total = sum(part.values())
+    phi = eps = acc = 0
+    f_pos = e_pos = None
+    for l in sorted(part):
+        if 0 < acc - total >= eps:
+            eps, e_pos = acc - total, l
         acc += part[l]
         if acc > phi:
-            phi = acc
-    eps = 0
-    acc = 0
-    for l in reversed(ls):
-        acc += part[l]
-        if -acc > eps:
-            eps = -acc
+            phi, f_pos = acc, l
+    return phi, f_pos, eps, e_pos
+
+
+def phi_eps(m, i):
+    """(phi_i, eps_i) from running partial sums of the node-i exponents;
+    their difference is always the total node-i exponent sum."""
+    phi, _, eps, _ = _scan(m.node_part(i))
     return phi, eps
-
-
-def _f_position(part):
-    """Smallest L attaining the maximal prefix sum."""
-    ls = sorted(part)
-    best, best_l, acc = 0, None, 0
-    for l in ls:
-        acc += part[l]
-        if acc > best:
-            best, best_l = acc, l
-    return best_l
-
-
-def _e_position(part):
-    """Largest L attaining the maximal negated suffix sum."""
-    ls = sorted(part)
-    best, best_l, acc = 0, None, 0
-    for l in reversed(ls):
-        acc += part[l]
-        if -acc > best:
-            best, best_l = -acc, l
-    return best_l
 
 
 def kashiwara_apply(C, m, i, direction):
@@ -76,17 +58,31 @@ def kashiwara_apply(C, m, i, direction):
     """
     if direction not in ("f", "e"):
         raise InputError("direction must be 'f' or 'e'")
-    part = m.node_part(i)
-    phi, eps = phi_eps(m, i)
+    _, f_pos, _, e_pos = _scan(m.node_part(i))
     if direction == "f":
-        if phi == 0:
+        if f_pos is None:
             return None
-        l = _f_position(part)
-        return m.mul_power(a_monomial(C, i, l + C.r(i)), -1)
-    if eps == 0:
+        return m.mul_power(a_monomial(C, i, f_pos + C.r(i)), -1)
+    if e_pos is None:
         return None
-    l = _e_position(part)
-    return m * a_monomial(C, i, l - C.r(i))
+    return m * a_monomial(C, i, e_pos - C.r(i))
+
+
+def _f_walk(C, seed, op_cycle):
+    """The seed, then its successive f-steps following op_cycle
+    cyclically, without end; a dead end raises with the failing position
+    recorded."""
+    yield seed
+    if not op_cycle:
+        raise InputError("empty operator cycle")
+    m = seed
+    for t, i in enumerate(cycle(op_cycle)):
+        nxt = kashiwara_apply(C, m, i, "f")
+        if nxt is None:
+            raise DomainError("walk dead-ends at step %d (node %r, %s)"
+                              % (t, i, mono_format(m)))
+        m = nxt
+        yield m
 
 
 def orbit_walk(C, seed, op_cycle, steps):
@@ -97,19 +93,7 @@ def orbit_walk(C, seed, op_cycle, steps):
     """
     if steps < 0:
         raise InputError("steps must be >= 0")
-    if not op_cycle and steps:
-        raise InputError("empty operator cycle")
-    out = [seed]
-    m = seed
-    for t in range(steps):
-        i = op_cycle[t % len(op_cycle)]
-        nxt = kashiwara_apply(C, m, i, "f")
-        if nxt is None:
-            raise DomainError("walk dead-ends at step %d (node %r, %s)"
-                              % (t, i, mono_format(m)))
-        m = nxt
-        out.append(m)
-    return out
+    return list(islice(_f_walk(C, seed, op_cycle), steps + 1))
 
 
 def root_of_unity_period(C, seed, op_cycle, n):
@@ -124,39 +108,22 @@ def root_of_unity_period(C, seed, op_cycle, n):
         raise InputError("cyclotomic order must be >= 1")
     cyc = len(op_cycle)
     limit = 16 * cyc * (n + 2) + 64
-    walk = [seed]
-    m = seed
-    shift_period = None
-    delta = None
+    walker = _f_walk(C, seed, op_cycle)
+    walk = [next(walker)]
     for t in range(1, limit + 1):
-        i = op_cycle[(t - 1) % cyc]
-        nxt = kashiwara_apply(C, m, i, "f")
-        if nxt is None:
-            raise DomainError("walk dead-ends at step %d" % (t - 1))
-        m = nxt
-        walk.append(m)
+        walk.append(next(walker))
         if t % cyc == 0:
-            d = _uniform_spectral_shift(seed, m)
-            if d is not None:
-                shift_period, delta = t, d
+            delta = _uniform_spectral_shift(seed, walk[-1])
+            if delta is not None:
                 break
-    if shift_period is None:
+    else:
         raise DomainError("no structural recurrence within %d steps"
                           % limit)
-    # after shift_period steps everything repeats shifted by delta, so the
-    # reduced sequence is purely periodic with period P
-    if n == 1:
-        P = shift_period
-    else:
-        P = shift_period * (n // math.gcd(delta % n or n, n))
+    # after t steps everything repeats shifted by delta, so the reduced
+    # sequence is purely periodic with period P
+    P = t if n == 1 else t * (n // math.gcd(delta % n or n, n))
     # materialize one full reduced period plus one more for the scan
-    while len(walk) <= 2 * P:
-        t = len(walk)
-        i = op_cycle[(t - 1) % cyc]
-        nxt = kashiwara_apply(C, walk[-1], i, "f")
-        if nxt is None:
-            raise DomainError("walk dead-ends at step %d" % (t - 1))
-        walk.append(nxt)
+    walk.extend(islice(walker, 2 * P + 1 - len(walk)))
     reduced = [w.reduce_spectral_mod(n) for w in walk]
     for p in sorted(_divisors(P)):
         if all(reduced[t] == reduced[t + p] for t in range(P)):

@@ -6,14 +6,15 @@ u-exponents are first class.  Windows narrow through products by the
 intersection rule.  The phi series are group-like, so the derived h
 images are primitive: Delta(h_{i,m}) = h_{i,m} x 1 + u^m 1 x h_{i,m}.
 
-The checks compute only what they read.  The relation check forms each
-product up to the top u-degree it compares, and each prefix of that
-product up to that top less the lowest degrees of the factors still to
-multiply.  The coassociativity check builds both two-level sides by
-composing the one-level coproduct ``delta_terms`` with itself, so both
-checks read one definition of Delta; it tensors each triple of generator
-operators once and compares the two sides degree by degree on their
-columns.
+The relation check walks the relation instances of ``modrep`` through
+its first-witness walk.  The checks compute only what they read.  The
+relation check forms each product up to the top u-degree it compares,
+and each prefix of that product up to that top less the lowest degrees
+of the factors still to multiply.  The coassociativity check builds
+both two-level sides by composing the one-level coproduct
+``delta_terms`` with itself, so both checks read one definition of
+Delta; it tensors each triple of generator operators once and compares
+the two sides degree by degree on their columns.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from itertools import count
 
 from .errors import DomainError, InputError, WindowError
 from .linalg import LinOp
-from .modrep import _relation_instances
+from .modrep import _first_witness_walk
 from .scalars import TruncSeries
 
 ONE = ("one",)
@@ -180,54 +181,35 @@ def coproduct_relation_check(M1, M2, u_window, r_bound, m_bound):
 
     one = M1.one()
     neg_one = -one
-    ring = {}           # QScalar coefficient -> the module's scalar
     tensor_one = LinOp.identity([(a, b) for a in M1.basis
                                  for b in M2.basis], one)
     unit = TruncSeries("u", {0: tensor_one}, build_window[0],
                        build_window[1])
 
-    results = []
-    passed_all = True
-    fam_state = {}
-    for family, desc, terms in _relation_instances(M1, r_bound, m_bound):
-        st = fam_state.setdefault(family, {"instances": 0, "witness": None})
-        st["instances"] += 1
-        if st["witness"] is not None:
-            continue
+    def check(desc, terms, fam):
         acc = None
         for coef, seq in terms:
             prod = product(seq) if seq else unit
-            c = ring.get(coef)
-            if c is None:
-                c = M1.from_qscalar(coef)
-                # the ring's own +-1, so that the tests below are by identity
-                c = ring[coef] = (one if c == one else
-                                  neg_one if c == neg_one else c)
-            if c is neg_one:
-                prod = -prod
-            elif c is not one:
-                prod = prod.scale(c)
+            if coef != one:
+                prod = -prod if coef == neg_one else prod.scale(coef)
             acc = prod if acc is None else acc + prod
         lo = max(acc.lo, lo_req)
         hi = min(acc.hi, hi_req)
         if hi < hi_req:
             raise WindowError("window too narrow for %s (have %d, need %d);"
                               " enlarge the pad" % (desc, hi, hi_req))
-        bad = None
         for n in range(lo, hi + 1):
             v = acc.at(n)
             if v is not None and not v.is_zero():
-                bad = {"relation": desc, "u_degree": n}
-                break
-        if bad is not None:
-            st["witness"] = bad
-    for family, st in fam_state.items():
-        ok = st["witness"] is None
-        passed_all = passed_all and ok
-        results.append({"family": family, "instances": st["instances"],
-                        "passed": ok, "witness": st["witness"]})
-    return {"passed": passed_all, "u_window": list(u_window),
-            "families": results}
+                return {"relation": desc, "u_degree": n}
+        return None
+
+    fams = _first_witness_walk(M1, r_bound, m_bound, check)
+    results = [{"family": family, "instances": fam["instances"],
+                "passed": fam["witness"] is None, "witness": fam["witness"]}
+               for family, fam in fams.items()]
+    return {"passed": all(f["passed"] for f in results),
+            "u_window": list(u_window), "families": results}
 
 
 # ---------------------------------------------------------------------------

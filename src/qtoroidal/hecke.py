@@ -190,8 +190,8 @@ class HeckeModule:
 def build_MA(l, A=None):
     """The l!-dimensional quotient by the left ideal sending z_j to a_j.
 
-    ``A`` lists the parameter values (QScalar/QRat/qscalar-exponents, or
-    None for the symbolic ring).  Basis vectors are the permutations of
+    ``A`` lists the l parameter values (QScalar/QRat/qscalar-exponents,
+    or None for the symbolic ring).  Basis vectors are the permutations of
     S_l; braid generators act by the regular representation and z by the
     left normal form evaluated at A.
     """
@@ -199,6 +199,9 @@ def build_MA(l, A=None):
         raise InputError("only l <= 3 is materialized")
     if A is None:
         ring = SymbolicRing(l)
+    elif len(A) != l:
+        raise InputError("l = %d needs %d parameters, got %d"
+                         % (l, l, len(A)))
     else:
         ring = QRatRing([QRat(a) if isinstance(a, QScalar) else a
                          for a in A])
@@ -283,7 +286,9 @@ def _echelon_rows(vectors, field):
 
 
 def _subspace_key(rows):
-    return tuple(tuple(repr(x) for x in r) for r in rows)
+    """A subspace's reduced echelon rows as a hashable value; every ring
+    hashes and compares its canonical form."""
+    return tuple(tuple(r) for r in rows)
 
 
 def _intersect(rows1, rows2, field, dim):
@@ -306,6 +311,16 @@ def _intersect(rows1, rows2, field, dim):
     return _echelon_rows(vecs, field)
 
 
+def _gen_matrices(M, field):
+    """Dense matrices of the generators in the basis order, keyed ("s", i)
+    and ("z", j)."""
+    mats = {("s", i): op_matrix(op, M.basis, field.zero)
+            for i, op in M.sigma_ops.items()}
+    mats.update({("z", j): op_matrix(op, M.basis, field.zero)
+                 for j, op in M.z_ops.items()})
+    return mats
+
+
 def invariant_subspaces(M):
     """All submodules reachable by common-z-eigenvector closure, saturated
     under sums and intersections; feasible at these dimensions.
@@ -325,10 +340,7 @@ def invariant_subspaces(M):
                           "first")
     field = ring.field()
     dim = M.dim
-    mats = {("s", i): op_matrix(M.sigma_ops[i], M.basis, field.zero)
-            for i in M.sigma_ops}
-    mats.update({("z", j): op_matrix(M.z_ops[j], M.basis, field.zero)
-                 for j in M.z_ops})
+    mats = _gen_matrices(M, field)
     gen_mats = list(mats.values())
 
     candidates = []
@@ -360,8 +372,7 @@ def invariant_subspaces(M):
         items = list(subspaces.values())
         for r1 in items:
             for r2 in items:
-                for rows in (_echelon_rows([list(v) for v in r1 + r2],
-                                           field),
+                for rows in (_echelon_rows(r1 + r2, field),
                              _intersect(r1, r2, field, dim)):
                     key = _subspace_key(rows)
                     if key not in subspaces:
@@ -401,13 +412,12 @@ def _line_data(M, mats, field, vec):
 
 def _composition_chain(M, field, subspaces):
     """Increasing chain 0 < S_1 < ... < M through the found lattice,
-    taking a minimal strictly-larger member each time."""
+    taking a minimal strictly-larger member each time.  A subspace
+    contains another exactly when stacking their rows adds no rank."""
     dim = M.dim
 
     def contains(big, small):
-        if not small:
-            return True
-        return len(_intersect(big, small, field, dim)) == len(small)
+        return len(_echelon_rows(big + small, field)) == len(big)
 
     chain_rows = []
     last = []
@@ -628,18 +638,11 @@ def find_isomorphism(M1, M2):
         return None
     field = M1.ring.field()
     dim = M1.dim
-    gens = [("s", i) for i in M1.sigma_ops] + [("z", j) for j in M1.z_ops]
-    mats1 = {("s", i): op_matrix(M1.sigma_ops[i], M1.basis, field.zero)
-             for i in M1.sigma_ops}
-    mats1.update({("z", j): op_matrix(M1.z_ops[j], M1.basis, field.zero)
-                  for j in M1.z_ops})
-    mats2 = {("s", i): op_matrix(M2.sigma_ops[i], M2.basis, field.zero)
-             for i in M2.sigma_ops}
-    mats2.update({("z", j): op_matrix(M2.z_ops[j], M2.basis, field.zero)
-                  for j in M2.z_ops})
+    mats1 = _gen_matrices(M1, field)
+    mats2 = _gen_matrices(M2, field)
     rows = []
-    for g in gens:
-        A, B = mats2[g], mats1[g]
+    for g, B in mats1.items():
+        A = mats2[g]
         # (F B - A F)[r][c] = 0, unknowns F[x][y] flattened
         for r in range(dim):
             for c in range(dim):

@@ -19,6 +19,11 @@ generators is one (label, scalar) pair, zero, or an escape from the
 window, and the relation verifier evaluates each relation term on a
 basis vector from a bounded memo of word images keyed on (word suffix,
 label) instead of replaying the word through ``apply``.
+
+The relation instances carry coefficients in the module's scalar ring.
+One walk over them (``_first_witness_walk``) counts instances per family
+and stops checking a family at its first witness; the verifier here and
+the coproduct check in ``fusion`` both run on it.
 """
 
 from __future__ import annotations
@@ -301,12 +306,12 @@ def _b_matrix(a, b):
 
 
 def _relation_instances(M, r_bound, m_bound):
-    """Yield (family, description, terms); a term is (QScalar coefficient,
-    generator sequence applied right to left).  Coefficients are built
-    once per loop level they depend on and shared between instances;
-    scalars are never mutated."""
+    """Yield (family, description, terms); a term is (coefficient in the
+    module's scalar ring, generator sequence applied right to left).
+    Coefficients are built once per loop level they depend on and shared
+    between instances; scalars are never mutated."""
     nodes = M.nodes
-    one = QScalar.one()
+    one = M.one()
     neg_one = -one
     rng_r = range(-r_bound, r_bound + 1)
     rng_m = [m for m in range(-m_bound, m_bound + 1) if m]
@@ -337,7 +342,7 @@ def _relation_instances(M, r_bound, m_bound):
     for a in nodes:
         for b in nodes:
             B = _b_matrix(a, b)
-            shifts = [(sgn, tag, -QScalar.q_power(sgn * B))
+            shifts = [(sgn, tag, -M.q_power(sgn * B))
                       for sgn, tag in signs]
             for r in rng_r:
                 for sgn, tag, neg_qB in shifts:
@@ -351,9 +356,9 @@ def _relation_instances(M, r_bound, m_bound):
         for b in nodes:
             B = _b_matrix(a, b)
             for m in rng_m:
-                coef = q_int(m * B) * Fraction(1, m)
+                coef = M.from_qscalar(q_int(m * B) * Fraction(1, m))
                 for sgn, tag in signs:
-                    shifted = -QScalar.from_const(sgn) * coef
+                    shifted = -coef if sgn == 1 else coef
                     for r in rng_r:
                         yield ("h-x",
                                "[h_{%d,%d}, x%s_{%d,%d}]" % (a, m, tag, b, r),
@@ -361,7 +366,7 @@ def _relation_instances(M, r_bound, m_bound):
                                 (neg_one, [(tag, b, r), ("h", a, m)]),
                                 (shifted, [(tag, b, m + r)])])
 
-    qdiff = QScalar({1: 1, -1: -1})
+    qdiff = M.qq_inv()
     neg_qdiff = -qdiff
     for a in nodes:
         for b in nodes:
@@ -383,7 +388,7 @@ def _relation_instances(M, r_bound, m_bound):
         for b in nodes:
             B = _b_matrix(a, b)
             for sgn, tag in signs:
-                neg_qB = -QScalar.q_power(sgn * B)
+                neg_qB = -M.q_power(sgn * B)
                 for r in rng_r:
                     for rp in rng_r:
                         yield ("quadratic",
@@ -403,9 +408,9 @@ def _relation_instances(M, r_bound, m_bound):
             binoms = [q_binom(s, k) for k in range(s + 1)]
             # the k-th serre coefficient by weight: a repeated pair of
             # indices stands for both of its orderings
-            coefs = {weight: [c * Fraction((-1) ** k * weight)
-                              for k, c in enumerate(binoms)]
-                     for weight in (1, 2)}
+            coefs = {w: [M.from_qscalar(c * Fraction((-1) ** k * w))
+                         for k, c in enumerate(binoms)]
+                     for w in (1, 2)}
             for sgn, tag in signs:
                 for r1 in rng_r:
                     for r2 in rng_r:
@@ -476,6 +481,27 @@ def _word_image(memo, basis, suffixes, cols, label, one):
     return label, val
 
 
+def _first_witness_walk(M, r_bound, m_bound, check):
+    """Run ``check(desc, terms, fam)`` on the defining-relation instances
+    within the bounds, in order, until each family has a witness.
+
+    ``check`` returns the instance's witness or None, and may count into
+    ``fam``, its family's record {"instances", "checked", "skipped",
+    "witness"}.  Every instance is counted, checked or not.  Returns the
+    records by family, in the order the families are first seen.
+    """
+    fams = {}
+    for family, desc, terms in _relation_instances(M, r_bound, m_bound):
+        fam = fams.get(family)
+        if fam is None:
+            fam = fams[family] = {"instances": 0, "checked": 0,
+                                  "skipped": 0, "witness": None}
+        fam["instances"] += 1
+        if fam["witness"] is None:
+            fam["witness"] = check(desc, terms, fam)
+    return fams
+
+
 def verify_relations(M, r_bound, m_bound):
     """Evaluate every defining relation with indices within the bounds on
     every basis vector whose full evaluation stays inside the window.
@@ -485,28 +511,15 @@ def verify_relations(M, r_bound, m_bound):
     the identity throughout.  Failures carry the first offending
     (relation, vector, entry) witness.
     """
-    report = RelationReport()
-    state = {}
     one = M.one()
     basis = M._basis_set
     memo = {}
-    coerced = {}             # QScalar coefficient -> module scalar
-    for family, desc, terms in _relation_instances(M, r_bound, m_bound):
-        fam = state.setdefault(family,
-                               {"instances": 0, "checked": 0, "skipped": 0,
-                                "witness": None})
-        fam["instances"] += 1
-        if fam["witness"] is not None:
-            continue
+
+    def check(desc, terms, fam):
         if len(memo) >= WORD_MEMO_LIMIT:
             memo.clear()
         words = []
         for coef, seq in terms:
-            if isinstance(coef, QScalar):
-                c = coerced.get(coef)
-                if c is None:
-                    c = coerced[coef] = M.from_qscalar(coef)
-                coef = c
             word = tuple(reversed(seq))         # letters in acting order
             words.append((coef, [word[i:] for i in range(len(word))],
                           [M.op(gen).cols for gen in word]))
@@ -533,10 +546,13 @@ def verify_relations(M, r_bound, m_bound):
                 fam["checked"] += 1
                 if acc:
                     lab, val = next(iter(acc.items()))
-                    fam["witness"] = {"relation": desc, "vector": list(v),
-                                      "entry": list(lab), "value": repr(val)}
-                    break
-    for family, fam in state.items():
+                    return {"relation": desc, "vector": list(v),
+                            "entry": list(lab), "value": repr(val)}
+        return None
+
+    report = RelationReport()
+    for family, fam in _first_witness_walk(M, r_bound, m_bound,
+                                           check).items():
         report.add(family, fam["instances"], fam["checked"], fam["skipped"],
                    fam["witness"])
     return report
@@ -564,25 +580,22 @@ def _linear_factor_series(var, exp_a, power, order, module):
     return acc
 
 
-def expected_phi_series(module, part, sign, order, r_i=1):
-    """Phi eigenvalue series predicted for the node part {l: n_l}.
+def expected_phi_series(module, part, sign, order):
+    """Phi eigenvalue series predicted for the node part {l: n_l}, with
+    r = 1 on every node of the cycle.
 
-    sign +: q^(r delta) prod (1 - z q^(l-r))^n / (1 - z q^(l+r))^n in z;
-    sign -: q^(-r delta) prod (1 - w q^(r-l))^n / (1 - w q^(-r-l))^n in
-    the variable w = z^-1.
+    sign +: q^delta prod (1 - z q^(l-1))^n / (1 - z q^(l+1))^n in z;
+    sign -: q^-delta prod (1 - w q^(1-l))^n / (1 - w q^(-1-l))^n in the
+    variable w = z^-1.
     """
     var = "z" if sign > 0 else "w"
     delta = sum(part.values())
-    acc = TruncSeries(var, {0: module.q_power(sign * r_i * delta)}, 0, order)
+    acc = TruncSeries(var, {0: module.q_power(sign * delta)}, 0, order)
     for l, n in part.items():
-        if sign > 0:
-            acc = acc * _linear_factor_series(var, l - r_i, n, order, module)
-            acc = acc * _linear_factor_series(var, l + r_i, -n, order,
-                                              module)
-        else:
-            acc = acc * _linear_factor_series(var, r_i - l, n, order, module)
-            acc = acc * _linear_factor_series(var, -r_i - l, -n, order,
-                                              module)
+        acc = acc * _linear_factor_series(var, sign * (l - 1), n, order,
+                                          module)
+        acc = acc * _linear_factor_series(var, sign * (l + 1), -n, order,
+                                          module)
     return acc
 
 
@@ -594,7 +607,10 @@ def display_monomial(label):
             * YMonomial.var((a - 1) % LETTERS, 4 * p + a, -1))
 
 
-def l_character(M, series_order=3):
+L_SERIES_ORDER = 3      # the phi-series order l-weights are read from
+
+
+def l_character(M):
     """Read each basis vector's l-weight monomial from its phi series.
 
     Works over generic q, where the spectral exponents are recoverable
@@ -605,6 +621,7 @@ def l_character(M, series_order=3):
     if M.kind != "loop":
         raise DomainError("direct moment reading needs generic q; use "
                           "match_display for cyclotomic modules")
+    series_order = L_SERIES_ORDER
     terms = {}
     for label in M.basis:
         parts = {}
@@ -652,7 +669,7 @@ def l_character(M, series_order=3):
     return {"terms": terms}
 
 
-def l_character_offset(M, series_order=3):
+def l_character_offset(M):
     """Global spectral shift between computed l-weights and the display.
 
     For generic q the monomials are read directly; the report fails unless
@@ -661,7 +678,7 @@ def l_character_offset(M, series_order=3):
     through the full phi series comparison instead.
     """
     if M.kind == "loop":
-        data = l_character(M, series_order)
+        data = l_character(M)
         c = None
         for label, m in data["terms"].items():
             want = display_monomial(label)
@@ -689,7 +706,7 @@ def l_character_offset(M, series_order=3):
     N = M.cyc_order
     matches = []
     for c in range(-N // 2, N - N // 2):
-        if _matches_display_shift(M, c, series_order):
+        if _matches_display_shift(M, c, L_SERIES_ORDER):
             matches.append(c)
     if not matches:
         raise DomainError("no constant shift aligns the quotient with the "
@@ -715,7 +732,7 @@ def _matches_display_shift(M, c, order):
 # irreducibility of the small quotient
 # ---------------------------------------------------------------------------
 
-def rou_irreducible(M, r_bound=1):
+def rou_irreducible(M):
     """Brute-force irreducibility of a periodic quotient.
 
     The k-eigenvalue patterns separate the basis vectors, so every
@@ -724,16 +741,13 @@ def rou_irreducible(M, r_bound=1):
     """
     pats = {}
     for v in M.basis:
-        pat = tuple(repr(M.apply(("k", g, 1), {v: M.one()})[v])
-                    for g in M.nodes)
+        pat = tuple(M.apply(("k", g, 1), {v: M.one()})[v] for g in M.nodes)
         if pat in pats.values():
             return False
         pats[v] = pat
     reach = {v: {v} for v in M.basis}
-    gens = [("xp", g, r) for g in M.nodes for r in range(-r_bound,
-                                                         r_bound + 1)]
-    gens += [("xm", g, r) for g in M.nodes for r in range(-r_bound,
-                                                          r_bound + 1)]
+    gens = [(name, g, r) for name in ("xp", "xm") for g in M.nodes
+            for r in (-1, 0, 1)]
     changed = True
     while changed:
         changed = False

@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 
 from .cartan import WeightVector
-from .errors import AlgorithmFailure, DomainError, ParseError
+from .errors import DomainError, ParseError
 
 _FACTOR_RE = re.compile(
     r"\s*Y\[\s*(-?\d+)\s*,\s*(-?\d+)\s*\]\s*(?:\^\s*(-?\d+))?")
@@ -262,11 +262,9 @@ def dominance_leq(C, m, mtop, depth_cap):
             del diff[(i, l)]
     factors = []
     budget = depth_cap
-    guard = 0
+    # each pass returns or spends at least 1 of the budget, so the loop
+    # ends within depth_cap + 1 passes
     while diff:
-        guard += 1
-        if guard > 100000:
-            raise AlgorithmFailure("dominance solve did not terminate")
         top_l = max(l for (_, l) in diff)
         layer = [(j, l) for (j, l) in diff if l == top_l]
         for key in layer:

@@ -209,11 +209,11 @@ def _qs(n, d, v):
     return r
 
 
-def _qconst(c, e=0):
-    """The QScalar c q^e for an int or Fraction c."""
+def _qconst(c):
+    """The constant QScalar c for an int or Fraction c."""
     if not isinstance(c, (int, Fraction)):
         raise TypeError("expected int or Fraction, got %r" % (c,))
-    return _qs([c.numerator], c.denominator, int(e)) if c else _qs([], 1, 0)
+    return _qs([c.numerator], c.denominator, 0) if c else _qs([], 1, 0)
 
 
 class QScalar:
@@ -252,8 +252,8 @@ class QScalar:
         return _qs([1], 1, 0)
 
     @classmethod
-    def q_power(cls, n, coeff=1):
-        return _qconst(coeff, n)
+    def q_power(cls, n):
+        return _qs([1], 1, int(n))
 
     @classmethod
     def from_const(cls, v):
@@ -905,8 +905,9 @@ class TruncSeries:
     Coefficients below ``lo`` are exactly zero (lo is the true lower edge);
     coefficients above ``hi`` are unknown.  Products narrow the window by
     the intersection rule; reading outside the window raises WindowError.
-    Coefficients may be scalars or any objects supporting +, * and a zero
-    test, so operator-valued series reuse the same machinery.
+    Coefficients may be scalars or any objects supporting +, *, a zero
+    test and equality of canonical forms, so operator-valued series reuse
+    the same machinery.
     """
 
     __slots__ = ("var", "coeffs", "lo", "hi")
@@ -991,19 +992,6 @@ class TruncSeries:
                            {e + d: v for e, v in self.coeffs.items()},
                            self.lo + d, self.hi + d)
 
-    def eq_on_common_window(self, other):
-        self._check(other)
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi:
-            raise WindowError("windows do not overlap")
-        for e in range(lo, hi + 1):
-            a, b = self.coeffs.get(e), other.coeffs.get(e)
-            diff = b if a is None else a if b is None else a - b
-            if diff:
-                return False
-        return True
-
     def is_zero(self):
         return not self.coeffs
 
@@ -1011,11 +999,11 @@ class TruncSeries:
         return bool(self.coeffs)
 
     def __eq__(self, other):
+        # stored coefficients are nonzero canonical values
         if not isinstance(other, TruncSeries):
             return NotImplemented
         return (self.var == other.var and self.lo == other.lo
-                and self.hi == other.hi
-                and self.eq_on_common_window(other))
+                and self.hi == other.hi and self.coeffs == other.coeffs)
 
     def __repr__(self):
         terms = ", ".join("%s^%d: %r" % (self.var, e, self.coeffs[e])
@@ -1059,14 +1047,15 @@ class PolyScalar:
         return cls(variables, {tuple([0] * len(variables)): 1})
 
     @classmethod
-    def var(cls, variables, name, power=1):
+    def var(cls, variables, name):
         exps = [0] * len(variables)
-        exps[tuple(variables).index(name)] = power
+        exps[tuple(variables).index(name)] = 1
         return cls(variables, {tuple(exps): 1})
 
     @classmethod
-    def from_qscalar(cls, variables, x, qname="q"):
-        k = tuple(variables).index(qname)
+    def from_qscalar(cls, variables, x):
+        """The QScalar x in the variable named "q"."""
+        k = tuple(variables).index("q")
         out = {}
         for e, v in x.items():
             exps = [0] * len(variables)

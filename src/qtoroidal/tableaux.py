@@ -98,6 +98,15 @@ def _box_factors(value, base, n):
             (((value - 1) % mod, base + value), -1))
 
 
+def _bump(acc, key, e):
+    """Add e to the exponent at key, dropping it when it cancels."""
+    v = acc.get(key, 0) + e
+    if v:
+        acc[key] = v
+    else:
+        del acc[key]
+
+
 def tableau_monomial(T, n, l, shift=0):
     """Monomial of a tableau over the (n+1)-node cycle with base q^l.
 
@@ -109,20 +118,14 @@ def tableau_monomial(T, n, l, shift=0):
         raise InputError("the cycle needs n >= 2")
     mod = n + 1
     acc = {}
-
-    def bump(key, e):
-        acc[key] = acc.get(key, 0) + e
-        if not acc[key]:
-            del acc[key]
-
     for j in range(1, T.width + 1):
-        bump((0, l + 2 * j - 1), 1)
+        _bump(acc, (0, l + 2 * j - 1), 1)
     for (i, j), v in T.deviations:
         base = l + 2 * (j - i)
         for key, e in _box_factors(v, base, n):
-            bump(key, e)
+            _bump(acc, key, e)
         for key, e in _box_factors(i, base, n):
-            bump(key, -e)
+            _bump(acc, key, -e)
     m = YMonomial(acc)
     if shift:
         m = m.shift_nodes(shift, mod)
@@ -138,18 +141,12 @@ def tableau_monomial_truncated(T, n, l, M, shift=0):
     """
     mod = n + 1
     acc = {}
-
-    def bump(key, e):
-        acc[key] = acc.get(key, 0) + e
-        if not acc[key]:
-            del acc[key]
-
     for j in range(1, T.width + 1):
         for i in range(-M, 1):
             v = T.entry(i, j)
             base = l + 2 * (j - i)
             for key, e in _box_factors(v, base, n):
-                bump(key, e)
+                _bump(acc, key, e)
     m = YMonomial(acc)
     if shift:
         m = m.shift_nodes(shift, mod)

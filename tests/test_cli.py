@@ -125,6 +125,27 @@ def test_unknown_preset_is_operational_error():
     assert json.loads(text)["status"] == "error"
 
 
+@pytest.mark.parametrize("argv", [
+    ["crystal", "--seed", "Y[1,0]Y[0,1]^-1", "--ops", "",
+     "--root-of-unity", "4"],
+    ["crystal", "--seed", "Y[1,0]Y[0,1]^-1", "--ops", "1,x"],
+    ["hecke", "--l", "2", "--a", "0"],
+    ["hecke", "--l", "2", "--a", "0,2,4"],
+    ["repcheck", "--window=1"],
+    ["repcheck", "--window=a,b"],
+    ["octahedron", "--window=1"],
+    ["fusion", "--ops", "1"],
+], ids=["crystal-empty-ops", "crystal-bad-op", "hecke-short-a",
+        "hecke-long-a", "repcheck-short-window", "repcheck-bad-window",
+        "octahedron-short-window", "fusion-one-twist"])
+def test_malformed_input_is_an_error_payload(argv):
+    # exit 1 means a verification failed, so bad input must not reach it
+    code, text = run(argv)
+    assert code == 2
+    result = json.loads(text)
+    assert result["status"] == "error" and result["payload"]["error"]
+
+
 def test_emit_rejects_dot_for_non_graph():
     from qtoroidal.errors import QtorError
     with pytest.raises(QtorError):

@@ -246,7 +246,7 @@ def test_h_images_match_log_oracle(make, m_bound):
 
 def full_window_relation_check(M1, M2, u_window, r_bound, m_bound):
     """The relation check that multiplies every series out to the padded
-    build window and scales every term by its converted coefficient.
+    build window and scales every term by its coefficient.
     Kept as the oracle for ``coproduct_relation_check``."""
     _check_fusable(M1, M2)
     lo_req, hi_req = u_window
@@ -293,7 +293,7 @@ def full_window_relation_check(M1, M2, u_window, r_bound, m_bound):
                     s = image(gen)
                     prod = s if prod is None else prod * s
                     prefix_cache[built] = prod
-            prod = prod.scale(M1.from_qscalar(coef))
+            prod = prod.scale(coef)
             acc = prod if acc is None else acc + prod
         lo = max(acc.lo, lo_req)
         hi = min(acc.hi, hi_req)

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from itertools import permutations, product
+from types import SimpleNamespace
 
 import pytest
 
@@ -259,6 +260,21 @@ def test_invariant_subspaces_match_repr_key_oracle(exps, monkeypatch):
     assert got == invariant_subspaces(M)
 
 
+def test_composition_chain_steps_only_to_members_containing_the_last():
+    # a line and a plane that misses it: the chain through the line must
+    # pass over the plane, although the plane is the smallest larger member
+    field = qtoroidal.hecke.QRatRing([]).field()
+    one, zero = field.one, field.zero
+    line = [[one, zero, zero]]
+    plane = [[zero, one, zero], [zero, zero, one]]
+    full = line + plane
+    subspaces = {qtoroidal.hecke._subspace_key(rows): rows
+                 for rows in ([], line, plane, full)}
+    chain = qtoroidal.hecke._composition_chain(SimpleNamespace(dim=3), field,
+                                               subspaces)
+    assert chain == {"subspace_dims": [1, 3], "factor_dims": [1, 2]}
+
+
 def _qrats(obj):
     if isinstance(obj, QRat):
         yield obj
@@ -360,6 +376,12 @@ def test_module_json_dump():
 def test_build_MA_rejects_large_l():
     with pytest.raises(InputError):
         build_MA(4, [q_pow(0)] * 4)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_build_MA_needs_one_parameter_per_z(count):
+    with pytest.raises(InputError):
+        build_MA(2, [q_pow(0)] * count)
 
 
 def test_invariant_subspaces_needs_field():

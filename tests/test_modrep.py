@@ -242,12 +242,10 @@ def replay_verify_relations(M, r_bound, m_bound):
         fam["instances"] += 1
         if fam["witness"] is not None:
             continue
-        coerced = [(M.from_qscalar(c) if isinstance(c, QScalar) else c, seq)
-                   for c, seq in terms]
         for v in M.basis:
             try:
                 acc = {}
-                for coef, seq in coerced:
+                for coef, seq in terms:
                     vec = {v: M.one()}
                     for gen in reversed(seq):
                         vec = M.apply(gen, vec)
@@ -432,8 +430,13 @@ def _instance_listing(gen):
         "rou2-r2m2"])
 def test_relation_instances_match_rebuilt_coefficients(make, r_bound,
                                                        m_bound):
+    # the oracle builds QScalar coefficients; the library builds them in
+    # the module's ring, so a quotient module's must be CycScalars
     M = make()
-    want = _instance_listing(rebuilt_relation_instances(M, r_bound, m_bound))
+    want = _instance_listing(
+        (family, desc, [(M.from_qscalar(coef), seq) for coef, seq in terms])
+        for family, desc, terms in rebuilt_relation_instances(M, r_bound,
+                                                              m_bound))
     got = _instance_listing(_relation_instances(M, r_bound, m_bound))
     assert got == want
     assert {family for family, _, _ in want} == {
@@ -487,7 +490,7 @@ def test_rou_k_orders():
 
 def test_l_character_reads_display_with_shift():
     M = build_extremal_loop((-2, 2))
-    data = l_character(M, series_order=3)
+    data = l_character(M)
     # the extremal vector carries the chain seed shifted one step down
     assert data["terms"][(1, 0)] == \
         display_monomial((1, 0)).shift_spectral(-1)
@@ -498,7 +501,7 @@ def test_l_character_reads_display_with_shift():
 def test_l_character_offset_rou():
     for L in (1, 2):
         R = build_root_of_unity(L)
-        off = l_character_offset(R, series_order=3)
+        off = l_character_offset(R)
         assert off["c"] == -1
         assert -1 in off["candidates"]
 
