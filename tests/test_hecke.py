@@ -13,7 +13,7 @@ from qtoroidal.hecke import (SegmentCollection, all_perms, build_MA,
                              perm_length, reduced_word, right_mul_s,
                              segments_to_drinfeld, verify_presentation,
                              zelevinsky_product)
-from qtoroidal.linalg import kernel_basis, op_matrix
+from qtoroidal.linalg import kernel_basis, op_matrix, rref, span_grow
 from qtoroidal.scalars import QRat, QScalar
 
 
@@ -212,6 +212,34 @@ def oracle_subspace_key(rows):
     return tuple(tuple(repr(x) for x in r) for r in rows)
 
 
+def oracle_echelon_rows(vectors, field):
+    """Reduced echelon rows of a spanning list, zero rows dropped."""
+    if not vectors:
+        return []
+    rows, _ = rref(vectors, field)
+    return [r for r in rows if any(not field.is_zero(x) for x in r)]
+
+
+def oracle_intersect(rows1, rows2, field, dim):
+    """Intersection of two row spaces: solve x rows1 = y rows2 as one
+    stacked kernel and re-echelonize the combinations x rows1."""
+    if not rows1 or not rows2:
+        return []
+    mat = [[rows1[r][c] if r < len(rows1) else
+            -rows2[r - len(rows1)][c] for r in range(len(rows1)
+                                                     + len(rows2))]
+           for c in range(dim)]
+    vecs = []
+    for combo in kernel_basis(mat, field):
+        v = [field.zero] * dim
+        for r in range(len(rows1)):
+            if not field.is_zero(combo[r]):
+                v = [a + combo[r] * b for a, b in zip(v, rows1[r])]
+        if any(not field.is_zero(x) for x in v):
+            vecs.append(v)
+    return oracle_echelon_rows(vecs, field)
+
+
 def oracle_composition_chain(M, field, subspaces):
     """The chain search as it was before containment became one rank
     test: each containment solves for the intersection."""
@@ -220,8 +248,7 @@ def oracle_composition_chain(M, field, subspaces):
     def contains(big, small):
         if not small:
             return True
-        return len(qtoroidal.hecke._intersect(big, small, field, dim)) \
-            == len(small)
+        return len(oracle_intersect(big, small, field, dim)) == len(small)
 
     chain_rows = []
     last = []
@@ -258,6 +285,73 @@ def test_invariant_subspaces_match_repr_key_oracle(exps, monkeypatch):
     monkeypatch.setattr(qtoroidal.hecke, "_composition_chain",
                         oracle_composition_chain)
     assert got == invariant_subspaces(M)
+
+
+def oracle_invariant_subspaces(M):
+    """``invariant_subspaces`` with the saturation it had before the
+    worklist: every ordered pair of members, self-pairs included, gives a
+    sum and a kernel-based intersection, and whole passes repeat until one
+    adds nothing.  The chain comes from ``oracle_composition_chain``."""
+    field = M.ring.field()
+    dim = M.dim
+    mats = qtoroidal.hecke._gen_matrices(M, field)
+    gen_mats = list(mats.values())
+    values = [M.ring.param(j) for j in range(1, M.l + 1)]
+    subspaces = {}
+    for lam in permutations(values):
+        stacked = []
+        for j in range(1, M.l + 1):
+            zm = mats[("z", j)]
+            stacked.extend([[zm[r][c] - (lam[j - 1] if r == c else
+                                         field.zero)
+                             for c in range(dim)] for r in range(dim)])
+        for vec in kernel_basis(stacked, field):
+            rows = oracle_echelon_rows(span_grow([vec], gen_mats, field),
+                                       field)
+            subspaces[oracle_subspace_key(rows)] = rows
+    subspaces[oracle_subspace_key([])] = []
+    full = [[field.one if c == r else field.zero for c in range(dim)]
+            for r in range(dim)]
+    subspaces[oracle_subspace_key(full)] = full
+    changed = True
+    while changed:
+        changed = False
+        items = list(subspaces.values())
+        for r1 in items:
+            for r2 in items:
+                for rows in (oracle_echelon_rows(r1 + r2, field),
+                             oracle_intersect(r1, r2, field, dim)):
+                    key = oracle_subspace_key(rows)
+                    if key not in subspaces:
+                        subspaces[key] = rows
+                        changed = True
+    proper = [rows for rows in subspaces.values() if 0 < len(rows) < dim]
+    lines = [rows for rows in proper if len(rows) == 1]
+    return {
+        "dims": sorted(len(rows) for rows in subspaces.values()),
+        "proper_count": len(proper),
+        "irreducible": not proper,
+        "socle_lines": len(lines),
+        "line_data": [qtoroidal.hecke._line_data(M, mats, field, rows[0])
+                      for rows in lines],
+        "composition": oracle_composition_chain(M, field, subspaces),
+    }
+
+
+SATURATION_EXPS = sorted(set(SUBSPACE_EXPS)
+                         | set(product(range(-1, 4), repeat=2))
+                         | set(product(range(-1, 3), repeat=3)),
+                         key=lambda e: (len(e), e))
+
+
+@pytest.mark.parametrize("exps", SATURATION_EXPS,
+                         ids=lambda e: ",".join(map(str, e)))
+def test_invariant_subspaces_match_saturation_oracle(exps):
+    # whole reports, list order included: line_data follows the order in
+    # which lines join the lattice and the chain takes the first minimal
+    # member, so a saturation that finds members in another order shows
+    M = build_MA(len(exps), [q_pow(n) for n in exps])
+    assert invariant_subspaces(M) == oracle_invariant_subspaces(M)
 
 
 def test_composition_chain_steps_only_to_members_containing_the_last():
