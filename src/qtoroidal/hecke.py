@@ -278,37 +278,22 @@ def verify_presentation(M):
 # invariant subspaces over an exact field
 # ---------------------------------------------------------------------------
 
-def _echelon_rows(vectors, field):
-    if not vectors:
-        return []
-    rows, _ = rref(vectors, field)
-    return [r for r in rows if any(not field.is_zero(x) for x in r)]
-
-
 def _subspace_key(rows):
     """A subspace's reduced echelon rows as a hashable value; every ring
     hashes and compares its canonical form."""
     return tuple(tuple(r) for r in rows)
 
 
-def _intersect(rows1, rows2, field, dim):
-    if not rows1 or not rows2:
-        return []
-    # x rows1 = y rows2: solve the stacked kernel
-    mat = [[rows1[r][c] if r < len(rows1) else
-            -rows2[r - len(rows1)][c] for r in range(len(rows1)
-                                                     + len(rows2))]
-           for c in range(dim)]
-    combos = kernel_basis(mat, field)
-    vecs = []
-    for combo in combos:
-        v = [field.zero] * dim
-        for r in range(len(rows1)):
-            if not field.is_zero(combo[r]):
-                v = [a + combo[r] * b for a, b in zip(v, rows1[r])]
-        if any(not field.is_zero(x) for x in v):
-            vecs.append(v)
-    return _echelon_rows(vecs, field)
+def _sum_and_meet(rows1, rows2, field, dim):
+    """U + W and U ∩ W from one row reduction (Zassenhaus): reduce the
+    rows [u | u] and [w | 0].  Rows pivoting in the left half give U + W
+    by their left halves, the others U ∩ W by their right halves, both
+    as reduced echelon rows."""
+    zeros = [field.zero] * dim
+    rows, pivots = rref([u + u for u in rows1] + [w + zeros for w in rows2],
+                        field)
+    k = sum(1 for c in pivots if c < dim)
+    return [r[:dim] for r in rows[:k]], [r[dim:] for r in rows[k:]]
 
 
 def _gen_matrices(M, field):
@@ -343,7 +328,7 @@ def invariant_subspaces(M):
     mats = _gen_matrices(M, field)
     gen_mats = list(mats.values())
 
-    candidates = []
+    subspaces = {}
     values = [ring.param(j) for j in range(1, M.l + 1)]
     for lam in permutations(values):
         stacked = []
@@ -353,31 +338,25 @@ def invariant_subspaces(M):
                                          field.zero)
                              for c in range(dim)] for r in range(dim)])
         for vec in kernel_basis(stacked, field):
-            candidates.append(vec)
-
-    subspaces = {}
-    for vec in candidates:
-        # re-echelonize: span_grow is only forward-reduced and keys must
-        # be the canonical reduced form
-        rows = _echelon_rows(span_grow([vec], gen_mats, field), field)
-        subspaces[_subspace_key(rows)] = rows
+            # re-echelonize: span_grow is only forward-reduced and keys
+            # must be the canonical reduced form
+            rows = rref(span_grow([vec], gen_mats, field), field)[0]
+            subspaces[_subspace_key(rows)] = rows
     subspaces[_subspace_key([])] = []
-    full = _echelon_rows([[field.one if c == r else field.zero
-                           for c in range(dim)] for r in range(dim)], field)
+    full = [[field.one if c == r else field.zero for c in range(dim)]
+            for r in range(dim)]
     subspaces[_subspace_key(full)] = full
 
-    changed = True
-    while changed:
-        changed = False
-        items = list(subspaces.values())
-        for r1 in items:
-            for r2 in items:
-                for rows in (_echelon_rows(r1 + r2, field),
-                             _intersect(r1, r2, field, dim)):
-                    key = _subspace_key(rows)
-                    if key not in subspaces:
-                        subspaces[key] = rows
-                        changed = True
+    # one pass: each member meets every earlier member once, and a sum or
+    # intersection not seen before joins the end of the list
+    members = list(subspaces.values())
+    for i, r1 in enumerate(members):
+        for r2 in members[:i]:
+            for rows in _sum_and_meet(r1, r2, field, dim):
+                key = _subspace_key(rows)
+                if key not in subspaces:
+                    subspaces[key] = rows
+                    members.append(rows)
 
     dims = sorted(len(rows) for rows in subspaces.values())
     proper = [rows for rows in subspaces.values()
@@ -417,7 +396,7 @@ def _composition_chain(M, field, subspaces):
     dim = M.dim
 
     def contains(big, small):
-        return len(_echelon_rows(big + small, field)) == len(big)
+        return len(rref(big + small, field)[0]) == len(big)
 
     chain_rows = []
     last = []

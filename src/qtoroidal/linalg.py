@@ -5,7 +5,8 @@ entries are scalar objects with exact arithmetic (QScalar, CycScalar,
 QRat, PolyScalar), tested for zero by truth value, and a ``LinOp`` is
 itself falsy exactly when it is zero.  The dense field routines (row
 reduction, kernel, determinant, invariant-subspace growth) take a
-``Field`` adapter supplying zero, one and division.
+``Field`` adapter supplying zero, one and division; row reduction
+returns only the nonzero rows, as many as the rank.
 """
 
 from __future__ import annotations
@@ -156,7 +157,9 @@ def _pivot(rows, col, start, field):
 
 
 def rref(matrix, field):
-    """Reduced row echelon form; returns (rows, pivot column list)."""
+    """Reduced row echelon form: returns (rows, pivots), the nonzero
+    reduced rows in pivot order and their pivot columns; zero rows are
+    dropped, so len(rows) is the rank."""
     rows = [list(r) for r in matrix]
     if not rows:
         return rows, []
@@ -178,7 +181,7 @@ def rref(matrix, field):
         rank += 1
         if rank == len(rows):
             break
-    return rows, pivots
+    return rows[:rank], pivots
 
 
 def kernel_basis(matrix, field):

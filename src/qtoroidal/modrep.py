@@ -620,7 +620,7 @@ def l_character(M):
     """
     if M.kind != "loop":
         raise DomainError("direct moment reading needs generic q; use "
-                          "match_display for cyclotomic modules")
+                          "l_character_offset for cyclotomic modules")
     series_order = L_SERIES_ORDER
     terms = {}
     for label in M.basis:
@@ -735,16 +735,22 @@ def _matches_display_shift(M, c, order):
 def rou_irreducible(M):
     """Brute-force irreducibility of a periodic quotient.
 
-    The k-eigenvalue patterns separate the basis vectors, so every
-    invariant subspace is spanned by basis vectors; it then suffices that
+    Every k_g and phi+_{g,1} acts diagonally.  When their joint
+    eigenvalues separate the basis vectors, every invariant subspace is
+    spanned by basis vectors, and the module is irreducible exactly when
     each basis vector reaches every other through the ladder operators.
+    Raises DomainError when two basis vectors share their eigenvalues,
+    since a submodule then need not be spanned by basis vectors.
     """
-    pats = {}
+    diagonal = [(name, g, 1) for name in ("k", "phip") for g in M.nodes]
+    owner = {}
     for v in M.basis:
-        pat = tuple(M.apply(("k", g, 1), {v: M.one()})[v] for g in M.nodes)
-        if pat in pats.values():
-            return False
-        pats[v] = pat
+        # a generator that kills v reads None
+        pat = tuple(M.apply(gen, {v: M.one()}).get(v) for gen in diagonal)
+        if pat in owner:
+            raise DomainError("%r and %r share every k and phi+ eigenvalue"
+                              % (owner[pat], v))
+        owner[pat] = v
     reach = {v: {v} for v in M.basis}
     gens = [(name, g, r) for name in ("xp", "xm") for g in M.nodes
             for r in (-1, 0, 1)]

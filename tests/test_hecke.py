@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from fractions import Fraction
 from itertools import permutations, product
 from types import SimpleNamespace
 
@@ -13,7 +14,8 @@ from qtoroidal.hecke import (SegmentCollection, all_perms, build_MA,
                              perm_length, reduced_word, right_mul_s,
                              segments_to_drinfeld, verify_presentation,
                              zelevinsky_product)
-from qtoroidal.linalg import kernel_basis, op_matrix, rref, span_grow
+from qtoroidal.linalg import (Field, kernel_basis, op_matrix, rref,
+                              span_grow)
 from qtoroidal.scalars import QRat, QScalar
 
 
@@ -352,6 +354,69 @@ def test_invariant_subspaces_match_saturation_oracle(exps):
     # member, so a saturation that finds members in another order shows
     M = build_MA(len(exps), [q_pow(n) for n in exps])
     assert invariant_subspaces(M) == oracle_invariant_subspaces(M)
+
+
+def _random_rows(rng, field, count, dim):
+    """Reduced echelon rows spanned by ``count`` small random vectors."""
+    vecs = [[Fraction(rng.randint(-2, 2)) for _ in range(dim)]
+            for _ in range(count)]
+    return rref(vecs, field)[0]
+
+
+def test_sum_and_meet_match_rref_and_kernel_oracle():
+    field = Field(Fraction(0), Fraction(1))
+    rng = random.Random(15)
+    meets = 0
+    for dim in range(3, 7):
+        for _ in range(20):
+            u = _random_rows(rng, field, rng.randint(0, dim), dim)
+            w = _random_rows(rng, field, rng.randint(0, dim), dim)
+            # a subspace of u, spanned by random combinations of its rows
+            combos = [[rng.randint(-2, 2) for _ in u]
+                      for _ in range(rng.randint(1, 3))]
+            inner = rref([[sum((c * row[j] for c, row in zip(cs, u)),
+                               Fraction(0)) for j in range(dim)]
+                          for cs in combos], field)[0]
+            assert rref(u + inner, field)[0] == u
+            for r1, r2 in ((u, w), (w, u), (u, []), ([], w), (u, inner),
+                           (inner, u)):
+                got_sum, got_meet = qtoroidal.hecke._sum_and_meet(
+                    r1, r2, field, dim)
+                assert got_sum == rref(r1 + r2, field)[0], (r1, r2)
+                assert got_meet == oracle_intersect(r1, r2, field, dim), \
+                    (r1, r2)
+                meets += bool(got_meet)
+    assert meets > 100
+
+
+def test_saturation_reduces_each_pair_of_members_once(monkeypatch):
+    # l = 3 at (0, 2, 4) has six members, so fifteen unordered pairs of
+    # distinct members, each row-reduced once
+    reductions = []
+    per_call = []
+    pairs = []
+    real_rref = qtoroidal.hecke.rref
+    real_sum_and_meet = qtoroidal.hecke._sum_and_meet
+
+    def counting_rref(matrix, field):
+        reductions.append(None)
+        return real_rref(matrix, field)
+
+    def counting_sum_and_meet(rows1, rows2, field, dim):
+        before = len(reductions)
+        out = real_sum_and_meet(rows1, rows2, field, dim)
+        per_call.append(len(reductions) - before)
+        pairs.append(frozenset(map(qtoroidal.hecke._subspace_key,
+                                   (rows1, rows2))))
+        return out
+
+    monkeypatch.setattr(qtoroidal.hecke, "rref", counting_rref)
+    monkeypatch.setattr(qtoroidal.hecke, "_sum_and_meet",
+                        counting_sum_and_meet)
+    rep = invariant_subspaces(build_MA(3, [q_pow(n) for n in (0, 2, 4)]))
+    assert len(rep["dims"]) == 6
+    assert per_call == [1] * 15
+    assert len(set(pairs)) == 15 and all(len(p) == 2 for p in pairs)
 
 
 def test_composition_chain_steps_only_to_members_containing_the_last():

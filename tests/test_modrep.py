@@ -527,6 +527,34 @@ def test_rou_l1_irreducible():
     assert rou_irreducible(build_root_of_unity(1))
 
 
+@pytest.mark.parametrize("L", [2, 3, 4])
+def test_rou_irreducible_at_larger_periods(L):
+    # the k-eigenvalues alone repeat from L = 2 on; with phi+_{g,1} the
+    # patterns separate and the ladders decide
+    assert rou_irreducible(build_root_of_unity(L))
+
+
+def test_rou_irreducible_sees_cut_ladders(monkeypatch):
+    # without the node-0 ladders v_{4,p} no longer reaches v_{1,p+1}, so
+    # each p spans a submodule
+    M = build_root_of_unity(2)
+    image = M.image
+    monkeypatch.setattr(M, "image", lambda gen, label: None
+                        if gen[0] in ("xp", "xm") and gen[1] == 0
+                        else image(gen, label))
+    assert not rou_irreducible(M)
+
+
+def test_rou_irreducible_raises_when_patterns_collide(monkeypatch):
+    # phi+ flattened to 1 leaves only k, which repeats at L = 2
+    M = build_root_of_unity(2)
+    image = M.image
+    monkeypatch.setattr(M, "image", lambda gen, label: ("diag", M.one())
+                        if gen[0] == "phip" else image(gen, label))
+    with pytest.raises(DomainError, match="share every k and phi"):
+        rou_irreducible(M)
+
+
 def test_hecke_companion_relation_and_spectra():
     for L in range(1, 8):
         rep = hecke_companion(L).verify()
@@ -587,5 +615,6 @@ def test_hecke_companion_rejects_bad_l():
 
 
 def test_l_character_rejects_rou_direct_read():
-    with pytest.raises(DomainError):
+    # the message names the reading that does work on cyclotomic modules
+    with pytest.raises(DomainError, match="use l_character_offset for"):
         l_character(build_root_of_unity(1))
