@@ -235,7 +235,7 @@ def span_grow(vectors, ops, field):
     """Smallest op-invariant subspace containing the given vectors.
 
     Vectors are dense coefficient lists; ops are dense matrices.  Returns
-    an echelonized basis.
+    an echelonized basis, as soon as it spans the whole space.
     """
     basis_rows = []
 
@@ -258,6 +258,8 @@ def span_grow(vectors, ops, field):
         if row is None:
             continue
         basis_rows.append((row, pc))
+        if len(basis_rows) == len(row):
+            break
         for mat in ops:
             img = [sum_entries(mat, row, field, r)
                    for r in range(len(row))]

@@ -403,12 +403,11 @@ def _relation_instances(M, r_bound, m_bound):
         for b in nodes:
             if a == b:
                 continue
-            c_ab = -1 if (a - b) % 4 in (1, 3) else 0
-            s = 1 - c_ab
+            s = 1 - _b_matrix(a, b)
             binoms = [q_binom(s, k) for k in range(s + 1)]
             # the k-th serre coefficient by weight: a repeated pair of
             # indices stands for both of its orderings
-            coefs = {w: [M.from_qscalar(c * Fraction((-1) ** k * w))
+            coefs = {w: [M.from_qscalar(c * ((-1) ** k * w))
                          for k, c in enumerate(binoms)]
                      for w in (1, 2)}
             for sgn, tag in signs:

@@ -1,8 +1,9 @@
 """Exact scalar arithmetic.
 
-Three scalar rings are used throughout the library, all exact, and all
+Four scalar rings are used throughout the library, all exact, and all
 computing on one core: integer polynomials held as ``int`` lists, low
-degree first (``_iadd``, ``_imul``, ``_iexquo``, ``_igcd``):
+degree first (``_iadd``, ``_imul``, ``_iexquo``, ``_igcd``), or, for
+several variables, ``int`` coefficients keyed by exponent tuples:
 
 * ``QScalar``     -- Laurent polynomials in the quantum parameter q with
                      rational coefficients, held as a power of q times an
@@ -16,11 +17,15 @@ degree first (``_iadd``, ``_imul``, ``_iexquo``, ``_igcd``):
                      in q), needed where exact linear algebra requires
                      division; it holds a power of q times a quotient of
                      two polynomials with ``int`` coefficients, reduced
-                     by an integer-only gcd.
+                     by an integer-only gcd,
+* ``PolyScalar``  -- Laurent polynomials in several variables with ``int``
+                     coefficients, Z[q^{+-1}, a_1..a_l], the ring of the
+                     symbolic Hecke parameters; a plain ring, no division.
 
-``Fraction`` appears only at the edges: constructors accept ``int`` and
-``Fraction`` coefficients, and ``QScalar.items``/``coeff`` hand them out
-as ``Fraction``.  Every element type here and ``linalg.LinOp`` is falsy
+``Fraction`` appears only at the edges: the constructors and operators of
+the first three rings accept ``int`` and ``Fraction`` coefficients, and
+``QScalar.items``/``coeff`` hand them out as ``Fraction``; ``PolyScalar``
+takes ``int`` only.  Every element type here and ``linalg.LinOp`` is falsy
 exactly when it is zero, which is the zero test the library uses.
 
 ``TruncSeries`` provides window-carrying truncated Laurent series whose
@@ -466,7 +471,9 @@ def cyclotomic_polynomial(n):
 
 def _cyc_reduce(p, order):
     """The integer polynomial p reduced mod the monic Phi_order and padded
-    to its degree; p is consumed."""
+    to its degree; p is consumed, except that a list of exactly that
+    length, such as a reduced factor that ``_imul`` hands back when the
+    other factor is [1], comes back untouched."""
     phi, tail, _ = _cyc_table(order)
     deg = len(phi) - 1
     for k in range(len(p) - 1, deg - 1, -1):
@@ -478,6 +485,19 @@ def _cyc_reduce(p, order):
     del p[deg:]
     p.extend([0] * (deg - len(p)))
     return p
+
+
+def _cyc_eval(terms, k, order):
+    """sum c e^(k i) over the (i, c) pairs of terms, e a primitive
+    order-th root of unity, reduced mod Phi_order."""
+    powers = _cyc_table(order)[2]
+    acc = [0] * len(powers[0])
+    for i, c in terms:
+        if c:
+            for j, p in enumerate(powers[k * i % order]):
+                if p:
+                    acc[j] += c * p
+    return acc
 
 
 def _cyc(order, n, d):
@@ -588,29 +608,28 @@ class CycScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self._n, o._n
-        prod = [0] * (2 * len(a) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    prod[j] += x * y
-        return _cyc(self.order, _cyc_reduce(prod, self.order),
-                    self._d * o._d)
+        prod = _cyc_reduce(_imul(self._n, o._n), self.order)
+        return _cyc(self.order, prod, self._d * o._d)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        """Inverse in Q(e) by a fraction-free extended Euclid."""
-        a = list(self._n)
-        while a and not a[-1]:
-            a.pop()
-        if not a:
+        """Inverse in Q(e) by the norm: with s_k the conjugation e -> e^k,
+        k prime to N, the norm x * prod_{k != 1} s_k(x) is rational, so
+        x^-1 is that product of the other conjugates over the norm
+        (H. Cohen, A Course in Computational Algebraic Number Theory,
+        GTM 138, section 4.3)."""
+        if not self:
             raise DomainError("zero has no inverse")
-        s, r = _cyc_cofactor(a, _cyc_table(self.order)[0])
-        if r < 0:
-            s, r = [-x for x in s], -r
-        n = _cyc_reduce([x * self._d for x in s], self.order)
-        return _cyc(self.order, n, r)
+        order, a = self.order, self._n
+        co = [1]
+        for k in range(2, order):
+            if gcd(k, order) == 1:
+                co = _cyc_reduce(_imul(co, _cyc_eval(enumerate(a), k, order)),
+                                 order)
+        norm = _cyc_reduce(_imul(a, co), order)[0]
+        f = self._d if norm > 0 else -self._d
+        return _cyc(order, [x * f for x in co], abs(norm))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -644,60 +663,9 @@ class CycScalar:
         return "Cyc%d(%s)" % (self.order, " + ".join(parts) or "0")
 
 
-def _cyc_cofactor(a, phi):
-    """(s, r): an integer polynomial s and a nonzero int r with
-    s a = r mod phi, for a nonzero integer polynomial a of lower degree
-    than the irreducible phi.  Extended Euclid on pseudo-remainders, each
-    remainder kept primitive together with its cofactor."""
-    r0, r1 = phi, a
-    s0, s1 = [], [1]
-    while len(r1) > 1:
-        # m r0 = q r1 + rem, by fraction-free long division
-        rem = list(r0)
-        nb = len(r1) - 1
-        lb = r1[-1]
-        q = [0] * (len(rem) - nb)
-        m = 1
-        for k in range(len(q) - 1, -1, -1):
-            c = rem[k + nb]
-            if not c:
-                continue
-            g = gcd(c, lb)
-            f, c = lb // g, c // g
-            if f != 1:
-                rem = [x * f for x in rem]
-                q = [x * f for x in q]
-                m *= f
-            q[k] = c
-            for j in range(nb):
-                rem[k + j] -= c * r1[j]
-            rem[k + nb] = 0
-        while rem and not rem[-1]:
-            rem.pop()
-        if not rem:
-            raise DomainError("element not invertible mod Phi_N")
-        # rem = m r0 - q r1, so its cofactor is m s0 - q s1
-        s2 = _iadd([m * x for x in s0], [-x for x in _imul(q, s1)], 0)
-        g = gcd(*rem, *s2)
-        if g != 1:
-            rem = [x // g for x in rem]
-            s2 = [x // g for x in s2]
-        r0, r1, s0, s1 = r1, rem, s1, s2
-    return s1, r1[0]
-
-
 def cyclotomic_specialize(x, n):
     """Image of a QScalar under q -> e, a primitive n-th root of unity."""
-    if n < 1:
-        raise InputError("cyclotomic order must be >= 1")
-    powers = _cyc_table(n)[2]
-    acc = [0] * len(powers[0])
-    for e, c in enumerate(x._n, x._v):
-        if c:
-            for j, p in enumerate(powers[e % n]):
-                if p:
-                    acc[j] += c * p
-    return _cyc(n, acc, x._d)
+    return _cyc(n, _cyc_eval(enumerate(x._n, x._v), 1, n), x._d)
 
 
 # ---------------------------------------------------------------------------
@@ -1011,19 +979,20 @@ class TruncSeries:
         return "Series[%d..%d]{%s}" % (self.lo, self.hi, terms)
 
 
-def _frac(x):
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError("expected int or Fraction, got %r" % (x,))
+def _poly(variables, c):
+    """The PolyScalar with a dict c of nonzero int coefficients."""
+    r = PolyScalar.__new__(PolyScalar)
+    r.variables, r._c = variables, c
+    return r
 
 
 class PolyScalar:
-    """Sparse multivariate Laurent polynomial over the rationals.
+    """Sparse Laurent polynomial in several variables with int
+    coefficients.
 
-    Exponent vectors are tuples aligned with ``variables``; this is a
-    plain ring (no division), used for symbolic parameters.
+    Exponent vectors are tuples aligned with ``variables``; a coefficient
+    that is not an ``int`` raises TypeError.  This is a plain ring (no
+    division), used for symbolic parameters.
     """
 
     __slots__ = ("variables", "_c")
@@ -1033,7 +1002,8 @@ class PolyScalar:
         c = {}
         if coeffs:
             for exps, v in coeffs.items():
-                v = _frac(v)
+                if not isinstance(v, int):
+                    raise TypeError("expected int, got %r" % (v,))
                 if v:
                     c[tuple(exps)] = v
         self._c = c
@@ -1054,14 +1024,18 @@ class PolyScalar:
 
     @classmethod
     def from_qscalar(cls, variables, x):
-        """The QScalar x in the variable named "q"."""
+        """The QScalar x in the variable named "q"; x must have integer
+        coefficients."""
+        if x._d != 1:
+            raise DomainError("%r has a non-integer coefficient" % (x,))
         k = tuple(variables).index("q")
         out = {}
-        for e, v in x.items():
-            exps = [0] * len(variables)
-            exps[k] = e
-            out[tuple(exps)] = v
-        return cls(variables, out)
+        for e, c in enumerate(x._n, x._v):
+            if c:
+                exps = [0] * len(variables)
+                exps[k] = e
+                out[tuple(exps)] = c
+        return _poly(tuple(variables), out)
 
     def is_zero(self):
         return not self._c
@@ -1077,7 +1051,7 @@ class PolyScalar:
         if isinstance(other, PolyScalar):
             self._check(other)
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return PolyScalar(self.variables,
                               {tuple([0] * len(self.variables)): other})
         return None
@@ -1097,23 +1071,17 @@ class PolyScalar:
             return NotImplemented
         c = dict(self._c)
         for e, v in o._c.items():
-            nv = c.get(e, Fraction(0)) + v
+            nv = c.get(e, 0) + v
             if nv:
                 c[e] = nv
             else:
                 c.pop(e, None)
-        r = PolyScalar.__new__(PolyScalar)
-        r.variables = self.variables
-        r._c = c
-        return r
+        return _poly(self.variables, c)
 
     __radd__ = __add__
 
     def __neg__(self):
-        r = PolyScalar.__new__(PolyScalar)
-        r.variables = self.variables
-        r._c = {e: -v for e, v in self._c.items()}
-        return r
+        return _poly(self.variables, {e: -v for e, v in self._c.items()})
 
     __sub__ = _sub
     __rsub__ = _rsub
@@ -1126,15 +1094,12 @@ class PolyScalar:
         for e1, v1 in self._c.items():
             for e2, v2 in o._c.items():
                 e = tuple(x + y for x, y in zip(e1, e2))
-                nv = c.get(e, Fraction(0)) + v1 * v2
+                nv = c.get(e, 0) + v1 * v2
                 if nv:
                     c[e] = nv
                 else:
                     c.pop(e, None)
-        r = PolyScalar.__new__(PolyScalar)
-        r.variables = self.variables
-        r._c = c
-        return r
+        return _poly(self.variables, c)
 
     __rmul__ = __mul__
 

@@ -15,7 +15,7 @@ from qtoroidal.hecke import (SegmentCollection, all_perms, build_MA,
                              segments_to_drinfeld, verify_presentation,
                              zelevinsky_product)
 from qtoroidal.linalg import (Field, kernel_basis, op_matrix, rref,
-                              span_grow)
+                              span_grow, sum_entries)
 from qtoroidal.scalars import QRat, QScalar
 
 
@@ -469,6 +469,28 @@ def test_l3_linear_algebra_keeps_int_coefficients(monkeypatch):
     assert any(len(x._d) > 1 for x in values)
     for x in values:
         assert all(type(c) is int for c in (*x._n, *x._d, x._v)), x
+
+
+def test_span_grow_stops_once_the_basis_spans_the_space(monkeypatch):
+    """Images are formed only of the rows found before the basis spans
+    the space, dim - 1 of them per operator, so no frontier vector is
+    reduced after that; the rows returned are the whole space's."""
+    images = []
+
+    def counting(mat, vec, field, r):
+        if r == 0:
+            images.append(vec)
+        return sum_entries(mat, vec, field, r)
+
+    monkeypatch.setattr(qtoroidal.linalg, "sum_entries", counting)
+    field = Field(Fraction(0), Fraction(1))
+    dim = 4
+    unit = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+    shift = [unit[(i - 1) % dim] for i in range(dim)]
+    shift2 = [unit[(i - 2) % dim] for i in range(dim)]
+    rows = span_grow([unit[0]], [shift, shift2], field)
+    assert rows == unit
+    assert len(images) == (dim - 1) * 2
 
 
 def test_segments_to_drinfeld():

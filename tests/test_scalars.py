@@ -1021,6 +1021,25 @@ def test_polyscalar_matches_fraction_oracle(args, c, qcs):
     back = (x + y) - y
     assert back == x and hash(back) == hash(x)
     assert x * y == y * x and hash(x * y) == hash(y * x)
+    for got in (x, y, x * y - c, PolyScalar.from_qscalar(variables, z)):
+        assert all(type(v) is int for v in got._c.values()), got
+
+
+def test_polyscalar_takes_int_coefficients_only():
+    variables = ("q", "a1")
+    for v in (Fraction(3, 4), Fraction(2), 0.5):
+        with pytest.raises(TypeError):
+            PolyScalar(variables, {(1, 0): v})
+    x = PolyScalar.var(variables, "a1")
+    for op in (operator.add, operator.sub, operator.mul):
+        with pytest.raises(TypeError):
+            op(x, Fraction(1, 2))
+        with pytest.raises(TypeError):
+            op(Fraction(1, 2), x)
+    with pytest.raises(DomainError):
+        PolyScalar.from_qscalar(variables, QScalar({1: Fraction(1, 2), 0: 1}))
+    assert (PolyScalar.from_qscalar(variables, QScalar({-2: 3, 1: -1}))
+            == PolyScalar(variables, {(-2, 0): 3, (1, 0): -1}))
 
 
 def test_integer_exact_quotient():
@@ -1060,7 +1079,7 @@ def test_qrat_field_ops():
     QScalar({2: Fraction(1, 3), -1: 2}),
     CycScalar(6, (1, Fraction(2, 5))),
     QRat(q_int(2), q_int(3)),
-    PolyScalar(("q", "t"), {(1, -1): Fraction(3, 4)}),
+    PolyScalar(("q", "t"), {(1, -1): 3}),
     LinOp({"a": {"a": QScalar.one(), "b": QScalar.q_power(-2)}}),
     TruncSeries("z", {0: QScalar.one(), 2: q_int(2)}, 0, 3),
 ], ids=["QScalar", "CycScalar", "QRat", "PolyScalar", "LinOp",
