@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,10 +7,10 @@ from hypothesis import strategies as st
 
 from qtoroidal import qchar
 from qtoroidal.cartan import (build_cartan, cartan_preset, finite_type_a,
-                              infinite_a)
+                              infinite_a, quantized_cartan_condition)
 from qtoroidal.errors import AlgorithmFailure, DomainError, InputError
-from qtoroidal.monomials import (YMonomial, a_monomial, kmerge, mono_format,
-                                 mono_parse)
+from qtoroidal.monomials import (YMonomial, a_monomial, kmerge,
+                                 kmerge_scaled, mono_format, mono_parse)
 from qtoroidal.qchar import (QCharacter, _add_term_maps, char_from_json,
                              char_product, char_to_dot, char_to_json,
                              fm_expand, is_special, kr_qchar,
@@ -78,6 +79,123 @@ def test_fm_deterministic_under_scheduling():
         assert other.heights == base.heights
 
 
+def oracle_fm_expand(C, mtop, depth, order_rng=None):
+    """The expansion with one ``itertools.product`` tuple per flip choice,
+    each rebuilt from the monomial's key, the tuples past the depth budget
+    generated and then dropped.  Kept as the oracle for ``fm_expand``."""
+    if not quantized_cartan_condition(C):
+        raise DomainError("quantized Cartan condition fails")
+    if not mtop.is_dominant():
+        raise InputError("top monomial must be dominant")
+    if depth < 0:
+        raise InputError("depth must be >= 0")
+
+    heights = {mtop: 0}
+    demands = {}
+    layers = {0: [mtop]}
+    coeffs = {}
+    a_keys = {}
+
+    for h in range(0, depth + 1):
+        layer = layers.pop(h, [])
+        layer.sort(key=lambda m: m.key)
+        if order_rng is not None:
+            order_rng.shuffle(layer)
+        for m in layer:
+            if m == mtop:
+                c_m = 1
+            else:
+                c_m = max(demands[m].values())
+            coeffs[m] = c_m
+            for i in sorted({i for (i, _, _) in m.key}):
+                covered = demands.get(m, {}).get(i, 0)
+                if covered > c_m:
+                    raise AlgorithmFailure(
+                        "node-%s expansions over-demand %s: %d > %d"
+                        % (i, mono_format(m), covered, c_m))
+                excess = c_m - covered
+                if excess == 0:
+                    continue
+                part = {l: e for (ni, l, e) in m.key if ni == i}
+                if any(e < 0 for e in part.values()):
+                    raise AlgorithmFailure(
+                        "monomial %s must head %d new node-%s families "
+                        "but is not dominant there"
+                        % (mono_format(m), excess, i))
+                room = depth - h
+                if room == 0:
+                    continue
+                r = C.r(i)
+                strings = qchar._string_decomposition(part, r)
+                ranges = [range(min(s, room) + 1) for (_, s) in strings]
+                for combo in itertools.product(*ranges):
+                    v = sum(combo)
+                    if v == 0 or h + v > depth:
+                        continue
+                    g = m.key
+                    for (lo, s), t in zip(strings, combo):
+                        top = lo + 2 * r * (s - 1)
+                        for il in [(i, top + r - 2 * r * j)
+                                   for j in range(t)]:
+                            a_key = a_keys.get(il)
+                            if a_key is None:
+                                a_key = a_keys[il] = a_monomial(C, *il).key
+                            g = kmerge_scaled(g, a_key, -1)
+                    g = YMonomial._from_key(g)
+                    gh = h + v
+                    known = heights.get(g)
+                    if known is None:
+                        heights[g] = gh
+                        layers.setdefault(gh, []).append(g)
+                        demands[g] = {}
+                    elif known != gh:
+                        raise AlgorithmFailure(
+                            "inconsistent heights %d vs %d for %s"
+                            % (known, gh, mono_format(g)))
+                    demands[g][i] = demands[g].get(i, 0) + excess
+
+    return QCharacter(C, mtop, depth, coeffs, heights)
+
+
+def expansion(fn, C, top, depth, seed):
+    """Terms and heights of ``fn``'s expansion as lists in insertion
+    order, or the message of the AlgorithmFailure it raises."""
+    rng = None if seed is None else random.Random(seed)
+    try:
+        ch = fn(C, top, depth, order_rng=rng)
+    except AlgorithmFailure as e:
+        return str(e)
+    return list(ch.terms.items()), list(ch.heights.items())
+
+
+# tops with one and with several strings per node, several strings of
+# one length among them; every depth from 0 up is compared, so each run
+# ends on a layer where no flip fits the depth budget
+ORACLE_TOPS = [
+    ("A3tor", ["Y[0,0]", "Y[0,0] Y[0,2] Y[0,4]", "Y[0,0]^2 Y[0,4]",
+               "Y[1,1] Y[2,0]"], 7),
+    ("Ainf", ["Y[0,0] Y[0,2]", "Y[-1,0] Y[1,0]", "Y[0,0]^2 Y[0,4]"], 6),
+    ("A1tor", ["Y[0,0]", "Y[0,0] Y[0,4]", "Y[0,0] Y[1,2]", "Y[0,0]^2"], 7),
+    ("Bnp:3,2", ["Y[1,0]", "Y[3,0] Y[3,2]", "Y[2,0] Y[3,1]"], 8),
+    ("Bnp:2,3", ["Y[1,0]", "Y[2,0] Y[2,2] Y[2,4]", "Y[1,0] Y[2,3]"], 8),
+]
+
+
+@pytest.mark.parametrize("name, tops, depth", ORACLE_TOPS,
+                         ids=[name for name, _, _ in ORACLE_TOPS])
+def test_fm_expand_matches_product_oracle(name, tops, depth):
+    """Terms and heights equal the oracle's, in the same insertion order,
+    at every depth up to ``depth`` and under shuffled layer orders; where
+    the oracle fails, the expansion fails with the same message."""
+    C = cartan_preset(name)
+    for top in map(mono_parse, tops):
+        for d in range(depth + 1):
+            for seed in (None, 0, 1):
+                assert (expansion(fm_expand, C, top, d, seed)
+                        == expansion(oracle_fm_expand, C, top, d, seed)), \
+                    (top, d, seed)
+
+
 def test_kr_char_top_and_trivial():
     assert kr_qchar(A3TOR, 0, 0, 0, 3).terms == {mono_parse("1"): 1}
     ch = kr_qchar(A3TOR, 0, 1, 0, 3)
@@ -128,6 +246,30 @@ def test_tsystem_reduces_to_fundamental_identity_at_k1():
 def test_tsystem_infinite_line():
     rep = verify_tsystem(AINF, 0, 1, 0, 3)
     assert rep["holds"], rep["mismatches"]
+
+
+BNP_PRESETS = ["Bnp:2,1", "Bnp:2,2", "Bnp:3,1", "Bnp:3,2", "Bnp:2,3",
+               "Bnp:4,3"]
+
+
+@pytest.mark.parametrize("name", BNP_PRESETS)
+def test_tsystem_non_simply_laced(name):
+    """The three-term recurrence with its correction term holds at every
+    node of the deformed chains, where C_ij != C_ji and the r_i differ."""
+    C = cartan_preset(name)
+    for i in C.nodes:
+        for k in (1, 2):
+            rep = verify_tsystem(C, i, k, 0, 4)
+            assert rep["holds"], (i, k, rep["mismatches"])
+
+
+@pytest.mark.xfail(raises=AlgorithmFailure, strict=True,
+                   reason="ROADMAP open item 3: on A1tor the s_term string "
+                          "lengths are k + 1 and k where the correction "
+                          "needs two strings of length k")
+@pytest.mark.parametrize("i", [0, 1])
+def test_tsystem_a1tor(i):
+    assert verify_tsystem(cartan_preset("A1tor"), i, 1, 0, 4)["holds"]
 
 
 def test_r_shift_monomial():

@@ -1,10 +1,14 @@
 import itertools
+from collections import Counter
 
 import pytest
 
+from qtoroidal import tableaux
+
 from qtoroidal.cartan import cyclic_a
 from qtoroidal.errors import InputError
-from qtoroidal.monomials import dominance_leq, mono_parse
+from qtoroidal.monomials import dominance_leq, mono_format, mono_parse
+from qtoroidal.qchar import QCharacter
 from qtoroidal.tableaux import (StabTableau, enumerate_tableaux,
                                 tableau_char, tableau_monomial,
                                 tableau_monomial_truncated,
@@ -57,7 +61,52 @@ def test_k1_excess2_explicit():
 
 @pytest.mark.parametrize("k,e", [(1, 3), (2, 1), (2, 2), (3, 2)])
 def test_enumeration_matches_brute_force(k, e):
-    assert set(enumerate_tableaux(k, e)) == brute_force_tableaux(k, e)
+    ts = enumerate_tableaux(k, e)
+    assert len(ts) == len(set(ts))
+    assert set(ts) == brute_force_tableaux(k, e)
+
+
+def oracle_enumerate_tableaux(k, max_excess):
+    """The bottom-up enumeration: rows from -max_excess up to 0, each row
+    bounded entrywise below by the one under it, all-zero rows included.
+    Kept as the oracle for ``enumerate_tableaux``."""
+    results = []
+
+    def row_vectors(prev, budget):
+        out = []
+
+        def go(pos, lower, left, cur):
+            if pos == k:
+                out.append(tuple(cur))
+                return
+            d = max(prev[pos], lower)
+            while d <= left:
+                go(pos + 1, d, left - d, cur + [d])
+                d += 1
+
+        go(0, 0, budget, [])
+        return out
+
+    def rec(row, prev, used, acc):
+        if row > 0:
+            results.append(StabTableau(
+                k, {(i, j): i + d for (i, j, d) in acc}))
+            return
+        for vec in row_vectors(prev, max_excess - used):
+            nacc = acc + [(row, j + 1, vec[j]) for j in range(k) if vec[j]]
+            rec(row + 1, vec, used + sum(vec), nacc)
+
+    rec(-max_excess, tuple([0] * k), 0, [])
+    return results
+
+
+def test_enumeration_matches_bottom_up_oracle():
+    for k in (1, 2, 3):
+        for e in range(7):
+            ts = enumerate_tableaux(k, e)
+            assert Counter(ts) == Counter(oracle_enumerate_tableaux(k, e)), \
+                (k, e)
+            assert ts[0] == StabTableau(k, {}), (k, e)
 
 
 def test_enumeration_unique():
@@ -134,6 +183,54 @@ def test_compare_deep_k2():
     # engine; the naive full-coefficient expansion over-generates here
     rep = tableau_qchar_compare(3, 2, 0, -1, 8)
     assert rep["holds"], rep["mismatches"]
+
+
+def full_sort_mismatches(n, k, shift, l, depth):
+    """The mismatch rows as read off every monomial of both sides sorted
+    by (height, text).  Kept as the oracle for the report's list."""
+    terms, excesses = tableau_char(n, k, shift, l, depth)
+    kr = tableaux.kr_qchar(cyclic_a(n + 1), shift % (n + 1), k, l + 1,
+                           depth)
+    rows = []
+    for m in sorted(set(terms) | set(kr.terms),
+                    key=lambda x: (excesses.get(x, kr.heights.get(x)),
+                                   mono_format(x))):
+        if terms.get(m, 0) != kr.terms.get(m, 0):
+            rows.append({"monomial": mono_format(m),
+                         "tableaux": terms.get(m, 0),
+                         "kr": kr.terms.get(m, 0)})
+    return rows
+
+
+def test_compare_mismatches_in_full_sort_order(monkeypatch):
+    """A character that drops every third term, doubles every fifth and
+    copies every seventh off the spectral lattice, where no tableau
+    lands, gives the mismatch rows, in order, that sorting all terms
+    gives."""
+    real = tableaux.kr_qchar
+
+    def corrupted(C, i, k, l, depth):
+        ch = real(C, i, k, l, depth)
+        terms = {}
+        heights = {}
+        for n, (m, c) in enumerate(ch.terms.items()):
+            if n % 3 != 2:
+                terms[m] = 2 * c if n % 5 == 4 else c
+                heights[m] = ch.heights[m]
+            if n % 7 == 6:
+                terms[m.shift_spectral(1)] = c
+                heights[m.shift_spectral(1)] = ch.heights[m]
+        return QCharacter(C, ch.top, depth, terms, heights)
+
+    monkeypatch.setattr(tableaux, "kr_qchar", corrupted)
+    for args in [(3, 1, 0, -1, 4), (3, 2, 1, 0, 4), (4, 2, 3, 1, 3)]:
+        rep = tableau_qchar_compare(*args)
+        want = full_sort_mismatches(*args)
+        # dropped, doubled and added terms all mismatch
+        assert {row["kr"] == 0 for row in want} == {True, False}
+        assert any(row["tableaux"] == 0 for row in want)
+        assert rep["mismatches"] == want, args
+        assert rep["first_mismatch"] == want[0]
 
 
 def test_shift_commutes_with_char():
