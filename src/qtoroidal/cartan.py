@@ -36,12 +36,22 @@ class CartanData:
             if i == j:
                 return 2
             return -1 if abs(i - j) == 1 else 0
-        return self._entries[(i, j)]
+        try:
+            return self._entries[(i, j)]
+        except KeyError:
+            raise self._no_node(i if i not in self._r else j) from None
 
     def r(self, i):
         if self.infinite:
             return 1
-        return self._r[i]
+        try:
+            return self._r[i]
+        except KeyError:
+            raise self._no_node(i) from None
+
+    def _no_node(self, i):
+        return InputError("node %r is not one of the nodes %s"
+                          % (i, ", ".join(map(repr, self.nodes))))
 
     def neighbors(self, i):
         if self.infinite:

@@ -122,9 +122,6 @@ class YMonomial:
         """Spectral exponent -> power, restricted to node i."""
         return {l: e for (ni, l, e) in self.key if ni == i}
 
-    def nodes(self):
-        return sorted({i for (i, _, _) in self.key})
-
     def weight(self):
         """Pairing coordinates: lambda_j is the node-j exponent sum."""
         coords = {}

@@ -3,8 +3,11 @@
 The expansion algorithm starts from a dominant monomial and repeatedly
 expands every node-dominant monomial through its rank-1 string
 decomposition, assigning each generated monomial the maximum multiplicity
-demanded across nodes.  Characters carry a truncation depth certificate:
-every stored term lies within ``depth`` A-inverse steps of the top.
+demanded across nodes.  The flip choices on a node's strings are built
+incrementally, each one A-inverse merged onto the choice it extends, and
+none past the depth budget is formed.  Characters carry a truncation
+depth certificate: every stored term lies within ``depth`` A-inverse
+steps of the top.
 
 The T-system and octahedron checks expand each string character once per
 orbit: a spectral shift, and a node move checked to preserve the Cartan
@@ -15,8 +18,6 @@ identity are compared packed and only mismatches are decoded.
 """
 
 from __future__ import annotations
-
-import itertools
 
 from .cartan import WeightVector, quantized_cartan_condition
 from .errors import AlgorithmFailure, DomainError, InputError
@@ -93,15 +94,15 @@ def _string_decomposition(part, r_i):
     return strings
 
 
-def _string_flip_factors(C, i, lo, length, t):
-    """A-monomial indices for t flips applied to the string starting at lo."""
-    r = C.r(i)
-    top = lo + 2 * r * (length - 1)
-    return [(i, top + r - 2 * r * j) for j in range(t)]
-
-
 def fm_expand(C, mtop, depth, order_rng=None):
     """Truncated character expansion from a dominant top monomial.
+
+    A monomial heads its node-i families through flips of its node-i
+    strings: t flips on a string multiply by the A-inverses at its top t
+    positions.  The flip choices are built string by string, each choice
+    one A-inverse merged onto the choice it extends, in lexicographic
+    order of the per-string flip counts, and no choice past the depth
+    budget is formed.
 
     ``order_rng`` optionally shuffles the within-layer processing order;
     the result is independent of it, which the test suite exercises.
@@ -125,14 +126,23 @@ def fm_expand(C, mtop, depth, order_rng=None):
         layer.sort(key=lambda m: m.key)
         if order_rng is not None:
             order_rng.shuffle(layer)
+        room = depth - h
         for m in layer:
-            if m == mtop:
+            if h == 0:
+                demand = {}
                 c_m = 1
             else:
-                c_m = max(demands[m].values())
+                demand = demands[m]
+                c_m = max(demand.values())
             coeffs[m] = c_m
-            for i in m.nodes():
-                covered = demands.get(m, {}).get(i, 0)
+            parts = []          # [(node, {spectral: exponent})], key order
+            for (i, l, e) in m.key:
+                if parts and parts[-1][0] == i:
+                    parts[-1][1][l] = e
+                else:
+                    parts.append((i, {l: e}))
+            for i, part in parts:
+                covered = demand.get(i, 0)
                 if covered > c_m:
                     raise AlgorithmFailure(
                         "node-%s expansions over-demand %s: %d > %d"
@@ -142,28 +152,31 @@ def fm_expand(C, mtop, depth, order_rng=None):
                 excess = c_m - covered
                 if excess == 0:
                     continue
-                part = m.node_part(i)
                 if any(e < 0 for e in part.values()):
                     raise AlgorithmFailure(
                         "monomial %s must head %d new node-%s families "
                         "but is not dominant there"
                         % (mono_format(m), excess, i))
-                room = depth - h
                 if room == 0:
                     continue        # every flip would leave the window
-                strings = _string_decomposition(part, C.r(i))
-                ranges = [range(min(s, room) + 1) for (_, s) in strings]
-                for combo in itertools.product(*ranges):
-                    v = sum(combo)
-                    if v == 0 or h + v > depth:
-                        continue
-                    g = m.key
-                    for (lo, s), t in zip(strings, combo):
-                        for il in _string_flip_factors(C, i, lo, s, t):
+                r = C.r(i)
+                choices = [(m.key, 0)]      # (key, flips so far)
+                for lo, s in _string_decomposition(part, r):
+                    # the t-th flip on this string is A_{i, q^(top - 2rt)}
+                    top = lo + 2 * r * s - r
+                    extended = []
+                    for g, v in choices:
+                        extended.append((g, v))
+                        for t in range(min(s, room - v)):
+                            il = (i, top - 2 * r * t)
                             a_key = a_keys.get(il)
                             if a_key is None:
                                 a_key = a_keys[il] = a_monomial(C, *il).key
                             g = kmerge_scaled(g, a_key, -1)
+                            v += 1
+                            extended.append((g, v))
+                    choices = extended
+                for g, v in choices[1:]:    # the first is m itself
                     g = YMonomial._from_key(g)
                     gh = h + v
                     known = heights.get(g)

@@ -55,39 +55,37 @@ def enumerate_tableaux(k, max_excess):
 
     Works on the deviation profile d[i][j] = T[i][j] - i, which is
     nonnegative, weakly increasing along rows and weakly increasing up
-    each column; any deviation in row -m forces at least m+1 excess, so
-    rows below -max_excess are identically zero.
+    each column.  Rows are chosen from row 0 down, each bounded entrywise
+    by the row above and by the excess left, so the first zero row ends a
+    tableau: every tableau is found once, as the rows above its first
+    zero row, the ground tableau first.
     """
     if k < 1 or max_excess < 0:
         raise InputError("need k >= 1 and max_excess >= 0")
     results = []
 
-    def row_vectors(prev, budget):
-        # weakly increasing vectors v with v[j] >= prev[j], sum(v) <= budget
+    def row_vectors(above, budget):
+        # nonzero weakly increasing v with v[j] <= above[j], sum(v) <= budget
         out = []
 
         def go(pos, lower, left, cur):
             if pos == k:
-                out.append(tuple(cur))
+                out.append(cur)
                 return
-            d = max(prev[pos], lower)
-            while d <= left:
-                go(pos + 1, d, left - d, cur + [d])
-                d += 1
+            # the k - pos entries still to place are each at least d
+            for d in range(lower, min(above[pos], left // (k - pos)) + 1):
+                go(pos + 1, d, left - d, cur + (d,))
 
-        go(0, 0, budget, [])
-        return out
+        go(0, 0, budget, ())
+        return out[1:]      # the first is the zero row
 
-    def rec(row, prev, used, acc):
-        if row > 0:
-            results.append(StabTableau(
-                k, {(i, j): i + d for (i, j, d) in acc}))
-            return
-        for vec in row_vectors(prev, max_excess - used):
-            nacc = acc + [(row, j + 1, vec[j]) for j in range(k) if vec[j]]
-            rec(row + 1, vec, used + sum(vec), nacc)
+    def rec(row, above, left, acc):
+        results.append(StabTableau(k, {(i, j): i + d for (i, j, d) in acc}))
+        for vec in row_vectors(above, left):
+            nacc = acc + [(row, j + 1, d) for j, d in enumerate(vec) if d]
+            rec(row - 1, vec, left - sum(vec), nacc)
 
-    rec(-max_excess, tuple([0] * k), 0, [])
+    rec(0, (max_excess,) * k, max_excess, [])
     return results
 
 
@@ -182,15 +180,13 @@ def tableau_qchar_compare(n, k, shift, l, depth):
     C = cyclic_a(n + 1)
     terms, excesses = tableau_char(n, k, shift, l, depth)
     kr = kr_qchar(C, shift % (n + 1), k, l + 1, depth)
-    mismatches = []
-    for m in sorted(set(terms) | set(kr.terms),
-                    key=lambda x: (excesses.get(x, kr.heights.get(x)),
-                                   mono_format(x))):
-        ta = terms.get(m, 0)
-        kc = kr.terms.get(m, 0)
-        if ta != kc:
-            mismatches.append({"monomial": mono_format(m),
-                               "tableaux": ta, "kr": kc})
+    kr_terms = kr.terms
+    mism = [(excesses.get(m, kr.heights.get(m)), mono_format(m),
+             terms.get(m, 0), kr_terms.get(m, 0))
+            for m in set(terms) | set(kr_terms)
+            if terms.get(m, 0) != kr_terms.get(m, 0)]
+    mismatches = [{"monomial": text, "tableaux": ta, "kr": kc}
+                  for _, text, ta, kc in sorted(mism)]
     holds = not mismatches
     report = {"holds": holds, "n": n, "k": k, "shift": shift,
               "spectral": l, "depth": depth,

@@ -12,7 +12,7 @@ from qtoroidal.cartan import (WeightVector, _leading_minors,
                               infinite_a, minimal_affinization_check,
                               node_geometry, node_geometry_at,
                               parse_matrix_text, quantized_cartan_condition)
-from qtoroidal.errors import ConstructionError, DomainError
+from qtoroidal.errors import ConstructionError, DomainError, InputError
 from qtoroidal.scalars import QScalar
 
 
@@ -165,6 +165,14 @@ def test_parse_matrix_text():
 def test_preset_bnp():
     C = cartan_preset("Bnp:2,3")
     assert C.C(2, 1) == -3 and C.C(1, 2) == -1
+
+
+def test_unknown_node_is_an_input_error():
+    C = cartan_preset("Bnp:2,2")
+    for call, node in [(lambda: C.r(0), 0), (lambda: C.C(0, 1), 0),
+                       (lambda: C.C(2, 5), 5)]:
+        with pytest.raises(InputError, match="node %d is not" % node):
+            call()
 
 
 def test_minimal_affinization_single_pair():

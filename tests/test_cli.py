@@ -135,9 +135,14 @@ def test_unknown_preset_is_operational_error():
     ["repcheck", "--window=a,b"],
     ["octahedron", "--window=1"],
     ["fusion", "--ops", "1"],
+    ["qchar", "--type", "Bnp:2,2", "--node", "0", "--k", "1", "--spectral",
+     "0", "--depth", "2"],
+    ["tsystem", "--type", "A3tor", "--node", "7", "--k", "1", "--spectral",
+     "0", "--depth", "2"],
 ], ids=["crystal-empty-ops", "crystal-bad-op", "hecke-short-a",
         "hecke-long-a", "repcheck-short-window", "repcheck-bad-window",
-        "octahedron-short-window", "fusion-one-twist"])
+        "octahedron-short-window", "fusion-one-twist", "qchar-no-such-node",
+        "tsystem-no-such-node"])
 def test_malformed_input_is_an_error_payload(argv):
     # exit 1 means a verification failed, so bad input must not reach it
     code, text = run(argv)
@@ -192,6 +197,9 @@ README_GOLDEN = [
     (["octahedron", "--depth", "3", "--window=-2,2", "--k", "1,2",
       "--steps", "2"], 0,
      "801895632a93abdbf4a597540bfd6e1e3b4c1b519c5da86be6ae50b25df32945"),
+    (["tsystem", "--type", "Bnp:3,2", "--node", "2", "--k", "2",
+      "--spectral", "0", "--depth", "4"], 0,
+     "1c454603b5f25e0c4744aac528426751d71ec74211e0f86401e071ae3f07ec3d"),
 ]
 
 
