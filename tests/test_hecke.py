@@ -11,10 +11,10 @@ import qtoroidal.linalg
 from qtoroidal.errors import DomainError, InputError
 from qtoroidal.hecke import (SegmentCollection, all_perms, build_MA,
                              find_isomorphism, invariant_subspaces,
-                             perm_length, reduced_word, right_mul_s,
-                             segments_to_drinfeld, verify_presentation,
-                             zelevinsky_product)
-from qtoroidal.linalg import (Field, kernel_basis, op_matrix, rref,
+                             module_to_json, perm_length, reduced_word,
+                             right_mul_s, segments_to_drinfeld,
+                             verify_presentation, zelevinsky_product)
+from qtoroidal.linalg import (Field, LinOp, kernel_basis, op_matrix, rref,
                               span_grow, sum_entries)
 from qtoroidal.scalars import QRat, QScalar
 
@@ -568,3 +568,153 @@ def test_build_MA_needs_one_parameter_per_z(count):
 def test_invariant_subspaces_needs_field():
     with pytest.raises(DomainError):
         invariant_subspaces(build_MA(2))
+
+
+# ---------------------------------------------------------------------------
+# operator construction against the per-generator loops it replaced
+# ---------------------------------------------------------------------------
+
+def oracle_build_MA(l, A=None):
+    """``build_MA`` with one sigma loop that states the Hecke rule
+    T_w T_i = T_{w s_i} (+ (q - q^-1) T_w when l(w s_i) < l(w)) inline and
+    one z loop over the left normal form.  Kept as the oracle for the
+    single operator builder."""
+    hk = qtoroidal.hecke
+    ring = (hk.SymbolicRing(l) if A is None else
+            hk.QRatRing([QRat(a) if isinstance(a, QScalar) else a
+                         for a in A]))
+    perms = all_perms(l)
+    qdiff = ring.from_qscalar(hk._QDIFF)
+    sigma_ops = {}
+    for i in range(1, l):
+        cols = {}
+        for w in perms:
+            ws = right_mul_s(w, i)
+            if perm_length(ws) > perm_length(w):
+                cols[w] = {ws: ring.one()}
+            else:
+                cols[w] = {ws: ring.one(), w: qdiff}
+        sigma_ops[i] = LinOp(cols)
+    memo = {}
+    z_ops = {}
+    for j in range(1, l + 1):
+        cols = {}
+        for w in perms:
+            col = {}
+            for (jj, ww, c) in hk._z_expansion(w, j, memo):
+                val = ring.param(jj) * ring.from_qscalar(c)
+                col[ww] = col[ww] + val if ww in col else val
+            cols[w] = col
+        z_ops[j] = LinOp(cols)
+    return hk.HeckeModule(l, ring, perms, sigma_ops, z_ops, label="M_A")
+
+
+def oracle_zelevinsky_product(M1, M2):
+    """``zelevinsky_product`` with its separate sigma loop (the Hecke rule
+    inline, through an if/else) and z loop.  Kept as the oracle for the
+    single operator builder."""
+    hk = qtoroidal.hecke
+    l1, l2 = M1.l, M2.l
+    n = l1 + l2
+    ring = hk.QRatRing(M1.ring.params + M2.ring.params)
+    reps = hk._coset_reps(l1, l2)
+    basis = [(b1, b2, d) for d in reps for b1 in M1.basis
+             for b2 in M2.basis]
+    memo = {}
+    qdiff = ring.from_qscalar(hk._QDIFF)
+
+    def act_parabolic(b1, b2, u1, u2, scalar):
+        v1 = {b1: ring.one()}
+        for i in reduced_word(u1):
+            v1 = M1.sigma_ops[i].apply(v1)
+        v2 = {b2: ring.one()}
+        for i in reduced_word(u2):
+            v2 = M2.sigma_ops[i].apply(v2)
+        return {(c1, c2): x1 * x2 * scalar for c1, x1 in v1.items()
+                for c2, x2 in v2.items()}
+
+    sigma_ops = {}
+    for i in range(1, n):
+        cols = {}
+        for (b1, b2, d) in basis:
+            col = {}
+            ds = right_mul_s(d, i)
+            terms = []
+            if perm_length(ds) > perm_length(d):
+                terms.append((ds, ring.one()))
+            else:
+                terms.append((ds, ring.one()))
+                terms.append((d, qdiff))
+            for (w, coef) in terms:
+                u1, u2, dp = hk._decompose(w, l1)
+                for pair, val in act_parabolic(b1, b2, u1, u2,
+                                               coef).items():
+                    key = (pair[0], pair[1], dp)
+                    col[key] = col[key] + val if key in col else val
+            cols[(b1, b2, d)] = col
+        sigma_ops[i] = LinOp(cols)
+
+    z_ops = {}
+    for j in range(1, n + 1):
+        cols = {}
+        for (b1, b2, d) in basis:
+            col = {}
+            for (jj, w, c) in hk._z_expansion(d, j, memo):
+                u1, u2, dp = hk._decompose(w, l1)
+                if jj <= l1:
+                    img = M1.z_ops[jj].apply({b1: ring.from_qscalar(c)})
+                    pairs = {(t, b2): x for t, x in img.items()}
+                else:
+                    img = M2.z_ops[jj - l1].apply(
+                        {b2: ring.from_qscalar(c)})
+                    pairs = {(b1, t): x for t, x in img.items()}
+                for (c1, c2), val in pairs.items():
+                    for pair2, x in act_parabolic(c1, c2, u1, u2,
+                                                  val).items():
+                        key = (pair2[0], pair2[1], dp)
+                        col[key] = col[key] + x if key in col else x
+            cols[(b1, b2, d)] = col
+        z_ops[j] = LinOp(cols)
+    return hk.HeckeModule(n, ring, basis, sigma_ops, z_ops,
+                          label="%s (x)Z %s" % (M1.label, M2.label))
+
+
+def assert_same_module(got, want):
+    assert got.l == want.l and got.label == want.label
+    assert got.basis == want.basis
+    assert type(got.ring) is type(want.ring)
+    assert list(got.sigma_ops) == list(want.sigma_ops)
+    assert list(got.z_ops) == list(want.z_ops)
+    for i, op in want.sigma_ops.items():
+        assert got.sigma_ops[i] == op, ("s", i)
+    for j, op in want.z_ops.items():
+        assert got.z_ops[j] == op, ("z", j)
+    assert module_to_json(got) == module_to_json(want)
+
+
+BUILD_ORACLE_CASES = [
+    (1, None), (2, None), (3, None),
+    (1, (0,)), (1, (-3,)), (2, (0, 2)), (2, (2, 0)), (2, (1, 1)),
+    (2, (-2, 5)), (3, (1, 0, 2)), (3, (0, 3, -1)), (3, (0, 0, 2)),
+    (3, (2, 2, 2))]
+
+
+@pytest.mark.parametrize("l, exps", BUILD_ORACLE_CASES,
+                         ids=lambda v: "sym" if v is None else str(v))
+def test_build_MA_matches_per_generator_oracle(l, exps):
+    A = None if exps is None else [q_pow(n) for n in exps]
+    assert_same_module(build_MA(l, A), oracle_build_MA(l, A))
+
+
+PRODUCT_ORACLE_CASES = [
+    ((0,), (2,)), ((3,), (-1,)), ((1,), (1,)),
+    ((0,), (3, 7)), ((2,), (0, 2)), ((1,), (1, 1)),
+    ((3, 7), (0,)), ((0, 2), (4,)), ((2, 0), (2,))]
+
+
+@pytest.mark.parametrize("exps1, exps2", PRODUCT_ORACLE_CASES)
+def test_zelevinsky_product_matches_per_generator_oracle(exps1, exps2):
+    M1 = build_MA(len(exps1), [q_pow(n) for n in exps1])
+    M2 = build_MA(len(exps2), [q_pow(n) for n in exps2])
+    assert_same_module(zelevinsky_product(M1, M2),
+                       oracle_zelevinsky_product(M1, M2))
