@@ -133,6 +133,14 @@ def coproduct_generator(gen, M1, M2, u_window):
 # relation preservation under the coproduct
 # ---------------------------------------------------------------------------
 
+def _u_window(u_window):
+    """The bounds (lo, hi) of a u-window, which must not be empty."""
+    lo, hi = u_window
+    if lo > hi:
+        raise InputError("empty u-window [%d, %d]" % (lo, hi))
+    return lo, hi
+
+
 def coproduct_relation_check(M1, M2, u_window, r_bound, m_bound):
     """Every defining relation, with generators replaced by their
     coproduct images, must vanish as an operator series on the window.
@@ -141,7 +149,7 @@ def coproduct_relation_check(M1, M2, u_window, r_bound, m_bound):
     Failures are data carrying the first nonzero coefficient found.
     """
     _check_fusable(M1, M2)
-    lo_req, hi_req = u_window
+    lo_req, hi_req = _u_window(u_window)
     # images are built on a padded window, because each factor with a
     # term below u^0 narrows a product: an h image reaches down to
     # -m_bound and each ladder factor (up to three) to -r_bound; products
@@ -247,7 +255,7 @@ def twisted_coassoc_check(M1, M2, M3, s, s_prime, u_window, gens):
     if s < 1 or s_prime < 1:
         raise InputError("twists must be positive")
     _check_fusable(M1, M2, M3)
-    lo, hi = u_window
+    lo, hi = _u_window(u_window)
 
     # both sides expand into the same triples, so each is tensored once
     triples = {}

@@ -15,7 +15,7 @@ nothing about submodule generators is assumed.
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 from .errors import DomainError, InputError
 from .linalg import (Field, LinOp, determinant, kernel_basis, op_matrix,
@@ -68,7 +68,6 @@ class SymbolicRing:
     def __init__(self, l):
         self.l = l
         self.variables = ("q",) + tuple("a%d" % j for j in range(1, l + 1))
-        self.is_field = False
 
     def one(self):
         return PolyScalar.one(self.variables)
@@ -89,7 +88,6 @@ class QRatRing:
     def __init__(self, params):
         self.params = [p if isinstance(p, QRat) else QRat(p)
                        for p in params]
-        self.is_field = True
 
     def one(self):
         return QRat.one()
@@ -141,6 +139,8 @@ def _z_expansion(w, j, memo):
 
 
 def _rmul_sigma_terms(terms, i):
+    """Terms z_j T_w times T_i, by the Hecke rule T_w T_i = T_{w s_i},
+    plus (q - q^-1) T_w when l(w s_i) < l(w)."""
     out = []
     for (j, w, c) in terms:
         ws = right_mul_s(w, i)
@@ -206,28 +206,26 @@ def build_MA(l, A=None):
         ring = QRatRing([QRat(a) if isinstance(a, QScalar) else a
                          for a in A])
     perms = all_perms(l)
-    qdiff = ring.from_qscalar(_QDIFF)
-    sigma_ops = {}
-    for i in range(1, l):
-        cols = {}
-        for w in perms:
-            ws = right_mul_s(w, i)
-            if perm_length(ws) > perm_length(w):
-                cols[w] = {ws: ring.one()}
-            else:
-                cols[w] = {ws: ring.one(), w: qdiff}
-        sigma_ops[i] = LinOp(cols)
     memo = {}
-    z_ops = {}
-    for j in range(1, l + 1):
+
+    def operator(terms_of):
+        """The operator sending w to T_w g, from the z_{j'} T_{w'} terms
+        of T_w g; z_{j'} acts by a_{j'}, and j' is None for g = T_i."""
         cols = {}
         for w in perms:
             col = {}
-            for (jj, ww, c) in _z_expansion(w, j, memo):
-                val = ring.param(jj) * ring.from_qscalar(c)
+            for (jj, ww, c) in terms_of(w):
+                val = ring.from_qscalar(c)
+                if jj is not None:
+                    val = ring.param(jj) * val
                 col[ww] = col[ww] + val if ww in col else val
             cols[w] = col
-        z_ops[j] = LinOp(cols)
+        return LinOp(cols)
+
+    sigma_ops = {i: operator(lambda w: _rmul_sigma_terms(
+        [(None, w, QScalar.one())], i)) for i in range(1, l)}
+    z_ops = {j: operator(lambda w: _z_expansion(w, j, memo))
+             for j in range(1, l + 1)}
     return HeckeModule(l, ring, perms, sigma_ops, z_ops, label="M_A")
 
 
@@ -319,7 +317,7 @@ def invariant_subspaces(M):
     chain, and the one-dimensional constituents' eigenvalue data.
     """
     ring = M.ring
-    if not ring.is_field:
+    if not isinstance(ring, QRatRing):
         raise DomainError("instantiate the parameters in an exact field "
                           "first")
     field = ring.field()
@@ -380,7 +378,7 @@ def _line_data(M, mats, field, vec):
         lam = None
         for r in range(len(vec)):
             if not field.is_zero(vec[r]):
-                lam = field.div(img[r], vec[r])
+                lam = img[r] / vec[r]
                 break
         ok = all(field.is_zero(img[r] - lam * vec[r])
                  for r in range(len(vec)))
@@ -487,7 +485,6 @@ def segments_to_drinfeld(S, n):
 def _coset_reps(l1, l2):
     n = l1 + l2
     reps = []
-    from itertools import combinations
     for pos in combinations(range(n), l1):
         word = [0] * n
         lo = 1
@@ -543,7 +540,6 @@ def zelevinsky_product(M1, M2):
     basis = [(b1, b2, d) for d in reps for b1 in M1.basis
              for b2 in M2.basis]
     memo = {}
-    qdiff = ring.from_qscalar(_QDIFF)
 
     def act_parabolic(b1, b2, u1, u2, scalar):
         """Right action of T_{u1} x T_{u2} on a pure tensor; returns a
@@ -557,42 +553,24 @@ def zelevinsky_product(M1, M2):
         return {(c1, c2): x1 * x2 * scalar for c1, x1 in v1.items()
                 for c2, x2 in v2.items()}
 
-    sigma_ops = {}
-    for i in range(1, n):
+    def operator(terms_of):
+        """The operator sending (b1, b2, d) to (b1 (x) b2) T_d g, from the
+        z_{j'} T_w terms of T_d g (j' is None for g = T_i)."""
         cols = {}
         for (b1, b2, d) in basis:
             col = {}
-            ds = right_mul_s(d, i)
-            terms = []
-            if perm_length(ds) > perm_length(d):
-                terms.append((ds, ring.one()))
-            else:
-                terms.append((ds, ring.one()))
-                terms.append((d, qdiff))
-            for (w, coef) in terms:
+            for (jj, w, c) in terms_of(d):
+                # w = (u1 x u2) d': the pure tensor absorbs z_{j'} first,
+                # then the parabolic braid
                 u1, u2, dp = _decompose(w, l1)
-                for pair, val in act_parabolic(b1, b2, u1, u2,
-                                               coef).items():
-                    key = (pair[0], pair[1], dp)
-                    col[key] = col[key] + val if key in col else val
-            cols[(b1, b2, d)] = col
-        sigma_ops[i] = LinOp(cols)
-
-    z_ops = {}
-    for j in range(1, n + 1):
-        cols = {}
-        for (b1, b2, d) in basis:
-            col = {}
-            for (jj, w, c) in _z_expansion(d, j, memo):
-                # the coset side contributes z_{j'} T_u T_{d'}; the pure
-                # tensor absorbs z_{j'} first, then the parabolic braid
-                u1, u2, dp = _decompose(w, l1)
-                if jj <= l1:
-                    img = M1.z_ops[jj].apply({b1: ring.from_qscalar(c)})
+                scalar = ring.from_qscalar(c)
+                if jj is None:
+                    pairs = {(b1, b2): scalar}
+                elif jj <= l1:
+                    img = M1.z_ops[jj].apply({b1: scalar})
                     pairs = {(t, b2): x for t, x in img.items()}
                 else:
-                    img = M2.z_ops[jj - l1].apply(
-                        {b2: ring.from_qscalar(c)})
+                    img = M2.z_ops[jj - l1].apply({b2: scalar})
                     pairs = {(b1, t): x for t, x in img.items()}
                 for (c1, c2), val in pairs.items():
                     for pair2, x in act_parabolic(c1, c2, u1, u2,
@@ -600,7 +578,12 @@ def zelevinsky_product(M1, M2):
                         key = (pair2[0], pair2[1], dp)
                         col[key] = col[key] + x if key in col else x
             cols[(b1, b2, d)] = col
-        z_ops[j] = LinOp(cols)
+        return LinOp(cols)
+
+    sigma_ops = {i: operator(lambda d: _rmul_sigma_terms(
+        [(None, d, QScalar.one())], i)) for i in range(1, n)}
+    z_ops = {j: operator(lambda d: _z_expansion(d, j, memo))
+             for j in range(1, n + 1)}
     return HeckeModule(n, ring, basis, sigma_ops, z_ops,
                        label="%s (x)Z %s" % (M1.label, M2.label))
 
@@ -612,7 +595,7 @@ def find_isomorphism(M1, M2):
     invertible solution from the kernel; at these dimensions scanning a
     few kernel combinations is exhaustive enough to certify existence.
     """
-    if M1.dim != M2.dim or not M1.ring.is_field:
+    if M1.dim != M2.dim or not isinstance(M1.ring, QRatRing):
         return None
     field = M1.ring.field()
     dim = M1.dim

@@ -5,8 +5,8 @@ entries are scalar objects with exact arithmetic (QScalar, CycScalar,
 QRat, PolyScalar), tested for zero by truth value, and a ``LinOp`` is
 itself falsy exactly when it is zero.  The dense field routines (row
 reduction, kernel, determinant, invariant-subspace growth) take a
-``Field`` adapter supplying zero, one and division; row reduction
-returns only the nonzero rows, as many as the rank.
+``Field`` adapter supplying zero and one, and divide with ``/``; row
+reduction returns only the nonzero rows, as many as the rank.
 """
 
 from __future__ import annotations
@@ -136,14 +136,11 @@ class LinOp:
 
 
 class Field:
-    """Adapter bundling the constants and division of an exact field."""
+    """Adapter bundling the constants of an exact field."""
 
     def __init__(self, zero, one):
         self.zero = zero
         self.one = one
-
-    def div(self, a, b):
-        return a / b
 
     def is_zero(self, a):
         return not a
@@ -171,7 +168,7 @@ def rref(matrix, field):
         if p is None:
             continue
         rows[rank], rows[p] = rows[p], rows[rank]
-        inv = field.div(field.one, rows[rank][col])
+        inv = field.one / rows[rank][col]
         rows[rank] = [v * inv for v in rows[rank]]
         for r in range(len(rows)):
             if r != rank and not field.is_zero(rows[r][col]):
@@ -211,7 +208,7 @@ def determinant(matrix, field):
             rows[col], rows[p] = rows[p], rows[col]
             det = -det
         det = det * rows[col][col]
-        inv = field.div(field.one, rows[col][col])
+        inv = field.one / rows[col][col]
         for r in range(col + 1, n):
             if not field.is_zero(rows[r][col]):
                 f = rows[r][col] * inv
@@ -247,7 +244,7 @@ def span_grow(vectors, ops, field):
                 v = [a - f * b for a, b in zip(v, row)]
         for c, x in enumerate(v):
             if not field.is_zero(x):
-                inv = field.div(field.one, x)
+                inv = field.one / x
                 return [y * inv for y in v], c
         return None, None
 

@@ -489,6 +489,9 @@ def _first_witness_walk(M, r_bound, m_bound, check):
     "witness"}.  Every instance is counted, checked or not.  Returns the
     records by family, in the order the families are first seen.
     """
+    if r_bound < 0 or m_bound < 0:
+        raise InputError("relation bounds must be >= 0, got r %d, m %d"
+                         % (r_bound, m_bound))
     fams = {}
     for family, desc, terms in _relation_instances(M, r_bound, m_bound):
         fam = fams.get(family)

@@ -216,7 +216,9 @@ def s_term(C, i, k, l):
     Returns {"factors": [(node j, K(j,l'), spectral exponent)],
              "nu": WeightVector}, where the factor list describes the
     product of string modules and nu the accompanying one-dimensional
-    weight twist.
+    weight twist.  Each neighbour j contributes -C_ij strings; the l'-th
+    has length K(j,l') = floor((-C_ji k - l') / -C_ij) + 1 and spectral
+    shift r_j (2 l' - 1) / -C_ij.
     """
     if k < 1:
         raise InputError("k must be >= 1")
@@ -228,8 +230,7 @@ def s_term(C, i, k, l):
         c_ij = C.C(i, j)
         c_ji = C.C(j, i)
         for lp in range(1, -c_ij + 1):
-            # Python floor division is the integral part here
-            kk = -c_ji + C.r(i) * (k - lp) // C.r(j)
+            kk = (-c_ji * k - lp) // (-c_ij) + 1
             num = -C.r(j) * (2 * lp - 1)
             if num % c_ij != 0:
                 raise DomainError("spectral shift off the q-lattice for "
@@ -616,6 +617,8 @@ def octahedron_verify(C, depth, i_range, k_range, t_range):
     if not C.infinite:
         raise DomainError("the octahedron lattice lives on the infinite "
                           "line")
+    if not (i_range and k_range and t_range):
+        raise InputError("empty node, k or t range")
     chars = _StringChars(C, depth)
 
     def T(i, k, t):

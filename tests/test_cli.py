@@ -139,10 +139,20 @@ def test_unknown_preset_is_operational_error():
      "0", "--depth", "2"],
     ["tsystem", "--type", "A3tor", "--node", "7", "--k", "1", "--spectral",
      "0", "--depth", "2"],
+    ["fusion", "--u-order", "-1"],
+    ["fusion", "--ops", "1,1", "--u-order", "-1"],
+    ["repcheck", "--L", "1", "--r-range", "-1", "--series-order", "-1"],
+    ["repcheck", "--r-range", "1", "--series-order", "-1"],
+    ["octahedron", "--window=2,-2"],
+    ["octahedron", "--k", ""],
+    ["octahedron", "--steps", "-1"],
 ], ids=["crystal-empty-ops", "crystal-bad-op", "hecke-short-a",
         "hecke-long-a", "repcheck-short-window", "repcheck-bad-window",
         "octahedron-short-window", "fusion-one-twist", "qchar-no-such-node",
-        "tsystem-no-such-node"])
+        "tsystem-no-such-node", "fusion-empty-u-window",
+        "fusion-coassoc-empty-u-window", "repcheck-negative-bounds",
+        "repcheck-negative-m-bound", "octahedron-empty-window",
+        "octahedron-no-k", "octahedron-no-steps"])
 def test_malformed_input_is_an_error_payload(argv):
     # exit 1 means a verification failed, so bad input must not reach it
     code, text = run(argv)
@@ -200,6 +210,9 @@ README_GOLDEN = [
     (["tsystem", "--type", "Bnp:3,2", "--node", "2", "--k", "2",
       "--spectral", "0", "--depth", "4"], 0,
      "1c454603b5f25e0c4744aac528426751d71ec74211e0f86401e071ae3f07ec3d"),
+    (["tsystem", "--type", "A1tor", "--node", "1", "--k", "2",
+      "--spectral", "0", "--depth", "4"], 0,
+     "b1d4da8c0b235f8d1845d17113772dee5e51dd76a533794ecb973b94e83a38bf"),
 ]
 
 

@@ -90,6 +90,22 @@ def test_relation_check_small_window():
     assert rep["passed"], rep
 
 
+@pytest.mark.parametrize("window", [(1, -1), (3, 2)])
+def test_empty_u_window_is_an_input_error(window):
+    M = build_root_of_unity(1)
+    with pytest.raises(InputError, match="empty u-window"):
+        coproduct_relation_check(M, M, window, 1, 1)
+    with pytest.raises(InputError, match="empty u-window"):
+        twisted_coassoc_check(M, M, M, 1, 1, window, [("k", 0, 1)])
+
+
+def test_negative_relation_bound_is_an_input_error():
+    M = build_root_of_unity(1)
+    for r_bound, m_bound in ((-1, 1), (1, -1), (-1, -1)):
+        with pytest.raises(InputError, match="bounds must be >= 0"):
+            coproduct_relation_check(M, M, (-1, 1), r_bound, m_bound)
+
+
 def test_coassoc_k_trivial():
     M = build_root_of_unity(1)
     rep = twisted_coassoc_check(M, M, M, 1, 1, (-2, 2), [("k", 0, 1)])

@@ -543,7 +543,6 @@ def test_zelevinsky_associative_via_m_abc():
 def test_module_json_dump():
     import json
 
-    from qtoroidal.hecke import module_to_json
     M = build_MA(2, [q_pow(0), q_pow(2)])
     obj = module_to_json(M)
     text = json.dumps(obj, sort_keys=True)

@@ -443,6 +443,15 @@ def test_relation_instances_match_rebuilt_coefficients(make, r_bound,
         "k-cartan", "h-h", "k-x", "h-x", "xpxm", "quadratic", "serre"}
 
 
+@pytest.mark.parametrize("r_bound, m_bound", [(-1, -1), (-1, 1), (1, -1)])
+def test_negative_relation_bound_is_an_input_error(r_bound, m_bound):
+    # a negative bound empties whole families of instances, so the
+    # report would pass on fewer relations than it names
+    for M in (build_root_of_unity(1), build_extremal_loop((-2, 2))):
+        with pytest.raises(InputError, match="bounds must be >= 0"):
+            verify_relations(M, r_bound, m_bound)
+
+
 def test_verify_relations_leaves_no_reference_cycles():
     # whatever the verifier allocates is freed by reference counting on
     # return, not left to the cyclic collector

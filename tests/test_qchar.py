@@ -227,6 +227,14 @@ def test_s_term_isolated_node():
     assert st["nu"].alpha_coords == {1: -3}
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_s_term_a1tor_strings(k):
+    # C_01 = C_10 = -2: two node-1 strings of length k, at q^1 and q^3
+    st = s_term(cartan_preset("A1tor"), 0, k, 0)
+    assert st["factors"] == [(1, k, 1), (1, k, 3)]
+    assert st["nu"].coords == {0: -k}
+
+
 def test_s_term_k_scaling():
     st = s_term(AINF, 0, 2, 0)
     assert sorted(st["factors"]) == [(-1, 2, 1), (1, 2, 1)]
@@ -263,13 +271,11 @@ def test_tsystem_non_simply_laced(name):
             assert rep["holds"], (i, k, rep["mismatches"])
 
 
-@pytest.mark.xfail(raises=AlgorithmFailure, strict=True,
-                   reason="ROADMAP open item 3: on A1tor the s_term string "
-                          "lengths are k + 1 and k where the correction "
-                          "needs two strings of length k")
 @pytest.mark.parametrize("i", [0, 1])
 def test_tsystem_a1tor(i):
-    assert verify_tsystem(cartan_preset("A1tor"), i, 1, 0, 4)["holds"]
+    for k in (1, 2, 3):
+        rep = verify_tsystem(cartan_preset("A1tor"), i, k, 0, 4)
+        assert rep["holds"], (k, rep["mismatches"])
 
 
 def test_r_shift_monomial():
@@ -560,6 +566,13 @@ def test_string_characters_shift_spectrally(C):
 def test_octahedron_requires_infinite_line():
     with pytest.raises(DomainError):
         octahedron_verify(A3TOR, 2, [0], [1], [0])
+
+
+@pytest.mark.parametrize("ranges", [
+    (range(2, -1), [1], [0]), ([0], [], [0]), ([0], [1], range(0, 0))])
+def test_octahedron_empty_range_is_an_input_error(ranges):
+    with pytest.raises(InputError, match="empty"):
+        octahedron_verify(AINF, 2, *ranges)
 
 
 def test_char_json_round_trip():
