@@ -598,17 +598,31 @@ def rat_args(draw):
     return num, den
 
 
+# Units c q^k with c = +-1, and near-units with c = 3, 5 or 1/5: a product
+# with a unit is a shift and a sign, and the near-units must not pass for
+# units.  A list of (exponent, coefficient) pairs builds either ring.
+unit_coeffs = st.sampled_from([1, -1, 1, -1, 3, 5, Fraction(1, 5),
+                               Fraction(-1, 5)])
+unit_terms = st.tuples(st.sampled_from([0, 0, -2, -1, 1, 3]), unit_coeffs)
+
+
 @st.composite
 def operands(draw):
-    """(QRat operand, oracle operand): a rational function, or the same
-    int, Fraction or QScalar handed to both."""
+    """(QRat operand, oracle operand): a rational function, a unit or
+    near-unit over 1, 5 or -1, or the same int, Fraction or QScalar handed
+    to both."""
     kind = draw(st.sampled_from(["rat", "rat", "int", "fraction",
-                                 "laurent"]))
+                                 "laurent", "unit", "unit"]))
     if kind == "rat":
         num, den = draw(rat_args())
         return QRat(num, den), FractionQRat(num, den)
+    if kind == "unit":
+        k, c = draw(unit_terms)
+        num, den = QScalar({k: c}), draw(st.sampled_from([1, 1, 5, -1]))
+        return QRat(num, den), FractionQRat(num, den)
     x = draw({"int": st.integers(-5, 5), "fraction": small_fractions,
-              "laurent": laurent}[kind])
+              "laurent": laurent | st.builds(lambda t: QScalar(dict([t])),
+                                             unit_terms)}[kind])
     return x, x
 
 
@@ -674,11 +688,14 @@ laurent_coeffs = st.dictionaries(st.integers(-3, 3), small_fractions,
 
 @st.composite
 def qscalar_operands(draw):
-    """(QScalar operand, oracle operand): a Laurent polynomial and its
-    oracle copy, or the same int or Fraction handed to both."""
-    kind = draw(st.sampled_from(["laurent", "laurent", "int", "fraction"]))
-    if kind == "laurent":
-        x = draw(laurent)
+    """(QScalar operand, oracle operand): a Laurent polynomial, a unit or
+    a near-unit, and its oracle copy, or the same int or Fraction handed
+    to both."""
+    kind = draw(st.sampled_from(["laurent", "laurent", "int", "fraction",
+                                 "unit", "unit"]))
+    if kind != "int" and kind != "fraction":
+        x = draw(laurent if kind == "laurent"
+                 else st.builds(lambda t: QScalar(dict([t])), unit_terms))
         return x, to_oracle(x)
     x = draw(st.integers(-5, 5) if kind == "int" else small_fractions)
     return x, x
@@ -757,11 +774,17 @@ cyc_coeffs = st.lists(small_fractions, max_size=8)
 
 @st.composite
 def cyc_operands(draw, order):
-    """(CycScalar operand, oracle operand) of one order: an element, or
-    the same int or Fraction handed to both."""
-    kind = draw(st.sampled_from(["cyc", "cyc", "int", "fraction"]))
-    if kind == "cyc":
-        cs = draw(cyc_coeffs)
+    """(CycScalar operand, oracle operand) of one order: an element, a
+    unit +-e^j or a near-unit 3 e^j, 5 e^j or e^j/5, or the same int or
+    Fraction handed to both."""
+    kind = draw(st.sampled_from(["cyc", "cyc", "int", "fraction", "unit",
+                                 "unit"]))
+    if kind == "cyc" or kind == "unit":
+        if kind == "cyc":
+            cs = draw(cyc_coeffs)
+        else:
+            j = draw(st.sampled_from([0, 0, 0, 1, 2, order - 1, order]))
+            cs = [0] * j + [draw(unit_coeffs)]
         return CycScalar(order, cs), FractionCycScalar(order, cs)
     x = draw(st.integers(-5, 5) if kind == "int" else small_fractions)
     return x, x
@@ -833,6 +856,42 @@ def test_cycscalar_root_power_mixed_orders_and_zero(order, cs, k):
                operator.eq):
         with pytest.raises(MixedOrderError):
             op(x, other)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), cyc_orders, cyc_coeffs)
+def test_cycscalar_unit_of_another_order_is_refused(data, order, cs):
+    x = CycScalar(order, cs)
+    with pytest.raises(MixedOrderError):
+        CycScalar.one(order + 1) * x
+    with pytest.raises(MixedOrderError):
+        x * -CycScalar.one(order + 1)
+
+
+def _stored(x):
+    """Copies of the stored lists and ints of a QScalar, CycScalar or
+    QRat."""
+    return [list(v) if isinstance(v, list) else v
+            for v in (x._n, x._d, getattr(x, "_v", None))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), cyc_orders, laurent_coeffs, cyc_coeffs, rat_args(),
+       unit_terms)
+def test_products_with_units_leave_operands_unchanged(data, order, qcs, ccs,
+                                                      args, term):
+    # values share stored lists, so no product, and nothing computed from
+    # a product, may write into an operand's lists
+    k, c = term
+    j = data.draw(st.sampled_from([0, 1, order - 1]))
+    pairs = [(QScalar(qcs), QScalar({k: c})),
+             (CycScalar(order, ccs), CycScalar(order, [0] * j + [c])),
+             (QRat(*args), QRat(QScalar({k: c})))]
+    for x, u in pairs:
+        before = _stored(x), _stored(u)
+        for r in (x * u, u * x, x * -u, -u * x):
+            r + x, r * u, -r, r - u, r * r
+        assert (_stored(x), _stored(u)) == before
 
 
 @settings(max_examples=100, deadline=None)
