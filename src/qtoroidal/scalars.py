@@ -28,6 +28,14 @@ the first three rings accept ``int`` and ``Fraction`` coefficients, and
 takes ``int`` only.  Every element type here and ``linalg.LinOp`` is falsy
 exactly when it is zero, which is the zero test the library uses.
 
+A product with a unit, on either side, is a sign and a shift: +-q^k (over
+the denominator 1) in ``QScalar`` and ``QRat`` negates the other factor's
+numerator or not and adds k to its q-power, and +-1 in ``CycScalar``
+negates the other factor or not.  No polynomial product, reduction mod
+Phi_N, gcd or cancellation is made, and a product by 1 hands back the
+other factor itself.  A constant element hashes as the ``int`` or
+``Fraction`` it equals.
+
 ``TruncSeries`` provides window-carrying truncated Laurent series whose
 coefficients may live in any of these rings, or be operators; reading a
 coefficient outside the window is an error, never a silent zero.  The
@@ -197,6 +205,20 @@ def _pow(self, n):
     return acc
 
 
+def _times_unit(x, c, k):
+    """The nonzero QScalar or QRat x times the unit c q^k, c = +-1: a sign
+    on the numerator and a shift of the valuation, already canonical."""
+    if c == 1:
+        if not k:
+            return x
+        n = x._n
+    else:
+        n = [-y for y in x._n]
+    r = x.__new__(type(x))
+    r._n, r._d, r._v = n, x._d, x._v + k
+    return r
+
+
 # ---------------------------------------------------------------------------
 # Laurent polynomials in q
 # ---------------------------------------------------------------------------
@@ -296,7 +318,11 @@ class QScalar:
         return self._v == o._v and self._d == o._d and self._n == o._n
 
     def __hash__(self):
-        return hash((tuple(self._n), self._d, self._v))
+        # a constant hashes as the int or Fraction it equals
+        n = self._n
+        if len(n) < 2 and not self._v:
+            return hash(Fraction(n[0], self._d)) if n else 0
+        return hash((tuple(n), self._d, self._v))
 
     # -- arithmetic ---------------------------------------------------
 
@@ -349,6 +375,9 @@ class QScalar:
             return self
         if not o._n:
             return o
+        for x, u in ((self, o), (o, self)):
+            if u._d == 1 and len(u._n) == 1 and u._n[0] in (1, -1):
+                return _times_unit(x, u._n[0], u._v)
         return _qs(_imul(self._n, o._n), self._d * o._d, self._v + o._v)
 
     __rmul__ = __mul__
@@ -572,7 +601,11 @@ class CycScalar:
         return self._d == o._d and self._n == o._n
 
     def __hash__(self):
-        return hash((self.order, tuple(self._n), self._d))
+        # a constant hashes as the int or Fraction it equals
+        n = self._n
+        if not any(n[1:]):
+            return hash(Fraction(n[0], self._d))
+        return hash((self.order, tuple(n), self._d))
 
     def _coerce(self, other):
         if isinstance(other, CycScalar):
@@ -608,6 +641,16 @@ class CycScalar:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        # a unit +-1, the residue +-[1, 0, ..., 0]: the other factor or its
+        # negation, already canonical
+        for x, u in ((self, o), (o, self)):
+            n = u._n
+            if u._d == 1 and n[0] in (1, -1) and n.count(0) == len(n) - 1:
+                if n[0] == 1:
+                    return x
+                r = CycScalar.__new__(CycScalar)
+                r.order, r._n, r._d = x.order, [-c for c in x._n], x._d
+                return r
         prod = _cyc_reduce(_imul(self._n, o._n), self.order)
         return _cyc(self.order, prod, self._d * o._d)
 
@@ -774,7 +817,11 @@ class QRat:
         return self._n == o._n and self._v == o._v and self._d == o._d
 
     def __hash__(self):
-        return hash((tuple(self._n), tuple(self._d), self._v))
+        # a constant hashes as the int or Fraction it equals
+        n, d = self._n, self._d
+        if len(n) < 2 and len(d) == 1 and not self._v:
+            return hash(Fraction(n[0], d[0])) if n else 0
+        return hash((tuple(n), tuple(d), self._v))
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -829,6 +876,9 @@ class QRat:
             return self
         if not o._n:
             return o
+        for x, u in ((self, o), (o, self)):
+            if u._d == [1] and len(u._n) == 1 and u._n[0] in (1, -1):
+                return _times_unit(x, u._n[0], u._v)
         return _rat_mul(self._n, self._d, self._v, o._n, o._d, o._v)
 
     __rmul__ = __mul__
@@ -1063,7 +1113,12 @@ class PolyScalar:
         return self._c == o._c
 
     def __hash__(self):
-        return hash((self.variables, frozenset(self._c.items())))
+        # a constant hashes as the int it equals
+        c = self._c
+        zero = (0,) * len(self.variables)
+        if len(c) < 2 and (not c or zero in c):
+            return hash(c.get(zero, 0))
+        return hash((self.variables, frozenset(c.items())))
 
     def __add__(self, other):
         o = self._coerce(other)

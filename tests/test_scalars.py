@@ -977,6 +977,10 @@ class FractionPolyScalar:
         return self._c == o._c
 
     def __hash__(self):
+        # a constant hashes as the int it equals
+        zero = (0,) * len(self.variables)
+        if set(self._c) <= {zero}:
+            return hash(self._c.get(zero, 0))
         return hash((self.variables, frozenset(self._c.items())))
 
     def __add__(self, other):
@@ -1287,3 +1291,26 @@ def test_log_rejects_noninvertible_constant():
     f = TruncSeries("z", {1: QScalar.one()}, 0, 3)
     with pytest.raises(DomainError):
         series_log_coeffs(f, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.integers(-5, 5), small_fractions), cyc_orders, laurent,
+       cyc_coeffs)
+def test_constants_hash_as_the_values_they_equal(c, order, x, cs):
+    # equal values hash equally, so a set holds one copy of each value
+    y = CycScalar(order, cs)
+    consts = [QScalar.from_const(c), (x + c) - x,
+              CycScalar.from_const(order, c), (y + c) - y,
+              QRat(c), (QRat(x) + c) - x]
+    for got in consts:
+        assert got == c and hash(got) == hash(c), got
+        assert len({got, c}) == 1
+    if c.denominator == 1:
+        # PolyScalar takes int coefficients only
+        c, p = int(c), PolyScalar(("q", "a1"), {(1, -1): 3})
+        for got in (PolyScalar(("q", "a1"), {(0, 0): c}), (p + c) - p):
+            assert got == c and hash(got) == hash(c), got
+            assert len({got, c}) == 1
+    for one in (QScalar.one(), CycScalar.one(order), QRat.one(),
+                PolyScalar.one(("q", "a1"))):
+        assert len({one, 1}) == 1 and hash(one) == hash(Fraction(1))
