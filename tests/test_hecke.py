@@ -289,17 +289,80 @@ def test_invariant_subspaces_match_repr_key_oracle(exps, monkeypatch):
     assert got == invariant_subspaces(M)
 
 
-def oracle_invariant_subspaces(M):
-    """``invariant_subspaces`` with the saturation it had before the
-    worklist: every ordered pair of members, self-pairs included, gives a
-    sum and a kernel-based intersection, and whole passes repeat until one
-    adds nothing.  The chain comes from ``oracle_composition_chain``."""
-    field = M.ring.field()
+def oracle_sum_entries(mat, vec, field, r):
+    """Row r of a dense matrix times a dense vector."""
+    acc = field.zero
+    for c, x in enumerate(vec):
+        if not field.is_zero(x):
+            acc = acc + mat[r][c] * x
+    return acc
+
+
+def oracle_span_grow(vectors, mats, field):
+    """``span_grow`` on dense matrices, forming each image row by row with
+    ``oracle_sum_entries``.  Kept as the oracle for the operator path."""
+    basis_rows = []
+
+    def reduce_against(vec):
+        v = list(vec)
+        for row, pc in basis_rows:
+            if not field.is_zero(v[pc]):
+                f = v[pc]
+                v = [a - f * b for a, b in zip(v, row)]
+        for c, x in enumerate(v):
+            if not field.is_zero(x):
+                inv = field.one / x
+                return [y * inv for y in v], c
+        return None, None
+
+    frontier = list(vectors)
+    while frontier:
+        vec = frontier.pop()
+        row, pc = reduce_against(vec)
+        if row is None:
+            continue
+        basis_rows.append((row, pc))
+        if len(basis_rows) == len(row):
+            break
+        for mat in mats:
+            frontier.append([oracle_sum_entries(mat, row, field, r)
+                             for r in range(len(row))])
+    return [row for row, _ in sorted(basis_rows, key=lambda t: t[1])]
+
+
+def oracle_gen_matrices(M, field):
+    """Dense matrices of the generators in the basis order, keyed ("s", i)
+    and ("z", j)."""
+    mats = {("s", i): op_matrix(op, M.basis, field.zero)
+            for i, op in M.sigma_ops.items()}
+    mats.update({("z", j): op_matrix(op, M.basis, field.zero)
+                 for j, op in M.z_ops.items()})
+    return mats
+
+
+def oracle_line_data(mats, field, vec):
+    """Each generator's eigenvalue on a dense line vector, read off dense
+    matrix-vector products."""
+    out = {}
+    for key, mat in mats.items():
+        img = [oracle_sum_entries(mat, vec, field, r)
+               for r in range(len(vec))]
+        lam = None
+        for r in range(len(vec)):
+            if not field.is_zero(vec[r]):
+                lam = img[r] / vec[r]
+                break
+        ok = all(field.is_zero(img[r] - lam * vec[r])
+                 for r in range(len(vec)))
+        out["%s%d" % key] = repr(lam) if ok else "not an eigenvector"
+    return out
+
+
+def oracle_joint_eigenvectors(M, mats, field):
+    """Kernel vectors of every ordering's stacked z-system, each ordering
+    subtracted from whole dense matrices."""
     dim = M.dim
-    mats = qtoroidal.hecke._gen_matrices(M, field)
-    gen_mats = list(mats.values())
     values = [M.ring.param(j) for j in range(1, M.l + 1)]
-    subspaces = {}
     for lam in permutations(values):
         stacked = []
         for j in range(1, M.l + 1):
@@ -307,10 +370,24 @@ def oracle_invariant_subspaces(M):
             stacked.extend([[zm[r][c] - (lam[j - 1] if r == c else
                                          field.zero)
                              for c in range(dim)] for r in range(dim)])
-        for vec in kernel_basis(stacked, field):
-            rows = oracle_echelon_rows(span_grow([vec], gen_mats, field),
-                                       field)
-            subspaces[oracle_subspace_key(rows)] = rows
+        yield from kernel_basis(stacked, field)
+
+
+def oracle_invariant_subspaces(M):
+    """``invariant_subspaces`` with the saturation it had before the
+    worklist: every ordered pair of members, self-pairs included, gives a
+    sum and a kernel-based intersection, and whole passes repeat until one
+    adds nothing.  Subspaces grow through dense generator matrices, and
+    the chain comes from ``oracle_composition_chain``."""
+    field = M.ring.field()
+    dim = M.dim
+    mats = oracle_gen_matrices(M, field)
+    gen_mats = list(mats.values())
+    subspaces = {}
+    for vec in oracle_joint_eigenvectors(M, mats, field):
+        rows = oracle_echelon_rows(oracle_span_grow([vec], gen_mats, field),
+                                   field)
+        subspaces[oracle_subspace_key(rows)] = rows
     subspaces[oracle_subspace_key([])] = []
     full = [[field.one if c == r else field.zero for c in range(dim)]
             for r in range(dim)]
@@ -334,7 +411,7 @@ def oracle_invariant_subspaces(M):
         "proper_count": len(proper),
         "irreducible": not proper,
         "socle_lines": len(lines),
-        "line_data": [qtoroidal.hecke._line_data(M, mats, field, rows[0])
+        "line_data": [oracle_line_data(mats, field, rows[0])
                       for rows in lines],
         "composition": oracle_composition_chain(M, field, subspaces),
     }
@@ -344,6 +421,21 @@ SATURATION_EXPS = sorted(set(SUBSPACE_EXPS)
                          | set(product(range(-1, 4), repeat=2))
                          | set(product(range(-1, 3), repeat=3)),
                          key=lambda e: (len(e), e))
+
+
+@pytest.mark.parametrize("exps", SATURATION_EXPS,
+                         ids=lambda e: ",".join(map(str, e)))
+def test_span_grow_matches_dense_oracle(exps):
+    # every joint z-eigenvector grows to the same rows, row order and
+    # unreduced entries included
+    M = build_MA(len(exps), [q_pow(n) for n in exps])
+    field = M.ring.field()
+    mats = oracle_gen_matrices(M, field)
+    vecs = list(oracle_joint_eigenvectors(M, mats, field))
+    assert vecs
+    for vec in vecs:
+        assert (span_grow([vec], list(mats.values()), field)
+                == oracle_span_grow([vec], list(mats.values()), field)), vec
 
 
 @pytest.mark.parametrize("exps", SATURATION_EXPS,
