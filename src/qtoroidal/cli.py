@@ -210,7 +210,8 @@ def build_parser():
     r.add_argument("--r-range", type=int, default=2)
     r.add_argument("--series-order", type=int, default=2,
                    help="bound |m| on the mode index m of the checked "
-                        "relations")
+                        "relations; 0 reaches no h-h or h-x relation and "
+                        "fewer k-cartan instances")
     r.set_defaults(run=_cmd_repcheck)
 
     f = sub.add_parser("fusion", help="deformed coproduct checks")
@@ -219,7 +220,8 @@ def build_parser():
     f.add_argument("--r-range", type=int, default=1)
     f.add_argument("--series-order", type=int, default=1,
                    help="bound |m| on the mode index m of the checked "
-                        "relations")
+                        "relations; 0 reaches no h-h or h-x relation and "
+                        "fewer k-cartan instances")
     f.add_argument("--ops", default="",
                    help="two twists: run coassociativity instead")
     f.set_defaults(run=_cmd_fusion)

@@ -19,7 +19,7 @@ from itertools import combinations, permutations
 
 from .errors import DomainError, InputError
 from .linalg import (Field, LinOp, determinant, kernel_basis, op_matrix,
-                     rref, span_grow, sum_entries)
+                     rref, span_grow)
 from .scalars import PolyScalar, QRat, QScalar
 
 
@@ -177,13 +177,18 @@ class HeckeModule:
     def dim(self):
         return len(self.basis)
 
+    def generators(self):
+        """(("s", i), op) for each braid generator, then (("z", j), op)
+        for each z generator."""
+        return ([(("s", i), op) for i, op in self.sigma_ops.items()]
+                + [(("z", j), op) for j, op in self.z_ops.items()])
+
     def word_op(self, word):
         """Right action of a product written left to right."""
+        gens = dict(self.generators())
         op = LinOp.identity(self.basis, self.ring.one())
         for item in word:
-            kind, idx = item
-            g = self.sigma_ops[idx] if kind == "s" else self.z_ops[idx]
-            op = g * op
+            op = gens[item] * op
         return op
 
 
@@ -293,16 +298,6 @@ def _sum_and_meet(rows1, rows2, field, dim):
     return [r[:dim] for r in rows[:k]], [r[dim:] for r in rows[k:]]
 
 
-def _gen_matrices(M, field):
-    """Dense matrices of the generators in the basis order, keyed ("s", i)
-    and ("z", j)."""
-    mats = {("s", i): op_matrix(op, M.basis, field.zero)
-            for i, op in M.sigma_ops.items()}
-    mats.update({("z", j): op_matrix(op, M.basis, field.zero)
-                 for j, op in M.z_ops.items()})
-    return mats
-
-
 def invariant_subspaces(M):
     """All submodules reachable by common-z-eigenvector closure, saturated
     under sums and intersections; feasible at these dimensions.
@@ -322,22 +317,19 @@ def invariant_subspaces(M):
                           "first")
     field = ring.field()
     dim = M.dim
-    mats = _gen_matrices(M, field)
-    gen_mats = list(mats.values())
+    ops = [op for _, op in M.generators()]
+    zs = [op_matrix(M.z_ops[j], M.basis, field.zero)
+          for j in range(1, M.l + 1)]
 
     subspaces = {}
     values = [ring.param(j) for j in range(1, M.l + 1)]
     for lam in permutations(values):
-        stacked = []
-        for j in range(1, M.l + 1):
-            zm = mats[("z", j)]
-            stacked.extend([[zm[r][c] - (lam[j - 1] if r == c else
-                                         field.zero)
-                             for c in range(dim)] for r in range(dim)])
+        stacked = [row[:r] + [row[r] - x] + row[r + 1:]
+                   for zm, x in zip(zs, lam) for r, row in enumerate(zm)]
         for vec in kernel_basis(stacked, field):
             # re-echelonize: span_grow is only forward-reduced and keys
             # must be the canonical reduced form
-            rows = rref(span_grow([vec], gen_mats, field), field)[0]
+            rows = rref(span_grow([vec], ops, M.basis, field), field)[0]
             subspaces[_subspace_key(rows)] = rows
     subspaces[_subspace_key([])] = []
     full = [[field.one if c == r else field.zero for c in range(dim)]
@@ -365,23 +357,22 @@ def invariant_subspaces(M):
         "proper_count": len(proper),
         "irreducible": not proper,
         "socle_lines": len(lines),
-        "line_data": [_line_data(M, mats, field, rows[0])
-                      for rows in lines],
+        "line_data": [_line_data(M, rows[0]) for rows in lines],
         "composition": composition,
     }
 
 
-def _line_data(M, mats, field, vec):
+def _line_data(M, row):
+    """Each generator's eigenvalue on the line spanned by a dense row,
+    keyed "s1", ..., "z1", ...; it is read at the row's first nonzero
+    coordinate, so a zero eigenvalue prints as 0."""
+    vec = {b: x for b, x in zip(M.basis, row) if x}
+    first = next(iter(vec))
     out = {}
-    for key, mat in mats.items():
-        img = [sum_entries(mat, vec, field, r) for r in range(len(vec))]
-        lam = None
-        for r in range(len(vec)):
-            if not field.is_zero(vec[r]):
-                lam = img[r] / vec[r]
-                break
-        ok = all(field.is_zero(img[r] - lam * vec[r])
-                 for r in range(len(vec)))
+    for key, op in M.generators():
+        img = op.apply(vec)
+        lam = img.get(first, M.ring.zero()) / vec[first]
+        ok = img == ({b: lam * x for b, x in vec.items()} if lam else {})
         out["%s%d" % key] = repr(lam) if ok else "not an eigenvector"
     return out
 
@@ -599,11 +590,11 @@ def find_isomorphism(M1, M2):
         return None
     field = M1.ring.field()
     dim = M1.dim
-    mats1 = _gen_matrices(M1, field)
-    mats2 = _gen_matrices(M2, field)
+    ops2 = dict(M2.generators())
     rows = []
-    for g, B in mats1.items():
-        A = mats2[g]
+    for g, op in M1.generators():
+        B = op_matrix(op, M1.basis, field.zero)
+        A = op_matrix(ops2[g], M2.basis, field.zero)
         # (F B - A F)[r][c] = 0, unknowns F[x][y] flattened
         for r in range(dim):
             for c in range(dim):

@@ -3,10 +3,12 @@
 ``LinOp`` is a column-sparse operator on an arbitrary hashable basis;
 entries are scalar objects with exact arithmetic (QScalar, CycScalar,
 QRat, PolyScalar), tested for zero by truth value, and a ``LinOp`` is
-itself falsy exactly when it is zero.  The dense field routines (row
-reduction, kernel, determinant, invariant-subspace growth) take a
-``Field`` adapter supplying zero and one, and divide with ``/``; row
-reduction returns only the nonzero rows, as many as the rank.
+itself falsy exactly when it is zero.  It is the one operator type:
+every operator acts through ``LinOp.apply``, and a dense matrix
+(``op_matrix``) is built only as input to an elimination routine (row
+reduction, kernel, determinant).  Those routines and invariant-subspace
+growth take a ``Field`` adapter supplying zero and one, and divide with
+``/``; row reduction returns only the nonzero rows, as many as the rank.
 """
 
 from __future__ import annotations
@@ -228,12 +230,14 @@ def op_matrix(op, basis, zero):
     return rows
 
 
-def span_grow(vectors, ops, field):
+def span_grow(vectors, ops, basis, field):
     """Smallest op-invariant subspace containing the given vectors.
 
-    Vectors are dense coefficient lists; ops are dense matrices.  Returns
-    an echelonized basis, as soon as it spans the whole space.
+    Vectors are dense coefficient lists over the ordered ``basis``; ops
+    are LinOps on it.  Returns an echelonized basis, as soon as it spans
+    the whole space.
     """
+    index = {b: k for k, b in enumerate(basis)}
     basis_rows = []
 
     def reduce_against(vec):
@@ -257,16 +261,11 @@ def span_grow(vectors, ops, field):
         basis_rows.append((row, pc))
         if len(basis_rows) == len(row):
             break
-        for mat in ops:
-            img = [sum_entries(mat, row, field, r)
-                   for r in range(len(row))]
+        sparse = {basis[c]: x for c, x in enumerate(row)
+                  if not field.is_zero(x)}
+        for op in ops:
+            img = [field.zero] * len(row)
+            for b, x in op.apply(sparse).items():
+                img[index[b]] = x
             frontier.append(img)
     return [row for row, _ in sorted(basis_rows, key=lambda t: t[1])]
-
-
-def sum_entries(mat, vec, field, r):
-    acc = field.zero
-    for c, x in enumerate(vec):
-        if not field.is_zero(x):
-            acc = acc + mat[r][c] * x
-    return acc

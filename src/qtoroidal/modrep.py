@@ -511,7 +511,9 @@ def verify_relations(M, r_bound, m_bound):
     A vector is skipped when some term's word would act on a label outside
     the window; a word's final image may leave it.  The central element is
     the identity throughout.  Failures carry the first offending
-    (relation, vector, entry) witness.
+    (relation, vector, entry) witness.  The h modes run over
+    0 < |m| <= m_bound, so m_bound = 0 reaches no h-h or h-x relation
+    and only the k-cartan instances without an h.
     """
     one = M.one()
     basis = M._basis_set

@@ -817,10 +817,14 @@ class QRat:
         return self._n == o._n and self._v == o._v and self._d == o._d
 
     def __hash__(self):
-        # a constant hashes as the int or Fraction it equals
+        # over a constant denominator [d] the canonical form is the
+        # QScalar n/d's, so hash as it does: a constant as the int or
+        # Fraction it equals, otherwise (tuple(n), d, v)
         n, d = self._n, self._d
-        if len(n) < 2 and len(d) == 1 and not self._v:
-            return hash(Fraction(n[0], d[0])) if n else 0
+        if len(d) == 1:
+            if len(n) < 2 and not self._v:
+                return hash(Fraction(n[0], d[0])) if n else 0
+            return hash((tuple(n), d[0], self._v))
         return hash((tuple(n), tuple(d), self._v))
 
     def __add__(self, other):

@@ -15,7 +15,7 @@ from qtoroidal.hecke import (SegmentCollection, all_perms, build_MA,
                              right_mul_s, segments_to_drinfeld,
                              verify_presentation, zelevinsky_product)
 from qtoroidal.linalg import (Field, LinOp, kernel_basis, op_matrix, rref,
-                              span_grow, sum_entries)
+                              span_grow)
 from qtoroidal.scalars import QRat, QScalar
 
 
@@ -431,10 +431,11 @@ def test_span_grow_matches_dense_oracle(exps):
     M = build_MA(len(exps), [q_pow(n) for n in exps])
     field = M.ring.field()
     mats = oracle_gen_matrices(M, field)
+    ops = [op for _, op in M.generators()]
     vecs = list(oracle_joint_eigenvectors(M, mats, field))
     assert vecs
     for vec in vecs:
-        assert (span_grow([vec], list(mats.values()), field)
+        assert (span_grow([vec], ops, M.basis, field)
                 == oracle_span_grow([vec], list(mats.values()), field)), vec
 
 
@@ -568,19 +569,19 @@ def test_span_grow_stops_once_the_basis_spans_the_space(monkeypatch):
     the space, dim - 1 of them per operator, so no frontier vector is
     reduced after that; the rows returned are the whole space's."""
     images = []
+    real_apply = LinOp.apply
 
-    def counting(mat, vec, field, r):
-        if r == 0:
-            images.append(vec)
-        return sum_entries(mat, vec, field, r)
+    def counting(op, vec):
+        images.append(vec)
+        return real_apply(op, vec)
 
-    monkeypatch.setattr(qtoroidal.linalg, "sum_entries", counting)
+    monkeypatch.setattr(LinOp, "apply", counting)
     field = Field(Fraction(0), Fraction(1))
     dim = 4
     unit = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
-    shift = [unit[(i - 1) % dim] for i in range(dim)]
-    shift2 = [unit[(i - 2) % dim] for i in range(dim)]
-    rows = span_grow([unit[0]], [shift, shift2], field)
+    shift, shift2 = (LinOp({i: {(i + k) % dim: Fraction(1)}
+                            for i in range(dim)}) for k in (1, 2))
+    rows = span_grow([unit[0]], [shift, shift2], range(dim), field)
     assert rows == unit
     assert len(images) == (dim - 1) * 2
 

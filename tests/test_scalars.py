@@ -681,6 +681,18 @@ def test_qrat_equal_values_hash_equally(args, c, pair):
     assert back == x and hash(back) == hash(x)
 
 
+@settings(max_examples=80, deadline=None)
+@given(laurent | st.builds(lambda t: QScalar(dict([t])), unit_terms),
+       rat_args())
+def test_qrat_hashes_as_the_qscalar_it_equals(x, args):
+    # a QRat over a constant denominator equals a QScalar, so it hashes
+    # as one, also when reached through a non-constant denominator
+    y = QRat(*args)
+    for got in (QRat(x), (QRat(x) + y) - y):
+        assert got == x and hash(got) == hash(x), got
+        assert len({got, x}) == 1
+
+
 
 laurent_coeffs = st.dictionaries(st.integers(-3, 3), small_fractions,
                                  max_size=4)
