@@ -163,7 +163,7 @@ def _collect(terms):
 # ---------------------------------------------------------------------------
 
 class HeckeModule:
-    """Right module with exact matrices for the braid and z generators."""
+    """Right module with one sparse ``LinOp`` per braid and z generator."""
 
     def __init__(self, l, ring, basis, sigma_ops, z_ops, label=""):
         self.l = l
