@@ -282,8 +282,12 @@ def replay_verify_relations(M, r_bound, m_bound):
     (lambda: build_root_of_unity(1), 1, 1),
     (lambda: build_root_of_unity(2), 1, 1),
     (lambda: build_root_of_unity(3), 1, 1),
+    # witnesses carrying CycScalar values: h-x, xpxm and quadratic fail
+    (lambda: ModuleRealization("rou", period=2, corrupt_xp=(1, 0)), 1, 1),
+    # h eigenvalues read from the second log coefficient
+    (lambda: build_extremal_loop((-2, 2)), 1, 2),
 ], ids=["loop-r1m1", "loop-r1m0", "loop3-r0m1", "corrupt-r1", "corrupt-r0",
-        "rou1", "rou2", "rou3"])
+        "rou1", "rou2", "rou3", "rou2-corrupt-r0", "loop-r1m2"])
 def test_verify_relations_matches_replay(make, r_bound, m_bound):
     M = make()
     want = replay_verify_relations(M, r_bound, m_bound).to_json()
