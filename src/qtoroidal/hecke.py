@@ -195,10 +195,12 @@ class HeckeModule:
 def build_MA(l, A=None):
     """The l!-dimensional quotient by the left ideal sending z_j to a_j.
 
-    ``A`` lists the l parameter values (QScalar/QRat/qscalar-exponents,
-    or None for the symbolic ring).  Basis vectors are the permutations of
-    S_l; braid generators act by the regular representation and z by the
-    left normal form evaluated at A.
+    ``A`` lists the l nonzero parameter values, each a QRat, a QScalar or
+    an int or Fraction taken as that constant (so 2 is a = 2, not q^2),
+    or is None for the symbolic ring.  A zero parameter raises
+    InputError: each z_j must act invertibly.  Basis vectors are the
+    permutations of S_l; braid generators act by the regular
+    representation and z by the left normal form evaluated at A.
     """
     if l not in (1, 2, 3):
         raise InputError("only l <= 3 is materialized")
@@ -208,8 +210,11 @@ def build_MA(l, A=None):
         raise InputError("l = %d needs %d parameters, got %d"
                          % (l, l, len(A)))
     else:
-        ring = QRatRing([QRat(a) if isinstance(a, QScalar) else a
-                         for a in A])
+        ring = QRatRing(A)
+        for j, a in enumerate(ring.params, 1):
+            if not a:
+                raise InputError("parameter a_%d is zero, but z_%d must "
+                                 "act invertibly" % (j, j))
     perms = all_perms(l)
     memo = {}
 

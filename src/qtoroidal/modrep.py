@@ -17,8 +17,8 @@ Every generator operator is monomial: ``image()`` gives each basis vector
 at most one target.  So the image of a basis vector under a word of
 generators is one (label, scalar) pair, zero, or an escape from the
 window, and the relation verifier evaluates each relation term on a
-basis vector from a bounded memo of word images keyed on (word suffix,
-label) instead of replaying the word through ``apply``.
+basis vector by one walk over its letters' columns instead of replaying
+the word through ``apply``.
 
 The relation instances carry coefficients in the module's scalar ring.
 One walk over them (``_first_witness_walk``) counts instances per family
@@ -432,51 +432,28 @@ def _relation_instances(M, r_bound, m_bound):
                                    % (tag, a, b, rs, rp), terms)
 
 
-WORD_MEMO_LIMIT = 2000   # word images kept between clears; the suffixes
-                         # a word shares come from adjacent instances
-_MISS = object()
 _ESCAPE = object()       # a word image that needs a label off the window
 
 
-def _word_image(memo, basis, suffixes, cols, label, one):
+def _word_image(basis, cols, label, one):
     """Image of the basis vector ``label`` under a word of monomial
     operators: a (label, scalar) pair, None when the word kills it, or
     _ESCAPE when a letter would act on a label outside the window.
 
     ``cols[i]`` holds the columns of the word's i-th letter in the order
-    the letters act and ``suffixes[i]`` the word from that letter on.  The
-    image of every (suffix, label) the walk passes through is memoized.
-    The scalar rings have no zero divisors, so a pair's scalar is nonzero.
+    the letters act.  The scalar rings have no zero divisors, so a pair's
+    scalar is nonzero.
     """
-    path = []
-    for suffix, col in zip(suffixes, cols):
+    val = one
+    for col in cols:
         if label not in basis:
-            img = _ESCAPE
-            break
+            return _ESCAPE
         entry = col.get(label)
         if entry is None:
-            img = None
-            break
-        key = (suffix, label)
-        img = memo.get(key, _MISS)
-        if img is not _MISS:
-            break
+            return None
         # one entry per column: every generator operator is monomial
         (label, scal), = entry.items()
-        path.append((key, scal))
-    else:
-        if not path:
-            return label, one       # the empty word
-        key, scal = path.pop()
-        img = memo[key] = (label, scal)
-    if img is None or img is _ESCAPE:
-        for key, _ in path:
-            memo[key] = img
-        return img
-    label, val = img
-    for key, scal in reversed(path):
-        val = scal * val
-        memo[key] = (label, val)
+        val = scal if val is one else val * scal    # no product with 1
     return label, val
 
 
@@ -517,22 +494,17 @@ def verify_relations(M, r_bound, m_bound):
     """
     one = M.one()
     basis = M._basis_set
-    memo = {}
 
     def check(desc, terms, fam):
-        if len(memo) >= WORD_MEMO_LIMIT:
-            memo.clear()
-        words = []
-        for coef, seq in terms:
-            word = tuple(reversed(seq))         # letters in acting order
-            words.append((coef, [word[i:] for i in range(len(word))],
-                          [M.op(gen).cols for gen in word]))
+        # each term's letter columns in the order the letters act
+        words = [(coef, [M.op(gen).cols for gen in reversed(seq)])
+                 for coef, seq in terms]
         for v in M.basis:
             acc = {}
-            for coef, suffixes, cols in words:
+            for coef, cols in words:
                 if cols and v not in cols[0]:
                     continue                # the first letter kills v
-                img = _word_image(memo, basis, suffixes, cols, v, one)
+                img = _word_image(basis, cols, v, one)
                 if img is _ESCAPE:
                     fam["skipped"] += 1
                     break

@@ -44,6 +44,22 @@ def test_l1_is_scalar():
     assert M.z_ops[1].entry((1,), (1,)) == q_pow(5)
 
 
+def test_m_a_takes_int_and_fraction_parameters_as_constants():
+    # an int n is the constant n, not q^n
+    M = build_MA(2, [2, Fraction(1, 3)])
+    assert M.z_ops[1].entry((1, 2), (1, 2)) == QRat(2)
+    assert M.z_ops[2].entry((1, 2), (1, 2)) == QRat(Fraction(1, 3))
+    assert M.z_ops[1].entry((1, 2), (1, 2)) != q_pow(2)
+
+
+@pytest.mark.parametrize("A", [[0, 2], [q_pow(0), Fraction(0)],
+                               [QScalar.zero(), q_pow(1)],
+                               [q_pow(1), QRat.zero()]])
+def test_m_a_rejects_a_zero_parameter(A):
+    with pytest.raises(InputError, match="is zero"):
+        build_MA(2, A)
+
+
 def test_l2_z1_matrix_symbolic():
     # frozen from the left normal form: z_1 fixes 1 with a_1 and sends
     # sigma to a_2 sigma - (q - q^-1) a_2

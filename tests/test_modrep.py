@@ -232,7 +232,8 @@ def test_corrupted_table_fails_with_witness():
 def replay_verify_relations(M, r_bound, m_bound):
     """The per-vector replay verifier: every term's word is applied to
     ``{v: one}`` one generator at a time through ``M.apply``.  Kept as
-    the oracle for the memoized word walk in ``verify_relations``."""
+    the oracle for the walk over generator columns in
+    ``verify_relations``."""
     report = RelationReport()
     state = {}
     for family, desc, terms in _relation_instances(M, r_bound, m_bound):
@@ -274,7 +275,6 @@ def replay_verify_relations(M, r_bound, m_bound):
 
 @pytest.mark.parametrize("make, r_bound, m_bound", [
     (lambda: build_extremal_loop((-2, 2)), 1, 1),
-    # the word memo fills and is cleared 7 times here (10 at (1, 1))
     (lambda: build_extremal_loop((-2, 2)), 1, 0),
     (lambda: build_extremal_loop((-3, 3)), 0, 1),
     (lambda: build_extremal_loop((-2, 2), corrupt_xp=(1, 1)), 1, 1),
