@@ -4,19 +4,19 @@ from fractions import Fraction
 import pytest
 
 from qtoroidal.errors import (ConstructionError, DomainError, EscapeError,
-                              InputError)
+                              ExactDivisionError, InputError, QtorError)
 from qtoroidal.linalg import LinOp
-from qtoroidal.modrep import (ModuleRealization, RelationReport,
-                              _b_matrix, _relation_instances,
+from qtoroidal.modrep import (L_SERIES_ORDER, ModuleRealization,
+                              RelationReport, _b_matrix, _relation_instances,
                               build_extremal_loop,
                               build_root_of_unity,
                               display_monomial, expected_phi_series,
                               hecke_companion, l_character,
                               l_character_offset, rou_irreducible,
                               verify_relations)
-from qtoroidal.monomials import mono_parse
+from qtoroidal.monomials import YMonomial, mono_format, mono_parse
 from qtoroidal.scalars import (QScalar, cyclotomic_specialize, q_binom,
-                               q_int)
+                               q_int, series_log_coeffs)
 
 
 def one_vec(M, label):
@@ -517,6 +517,167 @@ def test_l_character_offset_rou():
         off = l_character_offset(R)
         assert off["c"] == -1
         assert -1 in off["candidates"]
+
+
+def moment_l_character(M):
+    """The moment reading of l-weights on loop modules: the first log
+    moment gives the node parts, the constant term, moments 2..3 and the
+    negative-direction series are checked against them.  Kept as the
+    oracle for ``l_character``."""
+    if M.kind != "loop":
+        raise DomainError("direct moment reading needs generic q; use "
+                          "l_character_offset for cyclotomic modules")
+    series_order = L_SERIES_ORDER
+    terms = {}
+    for label in M.basis:
+        parts = {}
+        for g in M.nodes:
+            series = M.phi_series(g, 1, label, series_order)
+            f0 = series.at(0)
+            if not f0:
+                raise DomainError("phi constant term vanishes on %r"
+                                  % (label,))
+            delta = f0.as_q_power()
+            if delta is None:
+                raise DomainError("phi constant term is not a q power")
+            cs = series_log_coeffs(series, series_order)
+            part = {}
+            if cs[0] is not None:
+                p1 = cs[0].exact_div(M.qq_inv())
+                for e, v in p1.items():
+                    if v.denominator != 1:
+                        raise DomainError("non-integer multiplicity in the "
+                                          "first moment")
+                    part[e] = int(v)
+            if sum(part.values()) != delta:
+                raise DomainError("moment data disagrees with the constant "
+                                  "term on %r" % (label,))
+            for m in range(2, series_order + 1):
+                want = QScalar.zero()
+                for l, n in part.items():
+                    want = want + QScalar({l * m: n})
+                got = cs[m - 1]
+                got = (QScalar.zero() if got is None
+                       else (got * m).exact_div(QScalar({m: 1, -m: -1})))
+                if got != want:
+                    raise DomainError("moment %d mismatch on %r"
+                                      % (m, label))
+            minus = M.phi_series(g, -1, label, series_order)
+            if not minus == expected_phi_series(M, part, -1, series_order):
+                raise DomainError("negative-direction series mismatch on "
+                                  "%r" % (label,))
+            for l, n in part.items():
+                if n:
+                    parts[(g, l)] = n
+        terms[label] = YMonomial(parts)
+    return {"terms": terms}
+
+
+def shift_tracking_l_character_offset(M):
+    """``l_character_offset`` with its loop branch tracking one shift per
+    vector from the moment reading, and its cyclotomic branch trying each
+    candidate shift through the full series comparison.  Kept as the
+    oracle for the one series rule."""
+    if M.kind == "loop":
+        data = moment_l_character(M)
+        c = None
+        for label, m in data["terms"].items():
+            want = display_monomial(label)
+            got_exps = sorted(m.key)
+            want_exps = sorted(want.key)
+            if len(got_exps) != len(want_exps):
+                raise DomainError("l-weight shape differs from the display "
+                                  "on %r" % (label,))
+            shifts = {lg - lw for (ig, lg, eg), (iw, lw, ew)
+                      in zip(got_exps, want_exps)}
+            if len(shifts) != 1:
+                raise DomainError("no uniform shift on %r" % (label,))
+            if m != want.shift_spectral(next(iter(shifts))):
+                raise DomainError("monomial differs beyond a shift on %r"
+                                  % (label,))
+            s = next(iter(shifts))
+            if c is None:
+                c = s
+            elif c != s:
+                raise DomainError("shift is not constant across the basis: "
+                                  "%d vs %d" % (c, s))
+        return {"c": c, "terms": {str(k): mono_format(v)
+                                  for k, v in data["terms"].items()}}
+    N = M.cyc_order
+    matches = []
+    for c in range(-N // 2, N - N // 2):
+        if all(M.phi_series(g, sign, label, L_SERIES_ORDER)
+               == expected_phi_series(
+                   M, display_monomial(label).shift_spectral(c).node_part(g),
+                   sign, L_SERIES_ORDER)
+               for label in M.basis for g in M.nodes for sign in (1, -1)):
+            matches.append(c)
+    if not matches:
+        raise DomainError("no constant shift aligns the quotient with the "
+                          "display")
+    return {"c": min(matches, key=abs), "candidates": matches}
+
+
+def l_outcome(fn, M):
+    try:
+        return fn(M)
+    except QtorError as exc:
+        return type(exc)
+
+
+L_WINDOWS = [(-2, 2), (-3, 3), (0, 4), (-1, 5), (2, 2), (-5, -1), (0, 0)]
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda w=w, x=x: build_extremal_loop(w, corrupt_xp=x)
+      for w in L_WINDOWS for x in (None, (1, 0), (0, -1))),
+    *(lambda L=L: build_root_of_unity(L) for L in (1, 2, 3, 4)),
+], ids=["loop%d:%d-%s" % (w[0], w[1], x) for w in L_WINDOWS
+        for x in ("ok", "x10", "x0m1")] + ["rou%d" % L for L in (1, 2, 3, 4)])
+def test_l_character_matches_moment_reading(make):
+    M = make()
+    assert l_outcome(l_character, M) == l_outcome(moment_l_character, M)
+    want = l_outcome(shift_tracking_l_character_offset, M)
+    assert l_outcome(l_character_offset, M) == want
+    assert want["c"] == -1
+
+
+class BentPhi(ModuleRealization):
+    """The (-2, 2) loop window with one phi table entry bent."""
+
+    def __init__(self, gen, label, bend):
+        super().__init__("loop", window=(-2, 2))
+        self.bent = (gen, label, bend)
+
+    def image(self, gen, label):
+        img = super().image(gen, label)
+        if (gen, label) == self.bent[:2]:
+            return "diag", self.bent[2](img[1])
+        return img
+
+
+@pytest.mark.parametrize("gen, label, bend, moment_error", [
+    (("phip", 1, 2), (2, 0), lambda v: v * 2, ExactDivisionError),
+    (("phim", 1, -1), (1, 1), lambda v: -v, DomainError),
+    (("phip", 1, 0), (1, 0), lambda v: v * QScalar.q_power(2), DomainError),
+    (("phip", 0, 3), (4, 0), lambda v: v + QScalar.q_power(5),
+     ExactDivisionError),
+    (("phip", 2, 1), (3, 0), lambda v: v * 3, DomainError),
+    # the first log moment itself is not divisible by q - q^-1
+    (("phip", 2, 1), (3, 0), lambda v: v + 1, ExactDivisionError),
+], ids=["phip12-double", "phim1m1-negate", "phip10-q2", "phip03-plus-q5",
+        "phip21-triple", "phip21-plus-1"])
+def test_l_weight_check_rejects_a_bent_phi_entry(gen, label, bend,
+                                                 moment_error):
+    M = BentPhi(gen, label, bend)
+    assert M.phi_series(gen[1], 1 if gen[0] == "phip" else -1, label,
+                        L_SERIES_ORDER) != \
+        build_extremal_loop((-2, 2)).phi_series(
+            gen[1], 1 if gen[0] == "phip" else -1, label, L_SERIES_ORDER)
+    assert l_outcome(moment_l_character, M) is moment_error
+    for fn in (l_character, l_character_offset):
+        with pytest.raises(QtorError):
+            fn(M)
 
 
 def test_trivial_module_empty_monomial():
