@@ -30,7 +30,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ConstructionError, DomainError, EscapeError, InputError
+from .errors import (ConstructionError, DomainError, EscapeError,
+                     ExactDivisionError, InputError)
 from .linalg import Field, LinOp, determinant, op_matrix
 from .monomials import YMonomial, mono_format
 from .scalars import (CycScalar, QScalar, TruncSeries, cyclotomic_specialize,
@@ -583,107 +584,84 @@ def display_monomial(label):
             * YMonomial.var((a - 1) % LETTERS, 4 * p + a, -1))
 
 
-L_SERIES_ORDER = 3      # the phi-series order l-weights are read from
+L_SERIES_ORDER = 3      # the phi-series order l-weights are checked to
+
+
+def _series_match(M, label, m):
+    """Whether the basis vector carries the l-weight monomial m: its phi
+    series in both directions equal expected_phi_series of m, node by
+    node, to order L_SERIES_ORDER."""
+    return all(M.phi_series(g, sign, label, L_SERIES_ORDER)
+               == expected_phi_series(M, m.node_part(g), sign,
+                                      L_SERIES_ORDER)
+               for g in M.nodes for sign in (1, -1))
+
+
+def _read_l_weight(M, label):
+    """The l-weight monomial of a loop basis vector, read at first order:
+    its h_{g,1} eigenvalue is sum_l n_l q^l for the node-g part {l: n_l}."""
+    parts = {}
+    for g in M.nodes:
+        try:
+            h = M.h_eigenvalue(g, 1, label)
+        except (DomainError, ExactDivisionError) as exc:
+            raise DomainError("no l-weight reading on %r at node %d: %s"
+                              % (label, g, exc)) from exc
+        for l, n in h.items():
+            if n.denominator != 1:
+                raise DomainError("non-integer multiplicity in h_{%d,1} on "
+                                  "%r" % (g, label))
+            parts[(g, l)] = int(n)
+    return YMonomial(parts)
 
 
 def l_character(M):
     """Read each basis vector's l-weight monomial from its phi series.
 
-    Works over generic q, where the spectral exponents are recoverable
-    from the first logarithmic moment; every higher moment and the
-    negative-direction series are verified against the reconstruction.
+    Works over generic q, where the node-g part of a vector's l-weight is
+    read from its h_{g,1} eigenvalue.  Each vector must then carry what
+    was read: its phi series in both directions equal those predicted for
+    the monomial (``_series_match``), else DomainError names the vector.
     Returns {"terms": {label: YMonomial}}.
     """
     if M.kind != "loop":
-        raise DomainError("direct moment reading needs generic q; use "
+        raise DomainError("reading l-weights off h_{i,1} needs generic q; use "
                           "l_character_offset for cyclotomic modules")
-    series_order = L_SERIES_ORDER
     terms = {}
     for label in M.basis:
-        parts = {}
-        for g in M.nodes:
-            series = M.phi_series(g, 1, label, series_order)
-            f0 = series.at(0)
-            if not f0:
-                raise DomainError("phi constant term vanishes on %r"
-                                  % (label,))
-            delta = f0.as_q_power()
-            if delta is None:
-                raise DomainError("phi constant term is not a q power")
-            cs = series_log_coeffs(series, series_order)
-            part = {}
-            if cs[0] is not None:
-                p1 = cs[0].exact_div(M.qq_inv())
-                for e, v in p1.items():
-                    if v.denominator != 1:
-                        raise DomainError("non-integer multiplicity in the "
-                                          "first moment")
-                    part[e] = int(v)
-            if sum(part.values()) != delta:
-                raise DomainError("moment data disagrees with the constant "
-                                  "term on %r" % (label,))
-            for m in range(2, series_order + 1):
-                # m-th log coefficient is (q^m - q^-m)/m times the moment
-                # sum of q^(l m) over the node part
-                want = QScalar.zero()
-                for l, n in part.items():
-                    want = want + QScalar({l * m: n})
-                got = cs[m - 1]
-                got = (QScalar.zero() if got is None
-                       else (got * m).exact_div(QScalar({m: 1, -m: -1})))
-                if got != want:
-                    raise DomainError("moment %d mismatch on %r"
-                                      % (m, label))
-            minus = M.phi_series(g, -1, label, series_order)
-            if not minus == expected_phi_series(M, part, -1, series_order):
-                raise DomainError("negative-direction series mismatch on "
-                                  "%r" % (label,))
-            for l, n in part.items():
-                if n:
-                    parts[(g, l)] = n
-        terms[label] = YMonomial(parts)
+        m = terms[label] = _read_l_weight(M, label)
+        if not _series_match(M, label, m):
+            raise DomainError("phi series on %r differ from those of its "
+                              "l-weight %s" % (label, mono_format(m)))
     return {"terms": terms}
 
 
 def l_character_offset(M):
-    """Global spectral shift between computed l-weights and the display.
+    """Global spectral shift c between the l-weights and the display.
 
-    For generic q the monomials are read directly; the report fails unless
-    one constant c aligns every basis vector with display_monomial shifted
-    by c.  For cyclotomic quotients each candidate c (mod 4L) is verified
-    through the full phi series comparison instead.
+    Every basis vector must carry display_monomial shifted by one constant
+    c, by the phi-series rule of ``l_character``.  For generic q, c is
+    read off the first basis vector's l-weight and a vector that does not
+    carry its shifted display raises DomainError naming it; the terms are
+    the shifted display monomials.  For cyclotomic quotients every
+    candidate c (mod 4L) is tried.
     """
     if M.kind == "loop":
-        data = l_character(M)
-        c = None
-        for label, m in data["terms"].items():
-            want = display_monomial(label)
-            got_exps = sorted(m.key)
-            want_exps = sorted(want.key)
-            if len(got_exps) != len(want_exps):
-                raise DomainError("l-weight shape differs from the display "
-                                  "on %r" % (label,))
-            shifts = {lg - lw for (ig, lg, eg), (iw, lw, ew)
-                      in zip(got_exps, want_exps)}
-            if len(shifts) != 1:
-                raise DomainError("no uniform shift on %r" % (label,))
-            if m != want.shift_spectral(next(iter(shifts))):
-                raise DomainError("monomial differs beyond a shift on %r"
-                                  % (label,))
-            s = next(iter(shifts))
-            if c is None:
-                c = s
-            elif c != s:
-                raise DomainError("shift is not constant across the basis: "
-                                  "%d vs %d" % (c, s))
-        return {"c": c, "terms": {str(k): mono_format(v)
-                                  for k, v in data["terms"].items()}}
-    # cyclotomic: verify candidate shifts through the series
+        first = M.basis[0]
+        got, want = _read_l_weight(M, first), display_monomial(first)
+        # keys sort by (node, spectral); an empty reading leaves c = 0,
+        # which the check rejects on the first vector
+        c = got.key[0][1] - want.key[0][1] if got.key else 0
+        bad = _display_shift_mismatch(M, c)
+        if bad is not None:
+            raise DomainError("phi series on %r differ from those of its "
+                              "display monomial shifted by %d" % (bad, c))
+        return {"c": c, "terms": {
+            str(label): mono_format(display_monomial(label).shift_spectral(c))
+            for label in M.basis}}
     N = M.cyc_order
-    matches = []
-    for c in range(-N // 2, N - N // 2):
-        if _matches_display_shift(M, c, L_SERIES_ORDER):
-            matches.append(c)
+    matches = [c for c in range(-N // 2, N - N // 2)
+               if _display_shift_mismatch(M, c) is None]
     if not matches:
         raise DomainError("no constant shift aligns the quotient with the "
                           "display")
@@ -691,17 +669,14 @@ def l_character_offset(M):
     return {"c": canon, "candidates": matches}
 
 
-def _matches_display_shift(M, c, order):
+def _display_shift_mismatch(M, c):
+    """The first basis vector that does not carry its display monomial
+    shifted by c, or None when every vector does."""
     for label in M.basis:
         want = display_monomial(label).shift_spectral(c)
-        for g in M.nodes:
-            part = {l: e for (i, l, e) in want.key if i == g}
-            for sign in (1, -1):
-                observed = M.phi_series(g, sign, label, order)
-                predicted = expected_phi_series(M, part, sign, order)
-                if not observed == predicted:
-                    return False
-    return True
+        if not _series_match(M, label, want):
+            return label
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -714,34 +689,38 @@ def rou_irreducible(M):
     Every k_g and phi+_{g,1} acts diagonally.  When their joint
     eigenvalues separate the basis vectors, every invariant subspace is
     spanned by basis vectors, and the module is irreducible exactly when
-    each basis vector reaches every other through the ladder operators.
+    each basis vector reaches every other through the ladder operators,
+    found by one search per vector over the ladder operators' columns.
     Raises DomainError when two basis vectors share their eigenvalues,
-    since a submodule then need not be spanned by basis vectors.
+    since a submodule then need not be spanned by basis vectors, and on a
+    loop module, whose ladders leave the window.
     """
-    diagonal = [(name, g, 1) for name in ("k", "phip") for g in M.nodes]
+    if M.kind != "rou":
+        raise DomainError("irreducibility is decided on periodic quotients")
+    diagonal = [M.op((name, g, 1)) for name in ("k", "phip")
+                for g in M.nodes]
     owner = {}
     for v in M.basis:
         # a generator that kills v reads None
-        pat = tuple(M.apply(gen, {v: M.one()}).get(v) for gen in diagonal)
+        pat = tuple(op.entry(v, v) for op in diagonal)
         if pat in owner:
             raise DomainError("%r and %r share every k and phi+ eigenvalue"
                               % (owner[pat], v))
         owner[pat] = v
-    reach = {v: {v} for v in M.basis}
-    gens = [(name, g, r) for name in ("xp", "xm") for g in M.nodes
-            for r in (-1, 0, 1)]
-    changed = True
-    while changed:
-        changed = False
-        for v in M.basis:
-            for gen in gens:
-                for w in list(reach[v]):
-                    img = M.apply(gen, {w: M.one()})
-                    for lab in img:
-                        if lab not in reach[v]:
-                            reach[v].add(lab)
-                            changed = True
-    return all(len(reach[v]) == len(M.basis) for v in M.basis)
+    ladders = [M.op((name, g, r)).cols for name in ("xp", "xm")
+               for g in M.nodes for r in (-1, 0, 1)]
+    for v in M.basis:
+        reach, todo = {v}, [v]
+        while todo:
+            w = todo.pop()
+            for cols in ladders:
+                for lab in cols.get(w, ()):
+                    if lab not in reach:
+                        reach.add(lab)
+                        todo.append(lab)
+        if len(reach) < len(M.basis):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

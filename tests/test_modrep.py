@@ -1,4 +1,5 @@
 import gc
+import re
 from fractions import Fraction
 
 import pytest
@@ -675,8 +676,9 @@ def test_l_weight_check_rejects_a_bent_phi_entry(gen, label, bend,
         build_extremal_loop((-2, 2)).phi_series(
             gen[1], 1 if gen[0] == "phip" else -1, label, L_SERIES_ORDER)
     assert l_outcome(moment_l_character, M) is moment_error
+    # the one series rule rejects every bend and names the bent vector
     for fn in (l_character, l_character_offset):
-        with pytest.raises(QtorError):
+        with pytest.raises(DomainError, match=re.escape(repr(label))):
             fn(M)
 
 
@@ -717,6 +719,12 @@ def test_rou_irreducible_sees_cut_ladders(monkeypatch):
                         if gen[0] in ("xp", "xm") and gen[1] == 0
                         else image(gen, label))
     assert not rou_irreducible(M)
+
+
+def test_rou_irreducible_rejects_a_loop_module():
+    # the ladders of a loop window reach boundary labels outside it
+    with pytest.raises(DomainError, match="periodic quotients"):
+        rou_irreducible(build_extremal_loop((-1, 1)))
 
 
 def test_rou_irreducible_raises_when_patterns_collide(monkeypatch):
