@@ -18,6 +18,7 @@ from qtoroidal.modrep import (L_SERIES_ORDER, ModuleRealization,
 from qtoroidal.monomials import YMonomial, mono_format, mono_parse
 from qtoroidal.scalars import (QScalar, cyclotomic_specialize, q_binom,
                                q_int, series_log_coeffs)
+from series_oracles import expected_phi_series_by_products, log_h_eigenvalue
 
 
 def one_vec(M, label):
@@ -158,6 +159,30 @@ def test_h_eigenvalue_from_log():
         # and the negative side mirrors it with t -> -t under q -> q
         got_neg = M.h_eigenvalue(2, -m, v)
         assert got_neg == QScalar.q_power(-t * m) * q_int(m) * Fraction(1, m)
+
+
+H_ORACLE_MODULES = [
+    *(lambda w=w, x=x: build_extremal_loop(w, corrupt_xp=x)
+      for w in ((-2, 2), (-3, 3), (0, 4)) for x in (None, (1, 0))),
+    *(lambda L=L: build_root_of_unity(L) for L in (1, 2, 3, 4, 5)),
+]
+H_ORACLE_IDS = ["loop%d:%d-%s" % (w[0], w[1], x)
+                for w in ((-2, 2), (-3, 3), (0, 4)) for x in ("ok", "x10")] \
+    + ["rou%d" % L for L in (1, 2, 3, 4, 5)]
+
+
+@pytest.mark.parametrize("make", H_ORACLE_MODULES, ids=H_ORACLE_IDS)
+def test_h_eigenvalue_matches_the_log_oracle(make):
+    # every node, every |m| <= 5 and every basis vector: the value and its
+    # printed form equal those read through the general logarithm
+    M = make()
+    modes = [m for m in range(-5, 6) if m]
+    for label in M.basis:
+        for g in M.nodes:
+            for m in modes:
+                got = M.h_eigenvalue(g, m, label)
+                want = log_h_eigenvalue(M, g, m, label)
+                assert (got, repr(got)) == (want, repr(want)), (g, m, label)
 
 
 def assert_int_qscalar(x):
@@ -688,6 +713,26 @@ def test_trivial_module_empty_monomial():
     series = expected_phi_series(M, {}, 1, 3)
     assert series.at(0) == M.one()
     assert all(series.at(m) is None for m in (1, 2, 3))
+
+
+PHI_PARTS = [{}, *({l: n} for l in (-2, 0, 3) for n in range(-3, 4)),
+             {0: 2, 2: -1}, {-1: -3, 1: 3}, {1: 1, 3: 1}]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_extremal_loop((-2, 2)),
+    lambda: build_root_of_unity(1),
+    lambda: build_root_of_unity(3),
+], ids=["loop-2:2", "rou1", "rou3"])
+def test_expected_phi_series_matches_the_product_oracle(make):
+    M = make()
+    for part in PHI_PARTS:
+        for sign in (1, -1):
+            for order in range(1, 7):
+                got = expected_phi_series(M, part, sign, order)
+                want = expected_phi_series_by_products(M, part, sign, order)
+                assert (got, repr(got)) == (want, repr(want)), \
+                    (part, sign, order)
 
 
 def test_display_monomial_matches_remark_at_l1():
