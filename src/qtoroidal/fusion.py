@@ -123,7 +123,7 @@ def coproduct_generator(gen, M1, M2, u_window):
     coeffs = {}
     for d, ga, gb in delta_terms(gen, twist, hi_req):
         op = M1.op(ga).tensor(M2.op(gb))
-        if op.is_zero():
+        if not op:
             continue
         coeffs[d] = coeffs[d] + op if d in coeffs else op
     return TruncSeries("u", coeffs, lo_nat, hi_req)
@@ -208,7 +208,7 @@ def coproduct_relation_check(M1, M2, u_window, r_bound, m_bound):
                               " enlarge the pad" % (desc, hi, hi_req))
         for n in range(lo, hi + 1):
             v = acc.at(n)
-            if v is not None and not v.is_zero():
+            if v:
                 return {"relation": desc, "u_degree": n}
         return None
 
@@ -276,7 +276,7 @@ def twisted_coassoc_check(M1, M2, M3, s, s_prime, u_window, gens):
             acc = {}
             for d, a, b, c in _triple_terms(gen, s, s_prime, lo, hi, side):
                 op = op3(a, b, c)
-                if op.is_zero():
+                if not op:
                     continue
                 acc[d] = acc[d] + op if d in acc else op
             sides.append(acc)

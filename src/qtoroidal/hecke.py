@@ -155,7 +155,7 @@ def _collect(terms):
     for (j, w, c) in terms:
         key = (j, w)
         acc[key] = acc[key] + c if key in acc else c
-    return [(j, w, c) for (j, w), c in acc.items() if not c.is_zero()]
+    return [(j, w, c) for (j, w), c in acc.items() if c]
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +249,7 @@ def verify_presentation(M):
     checks = {}
     for i, s in M.sigma_ops.items():
         quad = (s + ident.scale(qinv)) * (s - ident.scale(q))
-        checks["quadratic s%d" % i] = quad.is_zero()
+        checks["quadratic s%d" % i] = not quad
     for i in M.sigma_ops:
         for k in M.sigma_ops:
             if abs(i - k) > 1 or i >= k:
@@ -615,6 +615,6 @@ def find_isomorphism(M1, M2):
             if combo_bits >> t & 1:
                 vec = [x + y for x, y in zip(vec, b)]
         F = [[vec[r * dim + c] for c in range(dim)] for r in range(dim)]
-        if not field.is_zero(determinant(F, field)):
+        if determinant(F, field):
             return F
     return None

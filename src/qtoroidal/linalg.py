@@ -148,9 +148,9 @@ class Field:
         return not a
 
 
-def _pivot(rows, col, start, field):
+def _pivot(rows, col, start):
     for r in range(start, len(rows)):
-        if not field.is_zero(rows[r][col]):
+        if rows[r][col]:
             return r
     return None
 
@@ -166,14 +166,14 @@ def rref(matrix, field):
     pivots = []
     rank = 0
     for col in range(ncols):
-        p = _pivot(rows, col, rank, field)
+        p = _pivot(rows, col, rank)
         if p is None:
             continue
         rows[rank], rows[p] = rows[p], rows[rank]
         inv = field.one / rows[rank][col]
         rows[rank] = [v * inv for v in rows[rank]]
         for r in range(len(rows)):
-            if r != rank and not field.is_zero(rows[r][col]):
+            if r != rank and rows[r][col]:
                 f = rows[r][col]
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
         pivots.append(col)
@@ -203,7 +203,7 @@ def determinant(matrix, field):
     n = len(rows)
     det = field.one
     for col in range(n):
-        p = _pivot(rows, col, col, field)
+        p = _pivot(rows, col, col)
         if p is None:
             return field.zero
         if p != col:
@@ -212,7 +212,7 @@ def determinant(matrix, field):
         det = det * rows[col][col]
         inv = field.one / rows[col][col]
         for r in range(col + 1, n):
-            if not field.is_zero(rows[r][col]):
+            if rows[r][col]:
                 f = rows[r][col] * inv
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
     return det
@@ -243,11 +243,11 @@ def span_grow(vectors, ops, basis, field):
     def reduce_against(vec):
         v = list(vec)
         for row, pc in basis_rows:
-            if not field.is_zero(v[pc]):
+            if v[pc]:
                 f = v[pc]
                 v = [a - f * b for a, b in zip(v, row)]
         for c, x in enumerate(v):
-            if not field.is_zero(x):
+            if x:
                 inv = field.one / x
                 return [y * inv for y in v], c
         return None, None
@@ -262,7 +262,7 @@ def span_grow(vectors, ops, basis, field):
         if len(basis_rows) == len(row):
             break
         sparse = {basis[c]: x for c, x in enumerate(row)
-                  if not field.is_zero(x)}
+                  if x}
         for op in ops:
             img = [field.zero] * len(row)
             for b, x in op.apply(sparse).items():

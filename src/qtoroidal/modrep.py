@@ -9,9 +9,9 @@ every vector is interior there.
 
 Every generator acts through one sparse operator (``LinOp``) built once
 per module from the generator tables in ``image()``.  Diagonal
-h-generators have no table of their own: their eigenvalues are recovered
-from the phi-eigenvalue series through the exact truncated logarithm,
-keeping the phi-tables the single source of truth.
+h-generators have no table of their own: their eigenvalues are read off
+the phi-eigenvalue series by Newton's identity, keeping the phi-tables
+the single source of truth.
 
 Every generator operator is monomial: ``image()`` gives each basis vector
 at most one target.  So the image of a basis vector under a word of
@@ -35,7 +35,7 @@ from .errors import (ConstructionError, DomainError, EscapeError,
 from .linalg import Field, LinOp, determinant, op_matrix
 from .monomials import YMonomial, mono_format
 from .scalars import (CycScalar, QScalar, TruncSeries, cyclotomic_specialize,
-                      q_binom, q_int, series_log_coeffs)
+                      q_binom, q_int)
 
 LETTERS = 4          # basis letters per lattice site in the rank-3 module
 
@@ -240,17 +240,40 @@ class ModuleRealization:
 
     def h_eigenvalue(self, g, m, label):
         """Eigenvalue of the derived diagonal generator h_{g,m} (m != 0),
-        extracted from the phi series by the exact truncated logarithm."""
+        read off the phi series.
+
+        phi(z) = phi_0 exp(+-(q - q^-1) sum_k h_{g,+-k} z^k), so with
+        t_k = phi_k / phi_0 the numbers b_k = +-k (q - q^-1) h_{g,+-k}
+        obey Newton's identity b_k = k t_k - sum_{0<j<k} b_j t_{k-j}
+        (Macdonald, Symmetric Functions and Hall Polynomials, I.2).
+        Raises DomainError naming the vector when phi_0 is not invertible
+        or b_|m| / |m| is not a multiple of q - q^-1.
+        """
         if m == 0:
             raise InputError("h index must be nonzero")
         sign = 1 if m > 0 else -1
-        mag = abs(m)
-        series = self.phi_series(g, sign, label, mag)
-        cs = series_log_coeffs(series, mag)
-        c = cs[mag - 1]
-        if c is None:
-            return self.one() - self.one()
-        val = c.exact_div(self.qq_inv())
+        n = abs(m)
+        series = self.phi_series(g, sign, label, n)
+        zero = self.one() - self.one()
+        phi = [series.at(k) or zero for k in range(n + 1)]
+        try:
+            inv0 = phi[0].inverse()
+        except DomainError as exc:
+            raise DomainError("no h_{%d,%d} eigenvalue on %r: phi_0 is not "
+                              "invertible (%s)" % (g, m, label, exc)) from exc
+        t = [p * inv0 for p in phi]
+        b = [zero]
+        for k in range(1, n + 1):
+            acc = t[k] * k
+            for j in range(1, k):
+                acc = acc - b[j] * t[k - j]
+            b.append(acc)
+        try:
+            val = (b[n] * Fraction(1, n)).exact_div(self.qq_inv())
+        except ExactDivisionError as exc:
+            raise DomainError("no h_{%d,%d} eigenvalue on %r: the log "
+                              "coefficient is not a multiple of q - q^-1"
+                              % (g, m, label)) from exc
         return -val if sign < 0 else val
 
 
@@ -540,21 +563,17 @@ def verify_relations(M, r_bound, m_bound):
 # ---------------------------------------------------------------------------
 
 def _linear_factor_series(var, exp_a, power, order, module):
-    """(1 - z q^exp_a)^power as a TruncSeries over the module scalars."""
-    one = module.one()
-    if power >= 0:
-        acc = TruncSeries(var, {0: one}, 0, order)
-        base = TruncSeries(var, {0: one, 1: -module.q_power(exp_a)}, 0,
-                           order)
-        for _ in range(power):
-            acc = acc * base
-        return acc
-    geo = TruncSeries(var, {m: module.q_power(exp_a * m)
-                            for m in range(order + 1)}, 0, order)
-    acc = TruncSeries(var, {0: one}, 0, order)
-    for _ in range(-power):
-        acc = acc * geo
-    return acc
+    """(1 - z q^exp_a)^power as a TruncSeries over the module scalars: by
+    the binomial theorem its z^k coefficient is (-1)^k C(power, k)
+    q^(exp_a k), with C the generalized binomial coefficient."""
+    coeffs = {}
+    c = 1                                   # (-1)^k C(power, k)
+    for k in range(order + 1):
+        if not c:
+            break
+        coeffs[k] = module.q_power(exp_a * k) * c
+        c = c * (k - power) // (k + 1)
+    return TruncSeries(var, coeffs, 0, order)
 
 
 def expected_phi_series(module, part, sign, order):
@@ -602,12 +621,7 @@ def _read_l_weight(M, label):
     its h_{g,1} eigenvalue is sum_l n_l q^l for the node-g part {l: n_l}."""
     parts = {}
     for g in M.nodes:
-        try:
-            h = M.h_eigenvalue(g, 1, label)
-        except (DomainError, ExactDivisionError) as exc:
-            raise DomainError("no l-weight reading on %r at node %d: %s"
-                              % (label, g, exc)) from exc
-        for l, n in h.items():
+        for l, n in M.h_eigenvalue(g, 1, label).items():
             if n.denominator != 1:
                 raise DomainError("non-integer multiplicity in h_{%d,1} on "
                                   "%r" % (g, label))
@@ -751,8 +765,7 @@ class HeckeCompanion:
         """Exact checks: the exchange relation, both spectra, and the
         Fourier change of basis reproducing the dual action."""
         eps4 = self.eps_power(4)
-        relation_ok = (self.X * self.Y - (self.Y * self.X).scale(eps4)) \
-            .is_zero()
+        relation_ok = not (self.X * self.Y - (self.Y * self.X).scale(eps4))
 
         field = Field(CycScalar.zero(self.order), CycScalar.one(self.order))
         spectrum = [eps4 ** j for j in range(self.L)]
@@ -774,9 +787,8 @@ class HeckeCompanion:
                     for j in range(self.L)})
         Ym = LinOp({w[j]: {w[j]: self.eps_power(4 * (j + 1))}
                     for j in range(self.L)})
-        dual_ok = (not field.is_zero(determinant(
-            op_matrix(S, w, field.zero), field))
-            and S * self.X == Xm * S and S * self.Y == Ym * S)
+        dual_ok = (bool(determinant(op_matrix(S, w, field.zero), field))
+                   and S * self.X == Xm * S and S * self.Y == Ym * S)
 
         return {"relation": relation_ok, "x_spectrum": xs_ok and ann_x,
                 "y_spectrum": ys_ok and ann_y, "dual_basis": dual_ok,
@@ -788,15 +800,14 @@ class HeckeCompanion:
         return op - LinOp.identity(self.basis, lam)
 
     def _is_eigenvalue(self, op, lam, field):
-        return field.is_zero(determinant(
-            op_matrix(self._shifted(op, lam), self.basis, field.zero),
-            field))
+        return not determinant(
+            op_matrix(self._shifted(op, lam), self.basis, field.zero), field)
 
     def _annihilates(self, op, spectrum, field):
         acc = LinOp.identity(self.basis, field.one)
         for lam in spectrum:
             acc = acc * self._shifted(op, lam)
-        return acc.is_zero()
+        return not acc
 
 
 def hecke_companion(L):

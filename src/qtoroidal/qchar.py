@@ -40,9 +40,6 @@ class QCharacter:
     def coeff(self, m):
         return self.terms.get(m, 0)
 
-    def height(self, m):
-        return self.heights[m]
-
     def __len__(self):
         return len(self.terms)
 

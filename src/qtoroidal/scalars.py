@@ -38,9 +38,7 @@ other factor itself.  A constant element hashes as the ``int`` or
 
 ``TruncSeries`` provides window-carrying truncated Laurent series whose
 coefficients may live in any of these rings, or be operators; reading a
-coefficient outside the window is an error, never a silent zero.  The
-exact truncated logarithm ``series_log_coeffs`` recovers the eigenvalues
-of the derived h-generators from a module's scalar phi series.
+coefficient outside the window is an error, never a silent zero.
 """
 
 from __future__ import annotations
@@ -1173,35 +1171,3 @@ class PolyScalar:
             parts.append("%s%s" % (v, "*" + body if body else ""))
         return " + ".join(parts)
 
-
-def series_log_coeffs(f, order):
-    """Coefficients c_1..c_order with f = f(0) exp(sum c_m t^m).
-
-    Requires an invertible constant term and order within the window.
-    Returned entries may be None, meaning an exact zero.
-    """
-    if f.lo != 0:
-        raise DomainError("series must start at order 0 for log extraction")
-    f0 = f.at(0)
-    if not f0:
-        raise DomainError("constant term is not invertible")
-    if order > f.hi:
-        raise WindowError("log order %d exceeds window top %d"
-                          % (order, f.hi))
-    inv0 = f0.inverse()
-    g = f.scale(inv0)
-    one = g.at(0)
-    u = g - TruncSeries(f.var, {0: one}, 0, f.hi)   # valuation >= 1
-    out = {}
-    power = None
-    sign = 1
-    for k in range(1, order + 1):
-        power = u if power is None else power * u
-        if power.lo > order and k > 1:
-            break
-        for e, v in power.coeffs.items():
-            if 1 <= e <= order:
-                term = v * Fraction(sign, k)
-                out[e] = out.get(e) + term if e in out else term
-        sign = -sign
-    return [out.get(m) for m in range(1, order + 1)]

@@ -8,7 +8,8 @@ from qtoroidal.fusion import (ONE, _check_fusable, coproduct_generator,
 from qtoroidal.linalg import LinOp
 from qtoroidal.modrep import (ModuleRealization, _relation_instances,
                               build_extremal_loop, build_root_of_unity)
-from qtoroidal.scalars import QScalar, TruncSeries, series_log_coeffs
+from qtoroidal.scalars import QScalar, TruncSeries
+from series_oracles import series_log_coeffs
 
 
 def tensor_op(M1, M2, genA, genB):

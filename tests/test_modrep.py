@@ -17,8 +17,9 @@ from qtoroidal.modrep import (L_SERIES_ORDER, ModuleRealization,
                               verify_relations)
 from qtoroidal.monomials import YMonomial, mono_format, mono_parse
 from qtoroidal.scalars import (QScalar, cyclotomic_specialize, q_binom,
-                               q_int, series_log_coeffs)
-from series_oracles import expected_phi_series_by_products, log_h_eigenvalue
+                               q_int)
+from series_oracles import (expected_phi_series_by_products, log_h_eigenvalue,
+                            series_log_coeffs)
 
 
 def one_vec(M, label):
@@ -705,6 +706,35 @@ def test_l_weight_check_rejects_a_bent_phi_entry(gen, label, bend,
     for fn in (l_character, l_character_offset):
         with pytest.raises(DomainError, match=re.escape(repr(label))):
             fn(M)
+
+
+@pytest.mark.parametrize("gen, label, bend", [
+    # h_{2,1} on (3, 0) is then not a multiple of q - q^-1
+    (("phip", 2, 1), (3, 0), lambda v: v + 1),
+    # phi_0 vanishes, so the log of the series is undefined
+    (("phip", 1, 0), (2, 0), lambda v: v - v),
+], ids=["phip21-plus-1", "phip10-zero"])
+def test_relation_check_names_a_bent_phi_vector(gen, label, bend):
+    # building the h operators meets the bent vector and names it
+    with pytest.raises(DomainError, match=re.escape(repr(label))):
+        verify_relations(BentPhi(gen, label, bend), 1, 1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_extremal_loop((-2, 2)),
+    lambda: build_root_of_unity(1),
+    lambda: build_root_of_unity(2),
+], ids=["loop-2:2", "rou1", "rou2"])
+def test_order_zero_predicted_series_is_the_constant_term(make):
+    # each factor (1 - z q^a)^n is 1 at order 0, so the prediction is the
+    # constant q^(+-delta) of the phi series
+    M = make()
+    for label in M.basis:
+        m = display_monomial(label).shift_spectral(-1)
+        for g in M.nodes:
+            for sign in (1, -1):
+                assert expected_phi_series(M, m.node_part(g), sign, 0) == \
+                    M.phi_series(g, sign, label, 0), (label, g, sign)
 
 
 def test_trivial_module_empty_monomial():
