@@ -226,8 +226,9 @@ def build_parser():
                    help="two twists: run coassociativity instead")
     f.set_defaults(run=_cmd_fusion)
 
-    h = sub.add_parser("hecke", help="small-rank module analysis")
-    h.add_argument("--l", type=int, default=2)
+    h = sub.add_parser("hecke", help="module M_A and its submodules")
+    h.add_argument("--l", type=int, default=2,
+                   help="rank l of M_A, from 1 to 4")
     h.add_argument("--a", default="0,2",
                    help="comma list of q-exponents for the parameters")
     h.set_defaults(run=_cmd_hecke)

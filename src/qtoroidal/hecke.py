@@ -1,4 +1,5 @@
-"""Small-rank affine Hecke computations.
+"""Affine Hecke computations: the modules M_A for l <= 4, their
+submodule lattices, and induction products of total size <= 3.
 
 Modules are right modules; the braid generators act through the regular
 representation and the commuting z-generators are pushed to the left with
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from .errors import DomainError, InputError
+from .errors import AlgorithmFailure, DomainError, InputError
 from .linalg import (Field, LinOp, determinant, kernel_basis, op_matrix,
                      rref, span_grow)
 from .scalars import PolyScalar, QRat, QScalar
@@ -202,8 +203,8 @@ def build_MA(l, A=None):
     permutations of S_l; braid generators act by the regular
     representation and z by the left normal form evaluated at A.
     """
-    if l not in (1, 2, 3):
-        raise InputError("only l <= 3 is materialized")
+    if l not in (1, 2, 3, 4):
+        raise InputError("only l <= 4 is materialized")
     if A is None:
         ring = SymbolicRing(l)
     elif len(A) != l:
@@ -303,15 +304,32 @@ def _sum_and_meet(rows1, rows2, field, dim):
     return [r[:dim] for r in rows[:k]], [r[dim:] for r in rows[k:]]
 
 
-def invariant_subspaces(M):
-    """All submodules reachable by common-z-eigenvector closure, saturated
-    under sums and intersections; feasible at these dimensions.
+def _contains_rows(big, small, field):
+    """A row space contains another exactly when stacking their rows adds
+    no rank."""
+    return len(rref(big + small, field)[0]) == len(big)
 
-    Only orderings of the parameters are tried as joint z-eigenvalues.
-    By the left normal form (``_z_expansion``) each z_j is triangular in
+
+def invariant_subspaces(M):
+    """The submodules of M found from its joint z-eigenvectors, saturated
+    under sums and intersections.
+
+    Only orderings of the parameters are tried as joint z-weights.  By the
+    left normal form (``_z_expansion``) each z_j is upper triangular in
     the ``all_perms`` basis, with the parameters in some order down the
     diagonals of z_1..z_l; the last nonzero coordinate of a common
-    eigenvector therefore reads off its eigenvalues as one such ordering.
+    eigenvector therefore reads off its weight as one such ordering.
+
+    When the parameters are pairwise distinct, each joint weight space is
+    a line, T_i v_λ lies in span(v_λ, v_{s_i λ}) by the Bernstein relation
+    (G. Lusztig, "Affine Hecke algebras and their graded version", JAMS 2,
+    1989), and every submodule is a sum of weight spaces.  The lattice is
+    then read off the weight graph (``_weight_lattice``), whose premises
+    are checked on M, not assumed; on M_A it decides Kato's criterion
+    (S. Kato, J. Fac. Sci. Univ. Tokyo 28, 1981): M_A is irreducible
+    exactly when no ratio a_i/a_j is q^{±2}.  A repeated parameter makes
+    the z_j non-semisimple, and then each joint eigenvector is grown to
+    the submodule it generates (``_closure_lattice``).
 
     Returns a report with every subspace dimension found, a composition
     chain, and the one-dimensional constituents' eigenvalue data.
@@ -320,14 +338,48 @@ def invariant_subspaces(M):
     if not isinstance(ring, QRatRing):
         raise DomainError("instantiate the parameters in an exact field "
                           "first")
-    field = ring.field()
+    values = [ring.param(j) for j in range(1, M.l + 1)]
+    lattice = (_weight_lattice if len(set(values)) == len(values)
+               else _closure_lattice)
+    members, contains, line_vector = lattice(M, values)
+    proper = [s for s in members if 0 < len(s) < M.dim]
+    lines = [s for s in proper if len(s) == 1]
+    return {
+        "dims": sorted(len(s) for s in members),
+        "proper_count": len(proper),
+        "irreducible": not proper,
+        "socle_lines": len(lines),
+        "line_data": [_line_data(M, line_vector(s)) for s in lines],
+        "composition": _composition_chain(M.dim, members, contains),
+    }
+
+
+def _saturate(members, key, sum_and_meet):
+    """Close a member list under sums and intersections in one pass: each
+    member meets every earlier member once, and a sum or intersection not
+    seen before joins the end of the list."""
+    seen = {key(s) for s in members}
+    for i, s1 in enumerate(members):
+        for s2 in members[:i]:
+            for s in sum_and_meet(s1, s2):
+                k = key(s)
+                if k not in seen:
+                    seen.add(k)
+                    members.append(s)
+    return members
+
+
+def _closure_lattice(M, values):
+    """Members as reduced echelon rows: each joint z-eigenvector, a kernel
+    vector of the stacked system z_j - λ_j, grown to the submodule it
+    generates, then the zero and whole spaces; closed by ``_sum_and_meet``.
+    Returns the members, their containment test and each line's vector."""
+    field = M.ring.field()
     dim = M.dim
     ops = [op for _, op in M.generators()]
     zs = [op_matrix(M.z_ops[j], M.basis, field.zero)
           for j in range(1, M.l + 1)]
-
     subspaces = {}
-    values = [ring.param(j) for j in range(1, M.l + 1)]
     for lam in permutations(values):
         stacked = [row[:r] + [row[r] - x] + row[r + 1:]
                    for zm, x in zip(zs, lam) for r, row in enumerate(zm)]
@@ -340,38 +392,127 @@ def invariant_subspaces(M):
     full = [[field.one if c == r else field.zero for c in range(dim)]
             for r in range(dim)]
     subspaces[_subspace_key(full)] = full
-
-    # one pass: each member meets every earlier member once, and a sum or
-    # intersection not seen before joins the end of the list
-    members = list(subspaces.values())
-    for i, r1 in enumerate(members):
-        for r2 in members[:i]:
-            for rows in _sum_and_meet(r1, r2, field, dim):
-                key = _subspace_key(rows)
-                if key not in subspaces:
-                    subspaces[key] = rows
-                    members.append(rows)
-
-    dims = sorted(len(rows) for rows in subspaces.values())
-    proper = [rows for rows in subspaces.values()
-              if 0 < len(rows) < dim]
-    composition = _composition_chain(M, field, subspaces)
-    lines = [rows for rows in proper if len(rows) == 1]
-    return {
-        "dims": dims,
-        "proper_count": len(proper),
-        "irreducible": not proper,
-        "socle_lines": len(lines),
-        "line_data": [_line_data(M, rows[0]) for rows in lines],
-        "composition": composition,
-    }
+    members = _saturate(list(subspaces.values()), _subspace_key,
+                        lambda a, b: _sum_and_meet(a, b, field, dim))
+    return (members,
+            lambda big, small: _contains_rows(big, small, field),
+            lambda rows: {b: x for b, x in zip(M.basis, rows[0]) if x})
 
 
-def _line_data(M, row):
-    """Each generator's eigenvalue on the line spanned by a dense row,
-    keyed "s1", ..., "z1", ...; it is read at the row's first nonzero
+def _weight_vector(M, zrows, diag, r, lam):
+    """The joint z-eigenvector v_λ with v_r = 1 and no coordinate past r,
+    by back-substitution in the upper triangular z_j: for k < r,
+    v_k = Σ_{m>k} z_j[k][m]·v_m / (λ_j − z_j[k][k]) for the first j with
+    z_j[k][k] ≠ λ_j.  Returned as a sparse vector in basis order."""
+    vec = {r: M.ring.one()}
+    for k in range(r - 1, -1, -1):
+        j = next(j for j, x in enumerate(diag[k]) if x != lam[j])
+        acc = None
+        for m, c in zrows[j][k].items():
+            if m > k and m in vec:
+                t = c * vec[m]
+                acc = t if acc is None else acc + t
+        if acc:
+            vec[k] = acc / (lam[j] - diag[k][j])
+    return {M.basis[k]: vec[k] for k in sorted(vec)}
+
+
+def _weight_lattice(M, values):
+    """Members as sets of weights, each weight named by the basis index
+    where its joint z-eigenvalues sit on the diagonals: the set reachable
+    from each weight in the weight graph, then the empty and whole sets;
+    closed by union and intersection.  Returns the members, set inclusion
+    and each line's weight vector.
+
+    The graph has an edge λ → s_i λ when T_i v_λ = α·v_λ + β·v_{s_i λ}
+    with β ≠ 0; α and β are read at the last coordinates of v_λ and
+    v_{s_i λ}, where each is 1.  Raises ``AlgorithmFailure`` when a weight
+    sits on the diagonal more than once, when the weight vectors found do
+    not span M, when a v_λ is not a joint eigenvector, or when T_i v_λ
+    leaves span(v_λ, v_{s_i λ}).
+    """
+    basis = M.basis
+    zero = M.ring.zero()
+    index = {b: k for k, b in enumerate(basis)}
+    zs = [M.z_ops[j] for j in range(1, M.l + 1)]
+    diag = [tuple(z.entry(b, b) or zero for z in zs) for b in basis]
+    where = {}
+    for r, d in enumerate(diag):
+        where.setdefault(d, []).append(r)
+    # zrows[j][k] = {m: z_j[k][m]}, row k of z_j
+    zrows = [[{} for _ in basis] for _ in zs]
+    for rows, z in zip(zrows, zs):
+        for src, col in z.cols.items():
+            for dst, c in col.items():
+                rows[index[dst]][index[src]] = c
+
+    weights = {}            # λ -> (r, v_λ), in the order λ is tried
+    for lam in permutations(values):
+        found = where.get(lam, [])
+        if len(found) > 1:
+            raise AlgorithmFailure("the z-weight %r sits on the diagonal "
+                                   "%d times" % (lam, len(found)))
+        if not found:
+            # a triangular family has no joint eigenvector off its diagonal
+            continue
+        r = found[0]
+        vec = _weight_vector(M, zrows, diag, r, lam)
+        for z, x in zip(zs, lam):
+            if z.apply(vec) != {b: x * y for b, y in vec.items()}:
+                raise AlgorithmFailure("v_%r is not a joint z-eigenvector"
+                                       % (lam,))
+        weights[lam] = (r, vec)
+    if len(weights) != len(basis):
+        raise AlgorithmFailure("%d weight vectors do not span the "
+                               "%d-dimensional module"
+                               % (len(weights), len(basis)))
+
+    edges = {r: [] for r, _ in weights.values()}
+    for lam, (r, v) in weights.items():
+        for i, op in M.sigma_ops.items():
+            mu = lam[:i - 1] + (lam[i], lam[i - 1]) + lam[i + 1:]
+            rm, w = weights[mu]
+            img = op.apply(v)
+            br, bm = basis[r], basis[rm]
+            if rm > r:
+                beta = img.get(bm, zero)
+                alpha = img.get(br, zero) - beta * w.get(br, zero)
+            else:
+                alpha = img.get(br, zero)
+                beta = img.get(bm, zero) - alpha * v.get(bm, zero)
+            want = {}
+            for c, u in ((alpha, v), (beta, w)):
+                if c:
+                    for b, x in u.items():
+                        want[b] = want[b] + c * x if b in want else c * x
+            if img != {b: x for b, x in want.items() if x}:
+                raise AlgorithmFailure("T_%d v_%r leaves the span of v_%r "
+                                       "and v_%r" % (i, lam, lam, mu))
+            if beta:
+                edges[r].append(rm)
+
+    def reach(r):
+        seen, stack = {r}, [r]
+        while stack:
+            for t in edges[stack.pop()]:
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        return frozenset(seen)
+
+    initial = ([reach(r) for r, _ in weights.values()]
+               + [frozenset(), frozenset(edges)])
+    members = _saturate(list(dict.fromkeys(initial)), lambda s: s,
+                        lambda a, b: (a | b, a & b))
+    vectors = dict(weights.values())
+    return (members, frozenset.issuperset,
+            lambda s: vectors[next(iter(s))])
+
+
+def _line_data(M, vec):
+    """Each generator's eigenvalue on the line spanned by a sparse vector,
+    keyed "s1", ..., "z1", ...; it is read at the vector's first
     coordinate, so a zero eigenvalue prints as 0."""
-    vec = {b: x for b, x in zip(M.basis, row) if x}
     first = next(iter(vec))
     out = {}
     for key, op in M.generators():
@@ -382,32 +523,21 @@ def _line_data(M, row):
     return out
 
 
-def _composition_chain(M, field, subspaces):
-    """Increasing chain 0 < S_1 < ... < M through the found lattice,
-    taking a minimal strictly-larger member each time.  A subspace
-    contains another exactly when stacking their rows adds no rank."""
-    dim = M.dim
-
-    def contains(big, small):
-        return len(rref(big + small, field)[0]) == len(big)
-
-    chain_rows = []
-    last = []
+def _composition_chain(dim, members, contains):
+    """Increasing chain 0 < S_1 < ... < M through the lattice members,
+    taking a minimal strictly-larger member that contains the last one
+    each time; a member's len is its dimension."""
+    dims = []
+    last = min(members, key=len)
     while len(last) < dim:
-        bigger = [rows for rows in subspaces.values()
-                  if len(rows) > len(last) and contains(rows, last)]
+        bigger = [s for s in members
+                  if len(s) > len(last) and contains(s, last)]
         if not bigger:
             break
-        nxt = min(bigger, key=len)
-        chain_rows.append(nxt)
-        last = nxt
-    factors = []
-    prev_dim = 0
-    for rows in chain_rows:
-        factors.append(len(rows) - prev_dim)
-        prev_dim = len(rows)
-    return {"subspace_dims": [len(r) for r in chain_rows],
-            "factor_dims": factors}
+        last = min(bigger, key=len)
+        dims.append(len(last))
+    return {"subspace_dims": dims,
+            "factor_dims": [b - a for a, b in zip([0] + dims, dims)]}
 
 
 def module_to_json(M):

@@ -108,6 +108,16 @@ def test_hecke_command():
     assert payload["dim"] == 2 and not payload["irreducible"]
 
 
+def test_hecke_command_at_l4():
+    # (0, 1, 3, 7): q^1 and q^3 are linked, so M_A is reducible, with one
+    # proper submodule of half the dimension
+    code, text = run(["hecke", "--l", "4", "--a", "0,1,3,7"])
+    assert code == 0
+    payload = json.loads(text)["payload"]
+    assert payload["dim"] == 24 and payload["presentation"]
+    assert payload["composition_factors"] == [12, 12]
+
+
 def test_octahedron_command_single_cell():
     code, text = run(["octahedron", "--depth", "2", "--window", "0,0",
                       "--k", "1", "--steps", "0"])
@@ -146,13 +156,14 @@ def test_unknown_preset_is_operational_error():
     ["octahedron", "--window=2,-2"],
     ["octahedron", "--k", ""],
     ["octahedron", "--steps", "-1"],
+    ["hecke", "--l", "5", "--a", "0,1,2,3,4"],
 ], ids=["crystal-empty-ops", "crystal-bad-op", "hecke-short-a",
         "hecke-long-a", "repcheck-short-window", "repcheck-bad-window",
         "octahedron-short-window", "fusion-one-twist", "qchar-no-such-node",
         "tsystem-no-such-node", "fusion-empty-u-window",
         "fusion-coassoc-empty-u-window", "repcheck-negative-bounds",
         "repcheck-negative-m-bound", "octahedron-empty-window",
-        "octahedron-no-k", "octahedron-no-steps"])
+        "octahedron-no-k", "octahedron-no-steps", "hecke-l5"])
 def test_malformed_input_is_an_error_payload(argv):
     # exit 1 means a verification failed, so bad input must not reach it
     code, text = run(argv)
@@ -213,6 +224,8 @@ README_GOLDEN = [
     (["tsystem", "--type", "A1tor", "--node", "1", "--k", "2",
       "--spectral", "0", "--depth", "4"], 0,
      "b1d4da8c0b235f8d1845d17113772dee5e51dd76a533794ecb973b94e83a38bf"),
+    (["hecke", "--l", "4", "--a", "0,1,3,7"], 0,
+     "866cdab2696e4e1d8ab68b4adfd13d3f4d9dadf30067736647d61fb6779aacff"),
 ]
 
 

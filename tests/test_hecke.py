@@ -1,14 +1,13 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import permutations, product
-from types import SimpleNamespace
+from itertools import combinations, permutations, product
 
 import pytest
 
 import qtoroidal.hecke
 import qtoroidal.linalg
-from qtoroidal.errors import DomainError, InputError
+from qtoroidal.errors import AlgorithmFailure, DomainError, InputError
 from qtoroidal.hecke import (SegmentCollection, all_perms, build_MA,
                              find_isomorphism, invariant_subspaces,
                              module_to_json, perm_length, reduced_word,
@@ -258,15 +257,22 @@ def oracle_intersect(rows1, rows2, field, dim):
     return oracle_echelon_rows(vecs, field)
 
 
+def oracle_contains(big, small, field):
+    """Containment as it was before it became one rank test: solve for
+    the intersection."""
+    if not small:
+        return True
+    dim = len(small[0])
+    return len(oracle_intersect(big, small, field, dim)) == len(small)
+
+
 def oracle_composition_chain(M, field, subspaces):
     """The chain search as it was before containment became one rank
-    test: each containment solves for the intersection."""
+    test, with ``oracle_contains``."""
     dim = M.dim
 
     def contains(big, small):
-        if not small:
-            return True
-        return len(oracle_intersect(big, small, field, dim)) == len(small)
+        return oracle_contains(big, small, field)
 
     chain_rows = []
     last = []
@@ -295,13 +301,14 @@ SUBSPACE_EXPS = ORDERING_EXPS + [
 @pytest.mark.parametrize("exps", SUBSPACE_EXPS)
 def test_invariant_subspaces_match_repr_key_oracle(exps, monkeypatch):
     # subspaces keyed by the repr text of their echelon rows, and a chain
-    # whose containment test intersects, give the same whole report
+    # whose containment test intersects, give the same whole report; the
+    # weight-graph path of distinct parameters uses neither
     M = build_MA(len(exps), [q_pow(n) for n in exps])
     got = invariant_subspaces(M)
     monkeypatch.setattr(qtoroidal.hecke, "_subspace_key",
                         oracle_subspace_key)
-    monkeypatch.setattr(qtoroidal.hecke, "_composition_chain",
-                        oracle_composition_chain)
+    monkeypatch.setattr(qtoroidal.hecke, "_contains_rows",
+                        oracle_contains)
     assert got == invariant_subspaces(M)
 
 
@@ -465,6 +472,95 @@ def test_invariant_subspaces_match_saturation_oracle(exps):
     assert invariant_subspaces(M) == oracle_invariant_subspaces(M)
 
 
+@pytest.mark.parametrize("exps", SATURATION_EXPS,
+                         ids=lambda e: ",".join(map(str, e)))
+def test_one_pass_saturation_closes_the_lattice(exps, monkeypatch):
+    # every pair of members has its sum and its meet in the returned
+    # lattice: sets of weights by union and intersection, echelon rows by
+    # row reduction and a kernel-based intersection
+    lattices = []
+    real = qtoroidal.hecke._saturate
+
+    def spy(members, key, sum_and_meet):
+        out = real(members, key, sum_and_meet)
+        lattices.append((out, key))
+        return out
+
+    monkeypatch.setattr(qtoroidal.hecke, "_saturate", spy)
+    M = build_MA(len(exps), [q_pow(n) for n in exps])
+    invariant_subspaces(M)
+    [(members, key)] = lattices
+    field = M.ring.field()
+    keys = {key(s) for s in members}
+    for a, b in combinations(members, 2):
+        if isinstance(a, frozenset):
+            pair = (a | b, a & b)
+        else:
+            pair = (rref(a + b, field)[0],
+                    oracle_intersect(a, b, field, M.dim))
+        assert all(key(s) in keys for s in pair), (a, b)
+
+
+KATO_EXPS = [(0,) + abc for abc in combinations(range(1, 7), 3)]
+
+
+@pytest.mark.parametrize("exps", KATO_EXPS,
+                         ids=lambda e: ",".join(map(str, e)))
+def test_l4_kato_criterion(exps):
+    # distinct parameters q^e: M_A is irreducible exactly when no two
+    # exponents differ by 2, i.e. no ratio a_i/a_j is q^{+-2}
+    rep = invariant_subspaces(build_MA(4, [q_pow(n) for n in exps]))
+    linked = any(abs(a - b) == 2 for a, b in combinations(exps, 2))
+    assert rep["irreducible"] is not linked
+
+
+def test_l4_weight_lattice_matches_saturation_oracle():
+    # a q^2-segment: twenty members and the full chain of Kato's
+    # composition factors, against the eigenvector closure
+    M = build_MA(4, [q_pow(n) for n in (0, 2, 4, 6)])
+    rep = invariant_subspaces(M)
+    assert len(rep["dims"]) == 20
+    assert rep["composition"]["factor_dims"] == [1, 3, 3, 5, 5, 3, 3, 1]
+    assert rep == oracle_invariant_subspaces(M)
+
+
+def _bent(M, kind, i, src, dst):
+    """M with 1 added to the (dst, src) entry, as basis indices, of the
+    generator ("s" or "z", i)."""
+    ops = M.sigma_ops if kind == "s" else M.z_ops
+    cols = {b: dict(col) for b, col in ops[i].cols.items()}
+    col = cols[M.basis[src]]
+    b = M.basis[dst]
+    col[b] = col[b] + QRat.one() if b in col else QRat.one()
+    ops[i] = LinOp(cols)
+    return M
+
+
+def _diagonal_module(pairs):
+    """An l = 2 module with diagonal z_1, z_2 whose entries on the two
+    basis vectors are q to the given exponent pairs, parameters q, q^3."""
+    basis = [(1, 2), (2, 1)]
+    z = {j: LinOp({b: {b: q_pow(e[j - 1])} for b, e in zip(basis, pairs)})
+         for j in (1, 2)}
+    ident = LinOp.identity(basis, QRat.one())
+    return qtoroidal.hecke.HeckeModule(
+        2, qtoroidal.hecke.QRatRing([q_pow(1), q_pow(3)]), basis,
+        {1: ident}, z)
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: _bent(build_MA(3, [q_pow(n) for n in (0, 3, -1)]),
+                   "s", 1, 0, 5), "leaves the span"),
+    (lambda: _bent(build_MA(3, [q_pow(n) for n in (0, 3, -1)]),
+                   "z", 2, 5, 0), "not a joint z-eigenvector"),
+    (lambda: _diagonal_module([(1, 3), (1, 3)]), "on the diagonal 2 times"),
+    (lambda: _diagonal_module([(1, 3), (1, 5)]), "do not span"),
+], ids=["bent-sigma", "bent-z", "weight-twice", "weight-missing"])
+def test_weight_lattice_checks_its_premises(make, match):
+    with pytest.raises(AlgorithmFailure, match=match):
+        invariant_subspaces(make())
+
+
 def _random_rows(rng, field, count, dim):
     """Reduced echelon rows spanned by ``count`` small random vectors."""
     vecs = [[Fraction(rng.randint(-2, 2)) for _ in range(dim)]
@@ -499,8 +595,8 @@ def test_sum_and_meet_match_rref_and_kernel_oracle():
 
 
 def test_saturation_reduces_each_pair_of_members_once(monkeypatch):
-    # l = 3 at (0, 2, 4) has six members, so fifteen unordered pairs of
-    # distinct members, each row-reduced once
+    # l = 3 at (0, 2, 0), a repeated parameter, has four members, so six
+    # unordered pairs of distinct members, each row-reduced once
     reductions = []
     per_call = []
     pairs = []
@@ -522,10 +618,10 @@ def test_saturation_reduces_each_pair_of_members_once(monkeypatch):
     monkeypatch.setattr(qtoroidal.hecke, "rref", counting_rref)
     monkeypatch.setattr(qtoroidal.hecke, "_sum_and_meet",
                         counting_sum_and_meet)
-    rep = invariant_subspaces(build_MA(3, [q_pow(n) for n in (0, 2, 4)]))
-    assert len(rep["dims"]) == 6
-    assert per_call == [1] * 15
-    assert len(set(pairs)) == 15 and all(len(p) == 2 for p in pairs)
+    rep = invariant_subspaces(build_MA(3, [q_pow(n) for n in (0, 2, 0)]))
+    assert len(rep["dims"]) == 4
+    assert per_call == [1] * 6
+    assert len(set(pairs)) == 6 and all(len(p) == 2 for p in pairs)
 
 
 def test_composition_chain_steps_only_to_members_containing_the_last():
@@ -536,10 +632,9 @@ def test_composition_chain_steps_only_to_members_containing_the_last():
     line = [[one, zero, zero]]
     plane = [[zero, one, zero], [zero, zero, one]]
     full = line + plane
-    subspaces = {qtoroidal.hecke._subspace_key(rows): rows
-                 for rows in ([], line, plane, full)}
-    chain = qtoroidal.hecke._composition_chain(SimpleNamespace(dim=3), field,
-                                               subspaces)
+    chain = qtoroidal.hecke._composition_chain(
+        3, [[], line, plane, full],
+        lambda big, small: qtoroidal.hecke._contains_rows(big, small, field))
     assert chain == {"subspace_dims": [1, 3], "factor_dims": [1, 2]}
 
 
@@ -553,8 +648,8 @@ def _qrats(obj):
 
 def test_l3_linear_algebra_keeps_int_coefficients(monkeypatch):
     """Every QRat the row reductions and span growths of an l = 3
-    invariant_subspaces return stores int coefficients: no float, no
-    Fraction."""
+    invariant_subspaces with a repeated parameter return stores int
+    coefficients: no float, no Fraction."""
     seen = []
 
     def spy(fn):
@@ -568,13 +663,34 @@ def test_l3_linear_algebra_keeps_int_coefficients(monkeypatch):
         monkeypatch.setattr(mod, "rref", spy(qtoroidal.linalg.rref))
     monkeypatch.setattr(qtoroidal.hecke, "span_grow",
                         spy(qtoroidal.linalg.span_grow))
-    M = build_MA(3, [q_pow(n) for n in (1, 0, 2)])
+    M = build_MA(3, [q_pow(n) for n in (0, 2, 0)])
     invariant_subspaces(M)
     ops = [*M.sigma_ops.values(), *M.z_ops.values()]
     values = list(_qrats(seen)) + [x for op in ops
                                    for col in op.cols.values()
                                    for x in col.values()]
     # divisions happened: some entries have a non-constant denominator
+    assert any(len(x._d) > 1 for x in values)
+    for x in values:
+        assert all(type(c) is int for c in (*x._n, *x._d, x._v)), x
+
+
+def test_l3_weight_vectors_keep_int_coefficients(monkeypatch):
+    """Every coordinate of the weight vectors of an l = 3 invariant_subspaces
+    with distinct parameters stores int coefficients, and back-substitution
+    divided: some have a non-constant denominator."""
+    seen = []
+    real = qtoroidal.hecke._weight_vector
+
+    def spy(*args):
+        vec = real(*args)
+        seen.append(vec)
+        return vec
+
+    monkeypatch.setattr(qtoroidal.hecke, "_weight_vector", spy)
+    invariant_subspaces(build_MA(3, [q_pow(n) for n in (0, 3, -1)]))
+    assert len(seen) == 6
+    values = [x for vec in seen for x in vec.values()]
     assert any(len(x._d) > 1 for x in values)
     for x in values:
         assert all(type(c) is int for c in (*x._n, *x._d, x._v)), x
@@ -664,7 +780,7 @@ def test_module_json_dump():
 
 def test_build_MA_rejects_large_l():
     with pytest.raises(InputError):
-        build_MA(4, [q_pow(0)] * 4)
+        build_MA(5, [q_pow(0)] * 5)
 
 
 @pytest.mark.parametrize("count", [1, 3])
@@ -826,3 +942,12 @@ def test_zelevinsky_product_matches_per_generator_oracle(exps1, exps2):
     M2 = build_MA(len(exps2), [q_pow(n) for n in exps2])
     assert_same_module(zelevinsky_product(M1, M2),
                        oracle_zelevinsky_product(M1, M2))
+
+
+@pytest.mark.parametrize("exps1, exps2", PRODUCT_ORACLE_CASES)
+def test_product_module_lattice_matches_saturation_oracle(exps1, exps2):
+    # induced modules with distinct parameters take the weight-graph path
+    # too, and give the eigenvector closure's reports
+    P = zelevinsky_product(build_MA(len(exps1), [q_pow(n) for n in exps1]),
+                           build_MA(len(exps2), [q_pow(n) for n in exps2]))
+    assert invariant_subspaces(P) == oracle_invariant_subspaces(P)
