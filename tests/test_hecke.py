@@ -300,15 +300,18 @@ SUBSPACE_EXPS = ORDERING_EXPS + [
 
 @pytest.mark.parametrize("exps", SUBSPACE_EXPS)
 def test_invariant_subspaces_match_repr_key_oracle(exps, monkeypatch):
-    # subspaces keyed by the repr text of their echelon rows, and a chain
-    # whose containment test intersects, give the same whole report; the
-    # weight-graph path of distinct parameters uses neither
+    # the eigenvector closure with subspaces keyed by the repr text of
+    # their echelon rows, and a chain whose containment test intersects,
+    # gives the same whole report; distinct parameters are sent down the
+    # closure too, so they compare it with the weight graph
     M = build_MA(len(exps), [q_pow(n) for n in exps])
     got = invariant_subspaces(M)
     monkeypatch.setattr(qtoroidal.hecke, "_subspace_key",
                         oracle_subspace_key)
     monkeypatch.setattr(qtoroidal.hecke, "_contains_rows",
                         oracle_contains)
+    monkeypatch.setattr(qtoroidal.hecke, "_weight_lattice",
+                        qtoroidal.hecke._closure_lattice)
     assert got == invariant_subspaces(M)
 
 
@@ -472,12 +475,13 @@ def test_invariant_subspaces_match_saturation_oracle(exps):
     assert invariant_subspaces(M) == oracle_invariant_subspaces(M)
 
 
-@pytest.mark.parametrize("exps", SATURATION_EXPS,
+@pytest.mark.parametrize("exps", SATURATION_EXPS + [(0, 2, 4, 6)],
                          ids=lambda e: ",".join(map(str, e)))
 def test_one_pass_saturation_closes_the_lattice(exps, monkeypatch):
     # every pair of members has its sum and its meet in the returned
     # lattice: sets of weights by union and intersection, echelon rows by
-    # row reduction and a kernel-based intersection
+    # row reduction and a kernel-based intersection; at l = 4 on the
+    # q^2-segment, pairs with members that saturation found add members
     lattices = []
     real = qtoroidal.hecke._saturate
 
