@@ -16,9 +16,14 @@ the single source of truth.
 Every generator operator is monomial: ``image()`` gives each basis vector
 at most one target.  So the image of a basis vector under a word of
 generators is one (label, scalar) pair, zero, or an escape from the
-window, and the relation verifier evaluates each relation term on a
-basis vector by one walk over its letters' columns instead of replaying
-the word through ``apply``.
+window.  The relation verifier indexes the basis labels 0..n-1 once per
+call and reads each generator's columns once, as a list over those
+indices whose entries are (target index, scalar) pairs, or None where
+the generator kills the vector; a target off the window gets an index
+>= n.  A relation term is evaluated on a basis vector by one walk over
+its letters' lists instead of replaying the word through ``apply``: a
+letter that meets an index >= n would act off the window, so the vector
+is skipped, while a word's final image may land off the window.
 
 The relation instances carry coefficients in the module's scalar ring.
 One walk over them (``_first_witness_walk``) counts instances per family
@@ -84,22 +89,29 @@ class ModuleRealization:
             raise InputError("unknown kind %r" % kind)
         self._basis_set = set(self.basis)
         self._ops = {}
+        # scalars are never mutated, so the constants are built once and
+        # shared by every table entry and relation coefficient
+        self._q_powers = {}
+        self._one = (QScalar.one() if kind == "loop"
+                     else CycScalar.one(self.cyc_order))
+        self._qq_inv = self.q_power(1) - self.q_power(-1)
 
     # -- scalars --------------------------------------------------------
 
     def one(self):
-        if self.kind == "loop":
-            return QScalar.one()
-        return CycScalar.one(self.cyc_order)
+        return self._one
 
     def q_power(self, e):
-        if self.kind == "loop":
-            return QScalar.q_power(e)
-        return CycScalar.root_power(self.cyc_order, e)
+        x = self._q_powers.get(e)
+        if x is None:
+            x = self._q_powers[e] = (
+                QScalar.q_power(e) if self.kind == "loop"
+                else CycScalar.root_power(self.cyc_order, e))
+        return x
 
     def qq_inv(self):
         """q - q^-1 in the module's scalar ring."""
-        return self.q_power(1) - self.q_power(-1)
+        return self._qq_inv
 
     def from_qscalar(self, x):
         if self.kind == "loop":
@@ -456,31 +468,6 @@ def _relation_instances(M, r_bound, m_bound):
                                    % (tag, a, b, rs, rp), terms)
 
 
-_ESCAPE = object()       # a word image that needs a label off the window
-
-
-def _word_image(basis, cols, label, one):
-    """Image of the basis vector ``label`` under a word of monomial
-    operators: a (label, scalar) pair, None when the word kills it, or
-    _ESCAPE when a letter would act on a label outside the window.
-
-    ``cols[i]`` holds the columns of the word's i-th letter in the order
-    the letters act.  The scalar rings have no zero divisors, so a pair's
-    scalar is nonzero.
-    """
-    val = one
-    for col in cols:
-        if label not in basis:
-            return _ESCAPE
-        entry = col.get(label)
-        if entry is None:
-            return None
-        # one entry per column: every generator operator is monomial
-        (label, scal), = entry.items()
-        val = scal if val is one else val * scal    # no product with 1
-    return label, val
-
-
 def _first_witness_walk(M, r_bound, m_bound, check):
     """Run ``check(desc, terms, fam)`` on the defining-relation instances
     within the bounds, in order, until each family has a witness.
@@ -517,37 +504,64 @@ def verify_relations(M, r_bound, m_bound):
     and only the k-cartan instances without an h.
     """
     one = M.one()
-    basis = M._basis_set
+    # basis labels are indexed 0..n-1; a target off the window gets the
+    # next free index >= n the first time a column reaches it
+    n = len(M.basis)
+    labels = list(M.basis)
+    index = {lab: i for i, lab in enumerate(labels)}
+    columns = {}
+
+    def column(gen):
+        """The generator's monomial columns by basis index: (target index,
+        scalar), or None where the generator kills the vector."""
+        col = [None] * n
+        for lab, entry in M.op(gen).cols.items():
+            # one entry per column: every generator operator is monomial
+            (tgt, scal), = entry.items()
+            i = index.get(tgt)
+            if i is None:
+                i = index[tgt] = len(labels)
+                labels.append(tgt)
+            col[index[lab]] = i, scal
+        columns[gen] = col
+        return col
 
     def check(desc, terms, fam):
-        # each term's letter columns in the order the letters act
-        words = [(coef, [M.op(gen).cols for gen in reversed(seq)])
+        # each term's letter columns in the order the letters act; a
+        # column list is never empty, so ``or`` falls through only on a miss
+        get = columns.get
+        words = [(coef, [get(gen) or column(gen) for gen in reversed(seq)])
                  for coef, seq in terms]
-        for v in M.basis:
+        for v in range(n):
             acc = {}
             for coef, cols in words:
-                if cols and v not in cols[0]:
-                    continue                # the first letter kills v
-                img = _word_image(basis, cols, v, one)
-                if img is _ESCAPE:
+                i, val = v, one         # products with 1 are skipped
+                for col in cols:
+                    if i >= n:
+                        break               # a letter would act off the window
+                    entry = col[i]
+                    if entry is None:
+                        break               # the letter kills the vector
+                    i, scal = entry
+                    val = scal if val is one else val * scal
+                else:
+                    w = val if coef is one else val * coef
+                    if i in acc:
+                        w = acc[i] + w
+                    if not w:
+                        acc.pop(i, None)
+                    else:
+                        acc[i] = w
+                    continue
+                if i >= n:
                     fam["skipped"] += 1
                     break
-                if img is None:
-                    continue
-                lab, val = img
-                w = val * coef
-                if lab in acc:
-                    w = acc[lab] + w
-                if not w:
-                    acc.pop(lab, None)
-                else:
-                    acc[lab] = w
             else:
                 fam["checked"] += 1
                 if acc:
-                    lab, val = next(iter(acc.items()))
-                    return {"relation": desc, "vector": list(v),
-                            "entry": list(lab), "value": repr(val)}
+                    i, val = next(iter(acc.items()))
+                    return {"relation": desc, "vector": list(labels[v]),
+                            "entry": list(labels[i]), "value": repr(val)}
         return None
 
     report = RelationReport()

@@ -16,8 +16,8 @@ from qtoroidal.modrep import (L_SERIES_ORDER, ModuleRealization,
                               l_character_offset, rou_irreducible,
                               verify_relations)
 from qtoroidal.monomials import YMonomial, mono_format, mono_parse
-from qtoroidal.scalars import (QScalar, cyclotomic_specialize, q_binom,
-                               q_int)
+from qtoroidal.scalars import (CycScalar, QScalar, cyclotomic_specialize,
+                               q_binom, q_int)
 from series_oracles import (expected_phi_series_by_products, log_h_eigenvalue,
                             series_log_coeffs)
 
@@ -300,6 +300,14 @@ def replay_verify_relations(M, r_bound, m_bound):
     return report
 
 
+# the relations benchmark's modules: loop windows (a - w, a + w) checked
+# to bounds (r, m) as (w, r, m, a), and its corrupted x+ tables (1, r) on
+# the windows (a - 2, a + 2) as (a, r)
+BENCH_LOOPS = [(w, r, m, a) for w, r, m in ((2, 1, 0), (3, 0, 1), (2, 0, 1))
+               for a in (-1, 0, 1)]
+BENCH_CORRUPTIONS = [(a, r) for a in (-1, 0, 1) for r in (-1, 0, 1)]
+
+
 @pytest.mark.parametrize("make, r_bound, m_bound", [
     (lambda: build_extremal_loop((-2, 2)), 1, 1),
     (lambda: build_extremal_loop((-2, 2)), 1, 0),
@@ -313,8 +321,16 @@ def replay_verify_relations(M, r_bound, m_bound):
     (lambda: ModuleRealization("rou", period=2, corrupt_xp=(1, 0)), 1, 1),
     # h eigenvalues read from the second log coefficient
     (lambda: build_extremal_loop((-2, 2)), 1, 2),
+    (lambda: build_root_of_unity(3), 0, 1),
+] + [(lambda w=w, a=a: build_extremal_loop((a - w, a + w)), r, m)
+     for w, r, m, a in BENCH_LOOPS
+] + [(lambda a=a, rr=rr: build_extremal_loop((a - 2, a + 2),
+                                            corrupt_xp=(1, rr)), 0, 1)
+     for a, rr in BENCH_CORRUPTIONS
 ], ids=["loop-r1m1", "loop-r1m0", "loop3-r0m1", "corrupt-r1", "corrupt-r0",
-        "rou1", "rou2", "rou3", "rou2-corrupt-r0", "loop-r1m2"])
+        "rou1", "rou2", "rou3", "rou2-corrupt-r0", "loop-r1m2", "rou3-r0m1"]
+    + ["loop%d@%d-r%dm%d" % (w, a, r, m) for w, r, m, a in BENCH_LOOPS]
+    + ["corrupt@%d-xp(1,%d)" % c for c in BENCH_CORRUPTIONS])
 def test_verify_relations_matches_replay(make, r_bound, m_bound):
     M = make()
     want = replay_verify_relations(M, r_bound, m_bound).to_json()
@@ -324,6 +340,42 @@ def test_verify_relations_matches_replay(make, r_bound, m_bound):
         assert not want["passed"]
     if M.kind == "loop":
         assert any(f["skipped_vectors"] for f in want["families"])
+
+
+def test_verify_relations_skips_a_serre_word_escaping_mid_word():
+    # some serre word maps a window vector off the window with its first
+    # letter, so its middle letter has no column to act through
+    M = build_extremal_loop((0, 1))
+    escapes = []
+    for family, desc, terms in _relation_instances(M, 1, 0):
+        if family != "serre":
+            continue
+        for _, seq in terms:
+            first, middle = seq[-1], seq[-2]
+            for v in M.basis:
+                img = M.apply(first, one_vec(M, v))
+                if img and not M.in_basis(next(iter(img))):
+                    with pytest.raises(EscapeError):
+                        M.apply(middle, img)
+                    escapes.append((desc, v))
+    assert escapes
+    want = replay_verify_relations(M, 1, 0).to_json()
+    assert verify_relations(M, 1, 0).to_json() == want
+    assert want["passed"] and want["families"][-1]["family"] == "serre"
+    assert want["families"][-1]["skipped_vectors"]
+
+
+def test_verify_relations_witness_entry_off_the_window():
+    # the quadratic witness's entry is the image of a word whose last
+    # letter leaves the window
+    M = build_extremal_loop((0, 1), corrupt_xp=(1, 0))
+    want = replay_verify_relations(M, 0, 1).to_json()
+    assert verify_relations(M, 0, 1).to_json() == want
+    witness = [f for f in want["families"]
+               if f["family"] == "quadratic"][0]["witness"]
+    assert witness["entry"] == [4, -1]
+    assert M.in_basis(tuple(witness["vector"]))
+    assert not M.in_basis(tuple(witness["entry"]))
 
 
 def rebuilt_relation_instances(M, r_bound, m_bound):
@@ -481,6 +533,29 @@ def test_negative_relation_bound_is_an_input_error(r_bound, m_bound):
     for M in (build_root_of_unity(1), build_extremal_loop((-2, 2))):
         with pytest.raises(InputError, match="bounds must be >= 0"):
             verify_relations(M, r_bound, m_bound)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_extremal_loop((-2, 2)),
+    lambda: build_root_of_unity(2),
+], ids=["loop", "rou2"])
+def test_shared_scalar_constants_stay_intact(make):
+    # every table entry and relation coefficient shares the module's
+    # constants, so a mutation or an alias would show here after use
+    M = make()
+    verify_relations(M, 1, 1)
+    l_character_offset(M)
+    if M.kind == "loop":
+        fresh_one, fresh_power = QScalar.one(), QScalar.q_power
+    else:
+        N = M.cyc_order
+        fresh_one = CycScalar.one(N)
+        fresh_power = lambda e: CycScalar.root_power(N, e)
+    assert M.one() == fresh_one
+    assert M.qq_inv() == fresh_power(1) - fresh_power(-1)
+    for e in range(-12, 13):
+        assert M.q_power(e) == fresh_power(e)
+        assert M.q_power(e) is M.q_power(e)
 
 
 def test_verify_relations_leaves_no_reference_cycles():
