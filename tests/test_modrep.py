@@ -1,6 +1,7 @@
 import gc
 import re
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -548,9 +549,8 @@ def test_shared_scalar_constants_stay_intact(make):
     if M.kind == "loop":
         fresh_one, fresh_power = QScalar.one(), QScalar.q_power
     else:
-        N = M.cyc_order
-        fresh_one = CycScalar.one(N)
-        fresh_power = lambda e: CycScalar.root_power(N, e)
+        fresh_one = CycScalar.one(M.cyc_order)
+        fresh_power = partial(CycScalar.root_power, M.cyc_order)
     assert M.one() == fresh_one
     assert M.qq_inv() == fresh_power(1) - fresh_power(-1)
     for e in range(-12, 13):
