@@ -157,6 +157,93 @@ def oracle_fm_expand(C, mtop, depth, order_rng=None):
     return QCharacter(C, mtop, depth, coeffs, heights)
 
 
+def tuple_fm_expand(C, mtop, depth, order_rng=None):
+    """The expansion on triple-tuple keys: each flip choice one A-inverse
+    merged onto the choice it extends with ``kmerge_scaled``, every
+    generated monomial hashed as a ``YMonomial``.  Kept as the oracle for
+    the packed-key ``fm_expand``."""
+    if not quantized_cartan_condition(C):
+        raise DomainError("quantized Cartan condition fails")
+    if not mtop.is_dominant():
+        raise InputError("top monomial must be dominant")
+    if depth < 0:
+        raise InputError("depth must be >= 0")
+
+    heights = {mtop: 0}
+    demands = {}
+    layers = {0: [mtop]}
+    coeffs = {}
+    a_keys = {}
+
+    for h in range(0, depth + 1):
+        layer = layers.pop(h, [])
+        layer.sort(key=lambda m: m.key)
+        if order_rng is not None:
+            order_rng.shuffle(layer)
+        room = depth - h
+        for m in layer:
+            if h == 0:
+                demand = {}
+                c_m = 1
+            else:
+                demand = demands[m]
+                c_m = max(demand.values())
+            coeffs[m] = c_m
+            parts = []
+            for (i, l, e) in m.key:
+                if parts and parts[-1][0] == i:
+                    parts[-1][1][l] = e
+                else:
+                    parts.append((i, {l: e}))
+            for i, part in parts:
+                covered = demand.get(i, 0)
+                if covered > c_m:
+                    raise AlgorithmFailure(
+                        "node-%s expansions over-demand %s: %d > %d"
+                        % (i, mono_format(m), covered, c_m))
+                excess = c_m - covered
+                if excess == 0:
+                    continue
+                if any(e < 0 for e in part.values()):
+                    raise AlgorithmFailure(
+                        "monomial %s must head %d new node-%s families "
+                        "but is not dominant there"
+                        % (mono_format(m), excess, i))
+                if room == 0:
+                    continue
+                r = C.r(i)
+                choices = [(m.key, 0)]
+                for lo, s in qchar._string_decomposition(part, r):
+                    top = lo + 2 * r * s - r
+                    extended = []
+                    for g, v in choices:
+                        extended.append((g, v))
+                        for t in range(min(s, room - v)):
+                            il = (i, top - 2 * r * t)
+                            a_key = a_keys.get(il)
+                            if a_key is None:
+                                a_key = a_keys[il] = a_monomial(C, *il).key
+                            g = kmerge_scaled(g, a_key, -1)
+                            v += 1
+                            extended.append((g, v))
+                    choices = extended
+                for g, v in choices[1:]:
+                    g = YMonomial._from_key(g)
+                    gh = h + v
+                    known = heights.get(g)
+                    if known is None:
+                        heights[g] = gh
+                        layers.setdefault(gh, []).append(g)
+                        demands[g] = {}
+                    elif known != gh:
+                        raise AlgorithmFailure(
+                            "inconsistent heights %d vs %d for %s"
+                            % (known, gh, mono_format(g)))
+                    demands[g][i] = demands[g].get(i, 0) + excess
+
+    return QCharacter(C, mtop, depth, coeffs, heights)
+
+
 def expansion(fn, C, top, depth, seed):
     """Terms and heights of ``fn``'s expansion as lists in insertion
     order, or the message of the AlgorithmFailure it raises."""
@@ -194,6 +281,43 @@ def test_fm_expand_matches_product_oracle(name, tops, depth):
                 assert (expansion(fm_expand, C, top, d, seed)
                         == expansion(oracle_fm_expand, C, top, d, seed)), \
                     (top, d, seed)
+
+
+# tops with wide exponents: many strings of length one per node, so the
+# packed fields need more bits than the exponents of the string tops
+WIDE_TOPS = [
+    ("A3tor", ["Y[0,0]^12", "Y[0,0]^5 Y[0,2]^3", "Y[1,1]^9 Y[2,0]^4"], 5),
+    ("Ainf", ["Y[0,0]^12", "Y[0,0]^7 Y[1,1]^6"], 5),
+    ("A1tor", ["Y[0,0]^12"], 5),
+    ("Bnp:3,2", ["Y[3,0]^8", "Y[1,0]^6 Y[2,1]^3"], 5),
+]
+
+
+@pytest.mark.parametrize("name, tops, depth", ORACLE_TOPS + WIDE_TOPS,
+                         ids=["%s-%s" % (name, n) for n, (name, _, _)
+                              in enumerate(ORACLE_TOPS + WIDE_TOPS)])
+def test_fm_expand_matches_tuple_oracle(name, tops, depth):
+    """Terms and heights equal those of the expansion on triple-tuple
+    keys, in the same insertion order, at every depth up to ``depth``
+    and under shuffled layer orders; where it fails, the packed
+    expansion fails with the same message."""
+    C = cartan_preset(name)
+    for top in map(mono_parse, tops):
+        for d in range(depth + 1):
+            for seed in (None, 0, 1):
+                assert (expansion(fm_expand, C, top, d, seed)
+                        == expansion(tuple_fm_expand, C, top, d, seed)), \
+                    (top, d, seed)
+
+
+def test_fm_expand_failure_matches_tuple_oracle():
+    top = mono_parse("Y[0,0]^2 Y[0,4]")
+    for seed in (None, 0, 1):
+        got = expansion(fm_expand, A3TOR, top, 7, seed)
+        assert got == expansion(tuple_fm_expand, A3TOR, top, 7, seed)
+        assert got == ("monomial Y[0,2] Y[1,3]^-1 Y[2,2]^4 Y[3,3]^-1 must "
+                       "head 1 new node-1 families but is not dominant "
+                       "there")
 
 
 def test_kr_char_top_and_trivial():
