@@ -3,19 +3,23 @@
 The expansion algorithm starts from a dominant monomial and repeatedly
 expands every node-dominant monomial through its rank-1 string
 decomposition, assigning each generated monomial the maximum multiplicity
-demanded across nodes.  The flip choices on a node's strings are built
-incrementally, each one A-inverse merged onto the choice it extends, and
-none past the depth budget is formed.  Characters carry a truncation
-depth certificate: every stored term lies within ``depth`` A-inverse
-steps of the top.
+demanded across nodes.  Characters carry a truncation depth certificate:
+every stored term lies within ``depth`` A-inverse steps of the top.
+
+Expansions and truncated products run on packed integer keys, one
+balanced signed field per (node, spectral) pair, wide enough that no
+field can wrap: an A-inverse flip is one ``int`` subtraction and a
+monomial product one ``int`` addition.  The flip choices on a node's
+strings are built incrementally, each one A-inverse subtracted from the
+choice it extends, and none past the depth budget is formed.  A packed
+key is decoded a few fields at a time, each group's bits looked up in a
+memo that lives for one call: an expansion decodes each term once, when
+its layer is processed, and an identity check decodes only the
+monomials on which its two sides differ.
 
 The T-system and octahedron checks expand each string character once per
 orbit: a spectral shift, and a node move checked to preserve the Cartan
-data, carry one expansion onto the others.  Truncated products run on
-packed integer keys, one balanced signed field per (node, spectral) pair,
-so multiplying two monomials is one ``int`` addition; the two sides of an
-identity are compared packed and only mismatches are decoded.
-"""
+data, carry one expansion onto the others."""
 
 from __future__ import annotations
 
@@ -65,6 +69,8 @@ class QCharacter:
 
 
 def trivial_character(cartan, depth=0):
+    if depth < 0:
+        raise InputError("depth must be >= 0")
     one = YMonomial.one()
     return QCharacter(cartan, one, depth, {one: 1}, {one: 0})
 
@@ -91,15 +97,134 @@ def _string_decomposition(part, r_i):
     return strings
 
 
+# ---------------------------------------------------------------------------
+# packed keys
+# ---------------------------------------------------------------------------
+
+# a packed key is decoded _CHUNK consecutive fields at a time
+_CHUNK = 4
+
+
+class _Packing:
+    """Monomials packed into ints, one balanced signed field of ``width``
+    bits per (node, spectral) pair, fields assigned from the low bits up
+    as pairs are first seen.  A monomial packs to sum(e << shift[pair]),
+    so a product of monomials packs to the sum of their ints and a
+    quotient to the difference.  The width is fixed up front from the
+    largest |exponent| any monomial of the computation can reach, so no
+    field can wrap and every packed key decodes exactly.
+    """
+
+    __slots__ = ("width", "cap", "pairs", "shift", "ordered", "_flip",
+                 "_masks", "_chunks", "_triple")
+
+    def __init__(self, reach, pairs=()):
+        """Fields for exponents up to ``reach`` in absolute value, the
+        ``pairs`` given, in sorted order, owning the lowest fields."""
+        self.width = w = reach.bit_length() + 1
+        self.cap = (1 << (w - 1)) - 1      # cap >= reach
+        self.pairs = list(pairs)
+        self.shift = {p: w * n for n, p in enumerate(self.pairs)}
+        self.ordered = True     # fields rise with the pairs' sort order
+        n = len(self.pairs)
+        # the top bit of every field
+        self._flip = ((1 << w * n) - 1) // ((1 << w) - 1) << (w - 1)
+        # the bits of each chunk of fields, in place
+        cw = w * _CHUNK
+        self._masks = [((1 << cw) - 1) << s for s in range(0, w * n, cw)]
+        # one chunk's bits, in place -> its (node, spectral, exponent)
+        # triples, shared by every key that decodes to them; each triple
+        # is shared by every chunk that holds it
+        self._chunks = {}
+        self._triple = {}       # (field, its bits) -> its triple
+
+    def _field(self, p):
+        """The shift of a new field for the pair ``p``."""
+        pairs = self.pairs
+        if pairs and p < pairs[-1]:
+            self.ordered = False
+        w = self.width
+        s = self.shift[p] = w * len(pairs)
+        if len(pairs) % _CHUNK == 0:
+            self._masks.append(((1 << w * _CHUNK) - 1) << s)
+        pairs.append(p)
+        self._flip |= 1 << (s + w - 1)
+        return s
+
+    def pack(self, key, bound=None):
+        """The int of the monomial key ``key``.  Raises AlgorithmFailure,
+        never wraps, if an |exponent| exceeds ``bound``, by default the
+        largest a field holds."""
+        if bound is None:
+            bound = self.cap
+        shift = self.shift
+        g = 0
+        for (i, l, e) in key:
+            if not -bound <= e <= bound:
+                raise AlgorithmFailure(
+                    "exponent %d of Y[%s,%s] exceeds the field bound %d"
+                    % (e, i, l, bound))
+            s = shift.get((i, l))
+            if s is None:
+                s = self._field((i, l))
+            g += e << s
+        return g
+
+    def decode(self, g):
+        """The monomial packed as ``g``."""
+        flip = self._flip
+        # adding then xoring the top bits turns each balanced field into
+        # its w-bit two's complement, and each zero field into 0
+        z = (g + flip) ^ flip
+        chunks = self._chunks
+        key = []
+        for n, mask in enumerate(self._masks):
+            piece = z & mask
+            if piece:
+                t = chunks.get(piece)
+                if t is None:
+                    t = chunks[piece] = self._triples(piece, n)
+                key += t
+                z ^= piece
+                if not z:
+                    break
+        if not self.ordered:
+            key.sort()
+        return YMonomial._from_key(tuple(key))
+
+    def _triples(self, piece, n):
+        """The triples of ``piece``, the bits in place of the n-th chunk."""
+        w = self.width
+        mask = (1 << w) - 1
+        half = 1 << (w - 1)
+        triple = self._triple
+        n *= _CHUNK
+        bits = piece >> (w * n)
+        out = []
+        while bits:
+            f = bits & mask
+            if f:
+                t = triple.get((n, f))
+                if t is None:
+                    i, l = self.pairs[n]
+                    t = triple[n, f] = (i, l, f - (mask + 1) if f >= half
+                                        else f)
+                out.append(t)
+            bits >>= w
+            n += 1
+        return tuple(out)
+
+
 def fm_expand(C, mtop, depth, order_rng=None):
     """Truncated character expansion from a dominant top monomial.
 
     A monomial heads its node-i families through flips of its node-i
     strings: t flips on a string multiply by the A-inverses at its top t
     positions.  The flip choices are built string by string, each choice
-    one A-inverse merged onto the choice it extends, in lexicographic
-    order of the per-string flip counts, and no choice past the depth
-    budget is formed.
+    one A-inverse subtracted from the packed key of the choice it extends,
+    in lexicographic order of the per-string flip counts, and no choice
+    past the depth budget is formed.  Each generated monomial is decoded
+    once, when its layer is processed.
 
     ``order_rng`` optionally shuffles the within-layer processing order;
     the result is independent of it, which the test suite exercises.
@@ -112,24 +237,33 @@ def fm_expand(C, mtop, depth, order_rng=None):
     if depth < 0:
         raise InputError("depth must be >= 0")
 
-    heights = {mtop: 0}
-    demands = {}            # monomial -> {node: copies generated via node}
-    layers = {0: [mtop]}
+    # every stored term lies within depth A-inverse steps of the top, and
+    # each step moves an exponent by at most a_reach
+    a_reach = _a_reach(C)
+    packing = _Packing(
+        max((e for (_, _, e) in mtop.key), default=0) + depth * a_reach,
+        [(i, l) for (i, l, _) in mtop.key])
+    gtop = packing.pack(mtop.key)
+    heights = {gtop: 0}
+    demands = {}            # packed key -> {node: copies generated via node}
+    layers = {0: [gtop]}
     coeffs = {}
-    a_keys = {}             # (node, spectral) -> key of that A-monomial
+    monos = {}              # packed key -> its monomial
+    a_packed = {}           # (node, spectral) -> packed A-monomial
 
     for h in range(0, depth + 1):
-        layer = layers.pop(h, [])
-        layer.sort(key=lambda m: m.key)
+        layer = [(packing.decode(g), g) for g in layers.pop(h, ())]
+        layer.sort(key=lambda mg: mg[0].key)
         if order_rng is not None:
             order_rng.shuffle(layer)
         room = depth - h
-        for m in layer:
+        for m, g in layer:
+            monos[g] = m
             if h == 0:
                 demand = {}
                 c_m = 1
             else:
-                demand = demands[m]
+                demand = demands.pop(g)     # final once h is reached
                 c_m = max(demand.values())
             coeffs[m] = c_m
             parts = []          # [(node, {spectral: exponent})], key order
@@ -149,7 +283,7 @@ def fm_expand(C, mtop, depth, order_rng=None):
                 excess = c_m - covered
                 if excess == 0:
                     continue
-                if any(e < 0 for e in part.values()):
+                if min(part.values()) < 0:
                     raise AlgorithmFailure(
                         "monomial %s must head %d new node-%s families "
                         "but is not dominant there"
@@ -157,37 +291,49 @@ def fm_expand(C, mtop, depth, order_rng=None):
                 if room == 0:
                     continue        # every flip would leave the window
                 r = C.r(i)
-                choices = [(m.key, 0)]      # (key, flips so far)
+                choices = [(g, 0)]      # (packed key, flips so far)
                 for lo, s in _string_decomposition(part, r):
                     # the t-th flip on this string is A_{i, q^(top - 2rt)}
                     top = lo + 2 * r * s - r
                     extended = []
-                    for g, v in choices:
-                        extended.append((g, v))
+                    for f, v in choices:
+                        extended.append((f, v))
                         for t in range(min(s, room - v)):
                             il = (i, top - 2 * r * t)
-                            a_key = a_keys.get(il)
-                            if a_key is None:
-                                a_key = a_keys[il] = a_monomial(C, *il).key
-                            g = kmerge_scaled(g, a_key, -1)
+                            a = a_packed.get(il)
+                            if a is None:
+                                a = a_packed[il] = packing.pack(
+                                    a_monomial(C, *il).key, a_reach)
+                            f -= a
                             v += 1
-                            extended.append((g, v))
+                            extended.append((f, v))
                     choices = extended
-                for g, v in choices[1:]:    # the first is m itself
-                    g = YMonomial._from_key(g)
-                    gh = h + v
-                    known = heights.get(g)
+                for f, v in choices[1:]:    # the first is m itself
+                    fh = h + v
+                    known = heights.get(f)
                     if known is None:
-                        heights[g] = gh
-                        layers.setdefault(gh, []).append(g)
-                        demands[g] = {}
-                    elif known != gh:
+                        heights[f] = fh
+                        layers.setdefault(fh, []).append(f)
+                        demands[f] = {i: excess}
+                    elif known != fh:
                         raise AlgorithmFailure(
                             "inconsistent heights %d vs %d for %s"
-                            % (known, gh, mono_format(g)))
-                    demands[g][i] = demands[g].get(i, 0) + excess
+                            % (known, fh, mono_format(packing.decode(f))))
+                    else:
+                        d = demands[f]
+                        d[i] = d.get(i, 0) + excess
 
-    return QCharacter(C, mtop, depth, coeffs, heights)
+    return QCharacter(C, mtop, depth, coeffs,
+                      {monos[g]: gh for g, gh in heights.items()})
+
+
+def _a_reach(C):
+    """The largest |entry| of an A-monomial of ``C``.  A_{i,q^l} moves
+    with l only by a spectral shift, and every node of the infinite line
+    reads like node 0."""
+    nodes = (0,) if C.infinite else C.nodes
+    return max((abs(e) for i in nodes
+                for (_, _, e) in a_monomial(C, i, 0).key), default=0)
 
 
 def kr_top_monomial(C, i, k, l):
@@ -283,19 +429,16 @@ class _Factor:
         return out
 
 
-class _Fields:
+class _Fields(_Packing):
     """Packed keys for the monomials of the products one check compares.
 
-    Each (node, spectral) pair the factors use owns one balanced signed
-    field of ``width`` bits, the pairs in sorted order from the low bits
-    up, so a monomial packs to the int sum(e << shift[pair]) and a product
-    of monomials packs to the sum of their ints.  The width is set up
-    front from the largest |exponent| any of the products can reach, the
-    sum over its factors of their largest |exponent|, so no field can
-    wrap and every packed key decodes exactly.
+    Each (node, spectral) pair the factors use owns one field, the pairs
+    in sorted order from the low bits up, so decoded keys need no sort.
+    The width is set from the largest |exponent| any of the products can
+    reach, the sum over its factors of their largest |exponent|.
     """
 
-    __slots__ = ("pairs", "width", "shift", "_flip", "_triples")
+    __slots__ = ()
 
     def __init__(self, products):
         """``products`` lists the factor lists of every product whose
@@ -307,14 +450,7 @@ class _Fields:
                 pairs.update(f.pairs if f.images is None
                              else f.images.values())
             reach = max(reach, sum(f.reach for f in factors))
-        self.pairs = sorted(pairs)
-        # 2**(width-1) > reach: every field value lies in [-half, half)
-        self.width = w = reach.bit_length() + 1
-        self.shift = {p: w * n for n, p in enumerate(self.pairs)}
-        self._flip = sum(1 << (w * n + w - 1) for n in range(len(pairs)))
-        # decoded keys share their (node, spectral, exponent) triples, as
-        # the keys merged from the factors' keys did
-        self._triples = {}      # one field's bits, in place -> its triple
+        super().__init__(reach, sorted(pairs))
 
     def buckets(self, f):
         """The packed terms of factor ``f`` grouped by height."""
@@ -359,29 +495,6 @@ class _Fields:
                             nxt[g] = (prev[0] + c1 * c2, h)
             acc = nxt
         return {g: (c, offset + h) for g, (c, h) in acc.items()}
-
-    def decode(self, g):
-        """The monomial packed as ``g``."""
-        w = self.width
-        mask = (1 << w) - 1
-        half = 1 << (w - 1)
-        # adding then xoring the half bits turns each balanced field into
-        # its w-bit two's complement, and each zero field into 0
-        z = (g + self._flip) ^ self._flip
-        triples = self._triples
-        key = []
-        while z:
-            s = ((z & -z).bit_length() - 1) // w * w
-            piece = z & (mask << s)
-            z ^= piece
-            t = triples.get(piece)
-            if t is None:
-                f = piece >> s
-                i, l = self.pairs[s // w]
-                t = triples[piece] = (i, l, f - (mask + 1) if f >= half
-                                      else f)
-            key.append(t)
-        return YMonomial._from_key(tuple(key))
 
 
 def char_product(chars, depth, offset=0):
@@ -616,6 +729,9 @@ def octahedron_verify(C, depth, i_range, k_range, t_range):
                           "line")
     if not (i_range and k_range and t_range):
         raise InputError("empty node, k or t range")
+    if min(k_range) < 1:
+        raise InputError("every k of the k range must be >= 1, got k = %d"
+                         % min(k_range))
     chars = _StringChars(C, depth)
 
     def T(i, k, t):

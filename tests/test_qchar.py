@@ -320,6 +320,30 @@ def test_fm_expand_failure_matches_tuple_oracle():
                        "there")
 
 
+def test_fm_expand_rejects_an_a_monomial_past_the_field_bound(monkeypatch):
+    """The field width assumes the entries of A_{i,q^0} bound those of
+    every A_{i,q^l}; an A-monomial that breaks the bound stops the
+    expansion instead of wrapping a field."""
+    real = qchar.a_monomial
+
+    def doubled_off_zero(C, i, l):
+        a = real(C, i, l)
+        return a if l == 0 else a * a
+
+    monkeypatch.setattr(qchar, "a_monomial", doubled_off_zero)
+    with pytest.raises(AlgorithmFailure, match="exceeds the field bound 1"):
+        fm_expand(A3TOR, mono_parse("Y[0,0]"), 3)
+
+
+def test_kr_char_and_trivial_reject_negative_depth():
+    with pytest.raises(InputError, match="depth must be >= 0"):
+        trivial_character(A3TOR, -1)
+    for k in (0, 1, 2):
+        with pytest.raises(InputError, match="depth must be >= 0"):
+            kr_qchar(A3TOR, 0, k, 0, -1)
+    assert kr_qchar(A3TOR, 0, 0, 0, 0).terms == {mono_parse("1"): 1}
+
+
 def test_kr_char_top_and_trivial():
     assert kr_qchar(A3TOR, 0, 0, 0, 3).terms == {mono_parse("1"): 1}
     ch = kr_qchar(A3TOR, 0, 1, 0, 3)
@@ -572,6 +596,62 @@ def test_char_product_wide_exponents():
                               (0, 2): n})] == (1, 0)
 
 
+pair_lists = st.lists(st.tuples(st.integers(-3, 3), st.integers(-9, 9)),
+                      unique=True, max_size=3 * qchar._CHUNK + 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.integers(1, 40), st.just(BIG),
+                 st.integers(1, 2 * BIG)), st.data())
+def test_pack_decode_round_trip(reach, data):
+    """A packed key decodes to its monomial, whether its pairs own fields
+    from the start or get them when first packed, in any order, with
+    exponents up to the field capacity 2**(width - 1) - 1."""
+    given_pairs = sorted(data.draw(pair_lists, label="given pairs"))
+    packing = qchar._Packing(reach, given_pairs)
+    cap = packing.cap
+    assert cap >= reach and cap == 2 ** (packing.width - 1) - 1
+    exps = st.one_of(st.sampled_from([cap, -cap, 1, -1]),
+                     st.integers(-cap, cap)).filter(bool)
+    seen = {}
+    for _ in range(data.draw(st.integers(1, 4), label="keys")):
+        pairs = data.draw(pair_lists, label="pairs")
+        key = {p: data.draw(exps, label="exponent") for p in pairs}
+        m = YMonomial(key)
+        g = packing.pack(tuple((i, l, e) for (i, l), e in key.items()))
+        assert packing.decode(g).key == m.key
+        assert seen.setdefault(g, m) == m
+        # a second decode reads the chunk memo
+        assert packing.decode(g).key == m.key
+        if key:
+            (i, l), e = next(iter(key.items()))
+            with pytest.raises(AlgorithmFailure, match="field bound"):
+                packing.pack(((i, l, cap + 1),))
+            with pytest.raises(AlgorithmFailure, match="field bound"):
+                packing.pack(((i, l, -cap - 1),))
+
+
+def test_pack_decode_across_chunk_boundaries():
+    """Keys whose fields straddle each chunk boundary, with exponents at
+    plus and minus the field capacity, decode exactly, also once the
+    pairs stop arriving in sorted order."""
+    for reach in (1, 7, 8, BIG):
+        n = 3 * qchar._CHUNK
+        packing = qchar._Packing(reach, [(0, l) for l in range(n)])
+        cap = packing.cap
+        for b in range(1, n):
+            for e1, e2 in itertools.product((cap, -cap, 1), repeat=2):
+                key = ((0, b - 1, e1), (0, b, e2))
+                assert packing.decode(packing.pack(key)).key == key
+        assert packing.ordered
+        late = ((-1, 0, -cap), (0, 0, cap), (5, 5, -1))
+        g = packing.pack(late)
+        assert not packing.ordered
+        assert packing.decode(g).key == late
+        assert packing.decode(g - packing.pack(((0, 0, cap),))).key == (
+            (-1, 0, -cap), (5, 5, -1))
+
+
 def clashing_character():
     """Heights that are not additive: 1 * Y^2 sits at height 1 but
     Y * Y at height 2."""
@@ -685,6 +765,12 @@ def test_string_characters_shift_spectrally(C):
                 assert (factor_terms(chars(i, k, l), 5)
                         == char_terms(kr_qchar(C, i, k, l, 5))), (i, k, l)
     assert sorted(chars.bases) == [(i, k) for i in C.nodes for k in (1, 2)]
+
+
+@pytest.mark.parametrize("k_range", [[0], [1, 0], range(-1, 2)])
+def test_octahedron_rejects_k_below_one(k_range):
+    with pytest.raises(InputError, match="k range must be >= 1"):
+        octahedron_verify(AINF, 2, [0], k_range, [0])
 
 
 def test_octahedron_requires_infinite_line():
