@@ -596,6 +596,64 @@ def test_char_product_wide_exponents():
                               (0, 2): n})] == (1, 0)
 
 
+def expanded_tops(name, tops, depth):
+    """(depth, [characters]) for each depth 0..``depth``, each character
+    expanded from one of ``tops`` to that depth; tops whose expansion
+    fails at a depth are left out there."""
+    C = cartan_preset(name)
+    for d in range(depth + 1):
+        chars = []
+        for top in map(mono_parse, tops):
+            try:
+                chars.append(fm_expand(C, top, d))
+            except AlgorithmFailure:
+                pass
+        yield d, chars
+
+
+def copy_of(ch):
+    """An equal character that is a distinct object."""
+    return QCharacter(ch.cartan, ch.top, ch.depth, dict(ch.terms),
+                      dict(ch.heights))
+
+
+@pytest.mark.parametrize("name, tops, depth", ORACLE_TOPS + WIDE_TOPS,
+                         ids=["%s-%s" % (name, n) for n, (name, _, _)
+                              in enumerate(ORACLE_TOPS + WIDE_TOPS)])
+def test_char_product_repeated_factor_matches_tuple_oracle(name, tops,
+                                                           depth):
+    """Factor lists that repeat a character, next to and apart from
+    another one, give the oracle's term map at every depth and offsets 0
+    and 1; a square equals the product with an equal copy."""
+    for d, chars in expanded_tops(name, tops, depth):
+        for n, ch in enumerate(chars):
+            other = chars[(n + 1) % len(chars)]
+            for offset in (0, 1):
+                for factors in ([ch, ch], [ch, other, ch], [other, ch, ch],
+                                [ch] * 3):
+                    got = char_product(factors, d, offset)
+                    assert_same_keys(got, tuple_char_product(factors, d,
+                                                             offset))
+                assert (char_product([ch, ch], d, offset)
+                        == char_product([ch, copy_of(ch)], d, offset))
+
+
+@settings(max_examples=200, deadline=None)
+@given(hand_chars, st.lists(hand_chars, max_size=2), st.integers(1, 3),
+       st.integers(0, 8), st.integers(0, 3))
+def test_char_product_power_matches_tuple_oracle_on_hand_built(
+        ch, rest, power, depth, offset):
+    """A hand-built character repeated first, then other factors: the
+    term map, or the height clash, is the oracle's."""
+    chars = [ch] * power + rest
+    got = product_or_clash(char_product, chars, depth, offset)
+    want = product_or_clash(tuple_char_product, chars, depth, offset)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert_same_keys(got, want)
+
+
 pair_lists = st.lists(st.tuples(st.integers(-3, 3), st.integers(-9, 9)),
                       unique=True, max_size=3 * qchar._CHUNK + 1)
 

@@ -233,6 +233,71 @@ def test_compare_mismatches_in_full_sort_order(monkeypatch):
         assert rep["first_mismatch"] == want[0]
 
 
+def oracle_tableau_char(n, k, shift, l, depth):
+    """The tableau sum built one tableau at a time: a ``StabTableau`` from
+    ``enumerate_tableaux`` and its ``tableau_monomial``.  Kept as the
+    oracle for ``tableau_char``."""
+    terms = {}
+    excesses = {}
+    for T in enumerate_tableaux(k, depth):
+        m = tableau_monomial(T, n, l, shift)
+        terms[m] = terms.get(m, 0) + 1
+        if m in excesses and excesses[m] != T.excess:
+            raise InputError("tableaux of different excess share a "
+                             "monomial; the excess bound is unsound here")
+        excesses[m] = T.excess
+    return terms, excesses
+
+
+def items_with_keys(d):
+    """The items of a monomial map in insertion order, each monomial by
+    its stored key."""
+    return [(m.key, v) for m, v in d.items()]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_tableau_char_matches_oracle(n):
+    """Terms and excesses equal the oracle's, keys, values and insertion
+    order, for every k 1..3, node shift 0..n, base l -1..1 and depth
+    0..8."""
+    for k in (1, 2, 3):
+        for shift in range(n + 1):
+            for l in (-1, 0, 1):
+                for depth in range(9):
+                    got = tableau_char(n, k, shift, l, depth)
+                    want = oracle_tableau_char(n, k, shift, l, depth)
+                    assert ([items_with_keys(d) for d in got]
+                            == [items_with_keys(d) for d in want]), \
+                        (k, shift, l, depth)
+
+
+def test_tableau_char_excess_clash(monkeypatch):
+    """Box symbols that contribute nothing put every tableau on the
+    ground monomial, so tableaux of different excess share it."""
+    monkeypatch.setattr(tableaux, "_box_factors", lambda value, base, n: ())
+    for fn in (tableau_char, oracle_tableau_char):
+        with pytest.raises(InputError, match="tableaux of different excess "
+                           "share a monomial"):
+            fn(3, 1, 0, 0, 1)
+        # one tableau alone cannot clash
+        assert len(fn(3, 1, 0, 0, 0)[0]) == 1
+
+
+@pytest.mark.parametrize("args, message", [
+    ((3, 0, 0, 0, 2), "need k >= 1 and max_excess >= 0"),
+    ((3, 1, 0, 0, -1), "need k >= 1 and max_excess >= 0"),
+    ((1, 1, 0, 0, 2), "the cycle needs n >= 2"),
+    # the k and depth check comes first
+    ((1, 0, 0, 0, 2), "need k >= 1 and max_excess >= 0"),
+    ((1, 1, 0, 0, -1), "need k >= 1 and max_excess >= 0"),
+], ids=["k0", "negative-depth", "n1", "n1-k0", "n1-negative-depth"])
+def test_tableau_char_input_errors(args, message):
+    for fn in (tableau_char, oracle_tableau_char):
+        with pytest.raises(InputError) as exc:
+            fn(*args)
+        assert str(exc.value) == message
+
+
 def test_shift_commutes_with_char():
     t0, _ = tableau_char(3, 1, 0, 0, 3)
     t1, _ = tableau_char(3, 1, 1, 0, 3)
