@@ -15,7 +15,9 @@ choice it extends, and none past the depth budget is formed.  A packed
 key is decoded a few fields at a time, each group's bits looked up in a
 memo that lives for one call: an expansion decodes each term once, when
 its layer is processed, and an identity check decodes only the
-monomials on which its two sides differ.
+monomials on which its two sides differ.  A product packs each distinct
+factor once, and squares a factor that occurs twice over unordered pairs
+of its terms, each pair formed once and doubled off the diagonal.
 
 The T-system and octahedron checks expand each string character once per
 orbit: a spectral shift, and a node move checked to preserve the Cartan
@@ -348,6 +350,7 @@ def kr_qchar(C, i, k, l, depth):
     """Truncated character of the node-i, length-k string module at q^l."""
     if k < 0:
         raise InputError("k must be >= 0")
+    C.r(i)      # an unknown node is an InputError at every k
     if k == 0:
         return trivial_character(C, depth)
     return fm_expand(C, kr_top_monomial(C, i, k, l), depth)
@@ -471,30 +474,68 @@ class _Fields(_Packing):
     def product(self, factors, depth, offset=0):
         """{packed key: (coeff, height)} of the product of ``factors``,
         keeping relative heights at most ``depth - offset``; each partial
-        product only meets the factor buckets that still fit."""
+        product only meets the factor buckets that still fit.  Each
+        distinct factor is packed once, and a factor that occurs twice
+        is first squared over unordered pairs of its terms."""
         budget = depth - offset
+        packed = {f: self.buckets(f) for f in dict.fromkeys(factors)}
+        rest = list(factors)
         acc = {0: (1, 0)}
-        for f in factors:
-            buckets = self.buckets(f)
+        for n, f in enumerate(rest):
+            if f in rest[n + 1:]:
+                # a product commutes, so the repeated pair goes first
+                rest.remove(f)
+                rest.remove(f)
+                acc = _square(packed[f], budget)
+                break
+        for f in rest:
             nxt = {}
-            for k1, (c1, h1) in acc.items():
-                room = budget - h1
-                for h2, bucket in buckets:
-                    if h2 > room:
-                        break
-                    h = h1 + h2
-                    for k2, c2 in bucket:
-                        g = k1 + k2
-                        prev = nxt.get(g)
-                        if prev is None:
-                            nxt[g] = (c1 * c2, h)
-                        elif prev[1] != h:
-                            raise AlgorithmFailure(
-                                "height clash in truncated product")
-                        else:
-                            nxt[g] = (prev[0] + c1 * c2, h)
+            _meet(nxt, acc.items(), packed[f], budget)
             acc = nxt
         return {g: (c, offset + h) for g, (c, h) in acc.items()}
+
+
+def _meet(out, terms, buckets, budget):
+    """Add to ``out`` ({packed key: (coeff, height)}) the product of each
+    (key, (coeff, height)) of ``terms`` with each term of ``buckets``
+    (packed terms in rising height) that keeps the height within
+    ``budget``."""
+    for k1, (c1, h1) in terms:
+        room = budget - h1
+        for h2, bucket in buckets:
+            if h2 > room:
+                break
+            h = h1 + h2
+            for k2, c2 in bucket:
+                g = k1 + k2
+                prev = out.get(g)
+                if prev is None:
+                    out[g] = (c1 * c2, h)
+                elif prev[1] != h:
+                    raise AlgorithmFailure(
+                        "height clash in truncated product")
+                else:
+                    out[g] = (prev[0] + c1 * c2, h)
+
+
+def _square(buckets, budget):
+    """{packed key: (coeff, height)} of the square of one factor's packed
+    terms, summed over unordered pairs.  Terms are taken in rising
+    height; term a meets itself with its coefficient c_a and each later
+    term b with 2·c_b, so a pair and its mirror, which share one key and
+    one height, are formed once.  No term past half the budget has a
+    partner."""
+    out = {}
+    doubled = [(h, [(g, 2 * c) for g, c in bucket]) for h, bucket in buckets]
+    for x, (h, bucket) in enumerate(buckets):
+        if 2 * h > budget:
+            break
+        later = doubled[x + 1:]
+        same = doubled[x][1]
+        for a, (g, c) in enumerate(bucket):
+            _meet(out, ((g, (c, h)),),
+                  [(h, [(g, c)] + same[a + 1:])] + later, budget)
+    return out
 
 
 def char_product(chars, depth, offset=0):
@@ -504,7 +545,13 @@ def char_product(chars, depth, offset=0):
     Soundness rests on heights being additive under products.  Returns
     {monomial: (coeff, height)} with absolute heights.
     """
-    factors = [_Factor(ch) for ch in chars]
+    made = {}               # id of a character -> its factor
+    factors = []
+    for ch in chars:
+        f = made.get(id(ch))
+        if f is None:
+            f = made[id(ch)] = _Factor(ch)
+        factors.append(f)
     fields = _Fields([factors])
     return {fields.decode(g): v
             for g, v in fields.product(factors, depth, offset).items()}

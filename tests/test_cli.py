@@ -158,6 +158,7 @@ def test_unknown_preset_is_operational_error():
     ["octahedron", "--steps", "-1"],
     ["hecke", "--l", "5", "--a", "0,1,2,3,4"],
     ["qchar", "--type", "A3tor", "--node", "0", "--k", "0", "--depth", "-1"],
+    ["qchar", "--type", "A3tor", "--node", "99", "--k", "0", "--depth", "2"],
     ["qchar", "--type", "A3tor", "--node", "0", "--k", "1", "--depth", "-1"],
     ["octahedron", "--k", "0"],
     ["octahedron", "--k", "2,0,1"],
@@ -168,7 +169,8 @@ def test_unknown_preset_is_operational_error():
         "fusion-coassoc-empty-u-window", "repcheck-negative-bounds",
         "repcheck-negative-m-bound", "octahedron-empty-window",
         "octahedron-no-k", "octahedron-no-steps", "hecke-l5",
-        "qchar-trivial-negative-depth", "qchar-negative-depth",
+        "qchar-trivial-negative-depth", "qchar-k0-no-such-node",
+        "qchar-negative-depth",
         "octahedron-k0", "octahedron-k-list-with-0"])
 def test_malformed_input_is_an_error_payload(argv):
     # exit 1 means a verification failed, so bad input must not reach it

@@ -344,6 +344,13 @@ def test_kr_char_and_trivial_reject_negative_depth():
     assert kr_qchar(A3TOR, 0, 0, 0, 0).terms == {mono_parse("1"): 1}
 
 
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_kr_char_rejects_an_unknown_node(k):
+    with pytest.raises(InputError) as exc:
+        kr_qchar(A3TOR, 99, k, 0, 2)
+    assert str(exc.value) == "node 99 is not one of the nodes 0, 1, 2, 3"
+
+
 def test_kr_char_top_and_trivial():
     assert kr_qchar(A3TOR, 0, 0, 0, 3).terms == {mono_parse("1"): 1}
     ch = kr_qchar(A3TOR, 0, 1, 0, 3)
