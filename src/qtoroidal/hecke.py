@@ -380,7 +380,8 @@ def _closure_lattice(M, values):
     zs = [op_matrix(M.z_ops[j], M.basis, field.zero)
           for j in range(1, M.l + 1)]
     subspaces = {}
-    for lam in permutations(values):
+    # a repeated value repeats orderings: try each distinct one once
+    for lam in dict.fromkeys(permutations(values)):
         stacked = [row[:r] + [row[r] - x] + row[r + 1:]
                    for zm, x in zip(zs, lam) for r, row in enumerate(zm)]
         for vec in kernel_basis(stacked, field):
@@ -717,9 +718,10 @@ def zelevinsky_product(M1, M2):
 def find_isomorphism(M1, M2):
     """An invertible intertwiner of right modules, or None.
 
-    Solves the linear system f g = g f over all generators and picks an
-    invertible solution from the kernel; at these dimensions scanning a
-    few kernel combinations is exhaustive enough to certify existence.
+    Solves the linear system f g = g f over all generators and returns
+    the first invertible sum among at most 63 nonempty subsets of a
+    kernel basis.  A None therefore certifies nothing: an invertible
+    intertwiner may exist among the combinations not tried.
     """
     if M1.dim != M2.dim or not isinstance(M1.ring, QRatRing):
         return None

@@ -15,60 +15,6 @@ _FACTOR_RE = re.compile(
     r"\s*Y\[\s*(-?\d+)\s*,\s*(-?\d+)\s*\]\s*(?:\^\s*(-?\d+))?")
 
 
-# ---------------------------------------------------------------------------
-# kernel: a monomial key is a tuple of (node, spectral, exponent) triples,
-# sorted by (node, spectral), with no zero exponents.  These three
-# functions are the hot path of every character computation.
-# ---------------------------------------------------------------------------
-
-def kmerge(a, b):
-    """Sum of two exponent maps given as canonical triple tuples."""
-    return kmerge_scaled(a, b, 1)
-
-
-def kmerge_scaled(a, b, c):
-    """a + c*b over canonical triple tuples."""
-    if c == 0 or not b:
-        return a
-    if not a:
-        if c == 1:
-            return b
-        return tuple((i, l, c * e) for (i, l, e) in b)
-    out = []
-    append = out.append
-    na, nb = len(a), len(b)
-    ia = ib = 0
-    while ia < na and ib < nb:
-        ta, tb = a[ia], b[ib]
-        if ta[0] == tb[0] and ta[1] == tb[1]:
-            e = ta[2] + c * tb[2]
-            if e:
-                append((ta[0], ta[1], e))
-            ia += 1
-            ib += 1
-        elif ta < tb:           # decided by (node, spectral): they differ
-            append(ta)
-            ia += 1
-        else:
-            append(tb if c == 1 else (tb[0], tb[1], c * tb[2]))
-            ib += 1
-    if ia < na:
-        out.extend(a[ia:])
-    if ib < nb:
-        out.extend(b[ib:] if c == 1 else
-                   [(i, l, c * e) for (i, l, e) in b[ib:]])
-    return tuple(out)
-
-
-def kscale(a, c):
-    """c*a; an empty tuple for c == 0."""
-    if c == 1:
-        return a
-    if c == 0:
-        return ()
-    return tuple((i, l, c * e) for (i, l, e) in a)
-
-
 class YMonomial:
     """Finitely supported exponent map on (node, spectral) pairs.
 
@@ -134,17 +80,23 @@ class YMonomial:
     def __mul__(self, other):
         if not isinstance(other, YMonomial):
             return NotImplemented
-        return YMonomial._from_key(kmerge(self.key, other.key))
+        return self.mul_power(other, 1)
 
     def mul_power(self, other, c):
         """self * other^c."""
-        return YMonomial._from_key(kmerge_scaled(self.key, other.key, c))
+        acc = self.exponents()
+        for (i, l, e) in other.key:
+            acc[i, l] = acc.get((i, l), 0) + c * e
+        return YMonomial(acc)
 
     def inverse(self):
-        return YMonomial._from_key(kscale(self.key, -1))
+        return self ** -1
 
     def __pow__(self, c):
-        return YMonomial._from_key(kscale(self.key, c))
+        if not c:
+            return YMonomial.one()
+        return YMonomial._from_key(tuple((i, l, c * e)
+                                         for (i, l, e) in self.key))
 
     def shift_nodes(self, steps, modulus):
         key = sorted(((i + steps) % modulus, l, e) for (i, l, e) in self.key)
@@ -250,13 +202,7 @@ def dominance_leq(C, m, mtop, depth_cap):
     """
     if depth_cap < 0:
         raise DomainError("depth_cap must be >= 0")
-    diff = {}
-    for (i, l), e in mtop.exponents().items():
-        diff[(i, l)] = e
-    for (i, l), e in m.exponents().items():
-        diff[(i, l)] = diff.get((i, l), 0) - e
-        if not diff[(i, l)]:
-            del diff[(i, l)]
+    diff = mtop.mul_power(m, -1).exponents()
     factors = []
     budget = depth_cap
     # each pass returns or spends at least 1 of the budget, so the loop

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from .cartan import WeightVector, quantized_cartan_condition
 from .errors import AlgorithmFailure, DomainError, InputError
-from .monomials import (YMonomial, a_monomial, dominance_leq, kmerge,
-                        kmerge_scaled, mono_format, mono_parse)
+from .monomials import (YMonomial, a_monomial, dominance_leq, mono_format,
+                        mono_parse)
 
 
 class QCharacter:
@@ -710,6 +710,8 @@ def verify_tsystem(C, i, k, l, depth):
     """
     if depth < 1:
         raise InputError("depth must be >= 1")
+    if k < 1:
+        raise InputError("k must be >= 1, got k = %d" % k)
     chars = _StringChars(C, depth)
     two_ri = 2 * C.r(i)
     w_k_a = chars(i, k, l)
@@ -843,15 +845,15 @@ def char_to_dot(char):
     # entry (i, x) of m and each negative entry of g finds every edge once
     groups = {}
     for m in order:
-        groups.setdefault(char.heights[m], {})[m.key] = m
+        groups.setdefault(char.heights[m], set()).add(m)
     rank = {m: n for n, m in enumerate(order)}
-    a_keys = {}             # (node, spectral) -> key of that A-monomial
+    a_monos = {}            # (node, spectral) -> that A-monomial
 
-    def a_key(i, x):
-        key = a_keys.get((i, x))
-        if key is None:
-            key = a_keys[i, x] = a_monomial(C, i, x - C.r(i)).key
-        return key
+    def a_mono(i, x):
+        a = a_monos.get((i, x))
+        if a is None:
+            a = a_monos[i, x] = a_monomial(C, i, x - C.r(i))
+        return a
 
     edges = {}              # m -> [(rank of g, node)]
     for m in order:
@@ -860,12 +862,12 @@ def char_to_dot(char):
         above = groups.get(h - 1)
         for (i, x, e) in m.key:
             if e > 0 and below:
-                g = below.get(kmerge_scaled(m.key, a_key(i, x), -1))
-                if g is not None:
+                g = m.mul_power(a_mono(i, x), -1)
+                if g in below:
                     edges.setdefault(m, []).append((rank[g], i))
             elif e < 0 and above:
-                p = above.get(kmerge(m.key, a_key(i, x)))
-                if p is not None:
+                p = m * a_mono(i, x)
+                if p in above:
                     edges.setdefault(p, []).append((rank[m], i))
     for m in order:
         for n, i in sorted(edges.get(m, ())):

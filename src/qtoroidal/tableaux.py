@@ -246,8 +246,8 @@ def tableau_qchar_compare(n, k, shift, l, depth):
     (= excesses) up to ``depth`` is required; the report carries the first
     mismatch witnesses if any.
     """
-    C = cyclic_a(n + 1)
     terms, excesses = tableau_char(n, k, shift, l, depth)
+    C = cyclic_a(n + 1)
     kr = kr_qchar(C, shift % (n + 1), k, l + 1, depth)
     kr_terms = kr.terms
     mism = [(excesses.get(m, kr.heights.get(m)), mono_format(m),

@@ -149,6 +149,8 @@ def test_unknown_preset_is_operational_error():
      "0", "--depth", "2"],
     ["tsystem", "--type", "A3tor", "--node", "7", "--k", "1", "--spectral",
      "0", "--depth", "2"],
+    ["tsystem", "--type", "A3tor", "--node", "0", "--k", "0", "--spectral",
+     "0", "--depth", "2"],
     ["fusion", "--u-order", "-1"],
     ["fusion", "--ops", "1,1", "--u-order", "-1"],
     ["repcheck", "--L", "1", "--r-range", "-1", "--series-order", "-1"],
@@ -165,7 +167,7 @@ def test_unknown_preset_is_operational_error():
 ], ids=["crystal-empty-ops", "crystal-bad-op", "hecke-short-a",
         "hecke-long-a", "repcheck-short-window", "repcheck-bad-window",
         "octahedron-short-window", "fusion-one-twist", "qchar-no-such-node",
-        "tsystem-no-such-node", "fusion-empty-u-window",
+        "tsystem-no-such-node", "tsystem-k0", "fusion-empty-u-window",
         "fusion-coassoc-empty-u-window", "repcheck-negative-bounds",
         "repcheck-negative-m-bound", "octahedron-empty-window",
         "octahedron-no-k", "octahedron-no-steps", "hecke-l5",

@@ -505,6 +505,21 @@ def test_one_pass_saturation_closes_the_lattice(exps, monkeypatch):
         assert all(key(s) in keys for s in pair), (a, b)
 
 
+def test_closure_lattice_tries_each_distinct_ordering_once(monkeypatch):
+    # (0, 0, 2) has 6 orderings but 3 distinct ones; a repeated ordering
+    # would rebuild the same stacked system, kernel and closures
+    calls = []
+    real = qtoroidal.hecke.kernel_basis
+
+    def spy(rows, field):
+        calls.append(rows)
+        return real(rows, field)
+
+    monkeypatch.setattr(qtoroidal.hecke, "kernel_basis", spy)
+    invariant_subspaces(build_MA(3, [q_pow(n) for n in (0, 0, 2)]))
+    assert len(calls) == 3
+
+
 KATO_EXPS = [(0,) + abc for abc in combinations(range(1, 7), 3)]
 
 

@@ -6,8 +6,7 @@ from qtoroidal.cartan import build_cartan, cartan_preset, infinite_a
 from qtoroidal.errors import ParseError
 from qtoroidal.monomials import (YMonomial, a_monomial, dominance_height,
                                  dominance_leq, drinfeld_fraction,
-                                 from_drinfeld_fraction, kmerge,
-                                 kmerge_scaled, kscale, mono_format,
+                                 from_drinfeld_fraction, mono_format,
                                  mono_from_json, mono_parse, mono_to_json)
 
 A3TOR = cartan_preset("A3tor")
@@ -153,7 +152,7 @@ def test_infinite_a_dominance():
 
 
 # ---------------------------------------------------------------------------
-# the key kernel: kmerge, kmerge_scaled, kscale against a dict reference
+# YMonomial arithmetic: *, mul_power, ** and inverse against a dict reference
 # ---------------------------------------------------------------------------
 
 BIG = 2 ** 70
@@ -190,29 +189,30 @@ def assert_canonical(key):
 
 
 def test_pure_merge_basics():
-    a = ((0, 0, 1),)
-    b = ((0, 0, -1),)
-    assert kmerge(a, b) == ()
-    assert kmerge(a, ()) == a
-    assert kscale(a, -2) == ((0, 0, -2),)
-    assert kscale(a, 0) == ()
+    a = YMonomial(((0, 0, 1),))
+    b = YMonomial(((0, 0, -1),))
+    assert (a * b).key == ()
+    assert (a * YMonomial.one()).key == a.key
+    assert (a ** -2).key == ((0, 0, -2),)
+    assert (a ** 0).key == ()
+    assert a.inverse().key == b.key
 
 
 def test_no_silent_overflow():
-    a = ((0, 0, 2 ** 40),)
-    assert kscale(a, 2 ** 40) == ((0, 0, 2 ** 80),)
-    assert kmerge_scaled(a, a, 2 ** 40) == ((0, 0, 2 ** 40 + 2 ** 80),)
+    a = YMonomial(((0, 0, 2 ** 40),))
+    assert (a ** 2 ** 40).key == ((0, 0, 2 ** 80),)
+    assert a.mul_power(a, 2 ** 40).key == ((0, 0, 2 ** 40 + 2 ** 80),)
 
 
 @settings(max_examples=400, deadline=None)
 @given(monomial_keys, monomial_keys, scales)
 def test_kernel_matches_dict_reference(a, b, c):
-    merged = kmerge(a, b)
-    assert merged == reference(a, b, 1)
-    assert_canonical(merged)
-    scaled = kmerge_scaled(a, b, c)
-    assert scaled == reference(a, b, c)
-    assert_canonical(scaled)
-    alone = kscale(a, c)
-    assert alone == reference((), a, c)
-    assert_canonical(alone)
+    ma, mb = YMonomial(a), YMonomial(b)
+    for got, want in [(ma * mb, reference(a, b, 1)),
+                      (ma.mul_power(mb, c), reference(a, b, c)),
+                      (ma ** c, reference((), a, c)),
+                      (ma.inverse(), reference((), a, -1))]:
+        assert got.key == want
+        assert_canonical(got.key)
+        assert got == YMonomial(as_dict(want))
+        assert hash(got) == hash(YMonomial(as_dict(want)))

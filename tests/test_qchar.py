@@ -9,8 +9,8 @@ from qtoroidal import qchar
 from qtoroidal.cartan import (build_cartan, cartan_preset, finite_type_a,
                               infinite_a, quantized_cartan_condition)
 from qtoroidal.errors import AlgorithmFailure, DomainError, InputError
-from qtoroidal.monomials import (YMonomial, a_monomial, kmerge,
-                                 kmerge_scaled, mono_format, mono_parse)
+from qtoroidal.monomials import (YMonomial, a_monomial, mono_format,
+                                 mono_parse)
 from qtoroidal.qchar import (QCharacter, _add_term_maps, char_from_json,
                              char_product, char_to_dot, char_to_json,
                              fm_expand, is_special, kr_qchar,
@@ -79,6 +79,16 @@ def test_fm_deterministic_under_scheduling():
         assert other.heights == base.heights
 
 
+def merge_keys(a, b, c=1):
+    """a + c*b over triple-tuple keys sorted by (node, spectral), summed in
+    a dict: the oracles' own monomial arithmetic, independent of the
+    library's."""
+    acc = {(i, l): e for (i, l, e) in a}
+    for (i, l, e) in b:
+        acc[i, l] = acc.get((i, l), 0) + c * e
+    return tuple(sorted((i, l, e) for (i, l), e in acc.items() if e))
+
+
 def oracle_fm_expand(C, mtop, depth, order_rng=None):
     """The expansion with one ``itertools.product`` tuple per flip choice,
     each rebuilt from the monomial's key, the tuples past the depth budget
@@ -140,7 +150,7 @@ def oracle_fm_expand(C, mtop, depth, order_rng=None):
                             a_key = a_keys.get(il)
                             if a_key is None:
                                 a_key = a_keys[il] = a_monomial(C, *il).key
-                            g = kmerge_scaled(g, a_key, -1)
+                            g = merge_keys(g, a_key, -1)
                     g = YMonomial._from_key(g)
                     gh = h + v
                     known = heights.get(g)
@@ -159,7 +169,7 @@ def oracle_fm_expand(C, mtop, depth, order_rng=None):
 
 def tuple_fm_expand(C, mtop, depth, order_rng=None):
     """The expansion on triple-tuple keys: each flip choice one A-inverse
-    merged onto the choice it extends with ``kmerge_scaled``, every
+    merged onto the choice it extends with ``merge_keys``, every
     generated monomial hashed as a ``YMonomial``.  Kept as the oracle for
     the packed-key ``fm_expand``."""
     if not quantized_cartan_condition(C):
@@ -223,7 +233,7 @@ def tuple_fm_expand(C, mtop, depth, order_rng=None):
                             a_key = a_keys.get(il)
                             if a_key is None:
                                 a_key = a_keys[il] = a_monomial(C, *il).key
-                            g = kmerge_scaled(g, a_key, -1)
+                            g = merge_keys(g, a_key, -1)
                             v += 1
                             extended.append((g, v))
                     choices = extended
@@ -411,6 +421,16 @@ def test_tsystem_infinite_line():
     assert rep["holds"], rep["mismatches"]
 
 
+@pytest.mark.parametrize("C", [A3TOR, AINF], ids=["A3tor", "Ainf"])
+@pytest.mark.parametrize("k", [0, -2])
+def test_tsystem_rejects_k_below_1(C, k):
+    # checked before any character is built, so the message names the
+    # k given, not the k - 1 of the string character below it
+    with pytest.raises(InputError) as exc:
+        verify_tsystem(C, 0, k, 0, 3)
+    assert str(exc.value) == "k must be >= 1, got k = %d" % k
+
+
 BNP_PRESETS = ["Bnp:2,1", "Bnp:2,2", "Bnp:3,1", "Bnp:3,2", "Bnp:2,3",
                "Bnp:4,3"]
 
@@ -519,7 +539,7 @@ def test_char_product_matches_nested_loop(C, tops):
 
 def tuple_char_product(chars, depth, offset=0):
     """The truncated product on triple-tuple keys: each factor bucketed
-    by height, each pair of keys merged with ``kmerge``.  Kept as the
+    by height, each pair of keys merged with ``merge_keys``.  Kept as the
     oracle for ``char_product``."""
     budget = depth - offset
     acc = {(): (1, 0)}
@@ -533,7 +553,7 @@ def tuple_char_product(chars, depth, offset=0):
                 if h1 + h2 > budget:
                     break
                 for k2, c2 in bucket:
-                    g = kmerge(k1, k2)
+                    g = merge_keys(k1, k2)
                     prev = nxt.get(g)
                     if prev is None:
                         nxt[g] = (c1 * c2, h1 + h2)

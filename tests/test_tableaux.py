@@ -292,7 +292,7 @@ def test_tableau_char_excess_clash(monkeypatch):
     ((1, 1, 0, 0, -1), "need k >= 1 and max_excess >= 0"),
 ], ids=["k0", "negative-depth", "n1", "n1-k0", "n1-negative-depth"])
 def test_tableau_char_input_errors(args, message):
-    for fn in (tableau_char, oracle_tableau_char):
+    for fn in (tableau_char, oracle_tableau_char, tableau_qchar_compare):
         with pytest.raises(InputError) as exc:
             fn(*args)
         assert str(exc.value) == message
