@@ -18,10 +18,16 @@ at most one target.  So the image of a basis vector under a word of
 generators is one (label, scalar) pair, zero, or an escape from the
 window.  The relation verifier indexes the basis labels 0..n-1 once per
 call and reads each generator's columns once, as a list over those
-indices whose entries are (target index, scalar) pairs, or None where
-the generator kills the vector; a target off the window gets an index
->= n.  A relation term is evaluated on a basis vector by one walk over
-its letters' lists instead of replaying the word through ``apply``: a
+indices whose entries are (target index, scalar), or None where the
+generator kills the vector; a target off the window gets an index >= n.
+Almost every scalar there is a unit, +-q^e on a loop module and a root
+of unity e^k on a quotient, and so are most relation coefficients.  So
+each scalar is held as an exponent and a sign read by ``as_unit``, plus
+the ring element itself only when it is no unit.  A relation term is
+evaluated on a basis vector by one walk over its letters' lists instead
+of replaying the word through ``apply``, adding exponents and
+multiplying signs; the ring is touched once per term that survives the
+walk, and again only for a letter or coefficient that is no unit.  A
 letter that meets an index >= n would act off the window, so the vector
 is skipped, while a word's final image may land off the window.
 
@@ -94,6 +100,7 @@ class ModuleRealization:
         self._q_powers = {}
         self._one = (QScalar.one() if kind == "loop"
                      else CycScalar.one(self.cyc_order))
+        self._zero = self._one - self._one
         self._qq_inv = self.q_power(1) - self.q_power(-1)
 
     # -- scalars --------------------------------------------------------
@@ -259,15 +266,19 @@ class ModuleRealization:
         obey Newton's identity b_k = k t_k - sum_{0<j<k} b_j t_{k-j}
         (Macdonald, Symmetric Functions and Hall Polynomials, I.2).
         Raises DomainError naming the vector when phi_0 is not invertible
-        or b_|m| / |m| is not a multiple of q - q^-1.
+        or b_|m| / |m| is not a multiple of q - q^-1.  When phi_0 is 1 and
+        phi_1..phi_|m| vanish, as on every vector node g does not touch,
+        every b_k is 0 and so is the eigenvalue.
         """
         if m == 0:
             raise InputError("h index must be nonzero")
         sign = 1 if m > 0 else -1
         n = abs(m)
         series = self.phi_series(g, sign, label, n)
-        zero = self.one() - self.one()
+        zero = self._zero
         phi = [series.at(k) or zero for k in range(n + 1)]
+        if phi[0] == self._one and not any(phi[1:]):
+            return zero
         try:
             inv0 = phi[0].inverse()
         except DomainError as exc:
@@ -344,8 +355,9 @@ def _b_matrix(a, b):
 def _relation_instances(M, r_bound, m_bound):
     """Yield (family, description, terms); a term is (coefficient in the
     module's scalar ring, generator sequence applied right to left).
-    Coefficients are built once per loop level they depend on and shared
-    between instances; scalars are never mutated."""
+    Coefficients are built once per loop level they depend on, the serre
+    ones once per exponent s, and shared between instances; scalars are
+    never mutated."""
     nodes = M.nodes
     one = M.one()
     neg_one = -one
@@ -435,17 +447,21 @@ def _relation_instances(M, r_bound, m_bound):
                                 (neg_qB, [(tag, a, r), (tag, b, rp + 1)]),
                                 (one, [(tag, b, rp + 1), (tag, a, r)])])
 
+    serre_coefs = {}
     for a in nodes:
         for b in nodes:
             if a == b:
                 continue
             s = 1 - _b_matrix(a, b)
-            binoms = [q_binom(s, k) for k in range(s + 1)]
-            # the k-th serre coefficient by weight: a repeated pair of
-            # indices stands for both of its orderings
-            coefs = {w: [M.from_qscalar(c * ((-1) ** k * w))
-                         for k, c in enumerate(binoms)]
-                     for w in (1, 2)}
+            coefs = serre_coefs.get(s)
+            if coefs is None:
+                binoms = [q_binom(s, k) for k in range(s + 1)]
+                # the k-th serre coefficient by weight: a repeated pair of
+                # indices stands for both of its orderings
+                coefs = serre_coefs[s] = {
+                    w: [M.from_qscalar(c * ((-1) ** k * w))
+                        for k, c in enumerate(binoms)]
+                    for w in (1, 2)}
             for sgn, tag in signs:
                 for r1 in rng_r:
                     for r2 in rng_r:
@@ -503,17 +519,29 @@ def verify_relations(M, r_bound, m_bound):
     0 < |m| <= m_bound, so m_bound = 0 reaches no h-h or h-x relation
     and only the k-cartan instances without an h.
     """
-    one = M.one()
     # basis labels are indexed 0..n-1; a target off the window gets the
     # next free index >= n the first time a column reaches it
     n = len(M.basis)
     labels = list(M.basis)
     index = {lab: i for i, lab in enumerate(labels)}
     columns = {}
+    # the units s q^e (q the root e^1 on a quotient) by s, then by e,
+    # built once per call
+    units = {1: {}, -1: {}}
+
+    # each coefficient object split once, as (e, s, r, coef): holding the
+    # object keeps its id its own for the whole call
+    coef_splits = {}
+
+    def split(x):
+        """(e, s, None) when x is the unit s q^e, else (0, 1, x)."""
+        u = x.as_unit()
+        return (0, 1, x) if u is None else (*u, None)
 
     def column(gen):
         """The generator's monomial columns by basis index: (target index,
-        scalar), or None where the generator kills the vector."""
+        e, s, r) as ``split`` reads the scalar, or None where the
+        generator kills the vector."""
         col = [None] * n
         for lab, entry in M.op(gen).cols.items():
             # one entry per column: every generator operator is monomial
@@ -522,30 +550,45 @@ def verify_relations(M, r_bound, m_bound):
             if i is None:
                 i = index[tgt] = len(labels)
                 labels.append(tgt)
-            col[index[lab]] = i, scal
+            col[index[lab]] = (i, *split(scal))
         columns[gen] = col
         return col
 
     def check(desc, terms, fam):
-        # each term's letter columns in the order the letters act; a
-        # column list is never empty, so ``or`` falls through only on a miss
+        # each term's split coefficient and letter columns in the order the
+        # letters act; a column list is never empty, so ``or`` falls
+        # through only on a miss
         get = columns.get
-        words = [(coef, [get(gen) or column(gen) for gen in reversed(seq)])
-                 for coef, seq in terms]
+        words = []
+        for coef, seq in terms:
+            sp = coef_splits.get(id(coef))
+            if sp is None:
+                sp = coef_splits[id(coef)] = (*split(coef), coef)
+            words.append((*sp, [get(gen) or column(gen)
+                                for gen in reversed(seq)]))
         for v in range(n):
             acc = {}
-            for coef, cols in words:
-                i, val = v, one         # products with 1 are skipped
+            # the word's (E, S, R) start from its coefficient's split
+            for E, S, R, _, cols in words:
+                i = v
                 for col in cols:
                     if i >= n:
                         break               # a letter would act off the window
                     entry = col[i]
                     if entry is None:
                         break               # the letter kills the vector
-                    i, scal = entry
-                    val = scal if val is one else val * scal
+                    i, e, s, r = entry
+                    E += e
+                    S *= s
+                    if r is not None:
+                        R = r if R is None else R * r
                 else:
-                    w = val if coef is one else val * coef
+                    w = units[S].get(E)
+                    if w is None:
+                        w = M.q_power(E)
+                        w = units[S][E] = w if S > 0 else -w
+                    if R is not None:
+                        w = w * R
                     if i in acc:
                         w = acc[i] + w
                     if not w:

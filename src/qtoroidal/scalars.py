@@ -33,7 +33,9 @@ the denominator 1) in ``QScalar`` and ``QRat`` negates the other factor's
 numerator or not and adds k to its q-power, and +-1 in ``CycScalar``
 negates the other factor or not.  No polynomial product, reduction mod
 Phi_N, gcd or cancellation is made, and a product by 1 hands back the
-other factor itself.  A constant element hashes as the ``int`` or
+other factor itself.  ``as_unit`` reads such a unit back as an exponent
+and a sign: (e, s) for s q^e in ``QScalar`` and (k, 1) for e^k in
+``CycScalar``, else None.  A constant element hashes as the ``int`` or
 ``Fraction`` it equals.
 
 ``TruncSeries`` provides window-carrying truncated Laurent series whose
@@ -306,6 +308,13 @@ class QScalar:
         """Return n if self == q^n, else None."""
         return self._v if self._n == [1] and self._d == 1 else None
 
+    def as_unit(self):
+        """(e, s) when self == s q^e with s = +-1, else None."""
+        n = self._n
+        if self._d == 1 and len(n) == 1 and n[0] in (1, -1):
+            return self._v, n[0]
+        return None
+
     def __bool__(self):
         return bool(self._n)
 
@@ -491,6 +500,19 @@ def _cyc_table(n):
     return t
 
 
+# Per order N: the residue of each root of unity e^k, 0 <= k < N, as a
+# tuple, mapped to k; built on the first ``as_unit`` at that order.
+_CYC_UNITS = {}
+
+
+def _cyc_units(n):
+    u = _CYC_UNITS.get(n)
+    if u is None:
+        u = _CYC_UNITS[n] = {tuple(p): k
+                             for k, p in enumerate(_cyc_table(n)[2])}
+    return u
+
+
 def cyclotomic_polynomial(n):
     """Dense integer coefficient list of Phi_n, low degree first."""
     return list(_cyc_table(n)[0])
@@ -588,6 +610,14 @@ class CycScalar:
     def is_one(self):
         n = self._n
         return self._d == 1 and n[0] == 1 and not any(n[1:])
+
+    def as_unit(self):
+        """(k, 1) when self == e^k with 0 <= k < N, else None.  For even N,
+        -e^k is e^(k + N/2) and reads as such."""
+        if self._d != 1:
+            return None
+        k = _cyc_units(self.order).get(tuple(self._n))
+        return None if k is None else (k, 1)
 
     def __bool__(self):
         return any(self._n)

@@ -323,13 +323,17 @@ BENCH_CORRUPTIONS = [(a, r) for a in (-1, 0, 1) for r in (-1, 0, 1)]
     # h eigenvalues read from the second log coefficient
     (lambda: build_extremal_loop((-2, 2)), 1, 2),
     (lambda: build_root_of_unity(3), 0, 1),
+    # order 16, where Phi has degree 8
+    (lambda: build_root_of_unity(4), 1, 1),
+    (lambda: build_root_of_unity(4), 0, 1),
 ] + [(lambda w=w, a=a: build_extremal_loop((a - w, a + w)), r, m)
      for w, r, m, a in BENCH_LOOPS
 ] + [(lambda a=a, rr=rr: build_extremal_loop((a - 2, a + 2),
                                             corrupt_xp=(1, rr)), 0, 1)
      for a, rr in BENCH_CORRUPTIONS
 ], ids=["loop-r1m1", "loop-r1m0", "loop3-r0m1", "corrupt-r1", "corrupt-r0",
-        "rou1", "rou2", "rou3", "rou2-corrupt-r0", "loop-r1m2", "rou3-r0m1"]
+        "rou1", "rou2", "rou3", "rou2-corrupt-r0", "loop-r1m2", "rou3-r0m1",
+        "rou4", "rou4-r0m1"]
     + ["loop%d@%d-r%dm%d" % (w, a, r, m) for w, r, m, a in BENCH_LOOPS]
     + ["corrupt@%d-xp(1,%d)" % c for c in BENCH_CORRUPTIONS])
 def test_verify_relations_matches_replay(make, r_bound, m_bound):
@@ -788,7 +792,10 @@ def test_l_weight_check_rejects_a_bent_phi_entry(gen, label, bend,
     (("phip", 2, 1), (3, 0), lambda v: v + 1),
     # phi_0 vanishes, so the log of the series is undefined
     (("phip", 1, 0), (2, 0), lambda v: v - v),
-], ids=["phip21-plus-1", "phip10-zero"])
+    # (3, 0) lies outside node 1's pair, so phi_1.. vanish there; a zero
+    # phi_0 must still fail, not read as the untouched eigenvalue 0
+    (("phip", 1, 0), (3, 0), lambda v: v - v),
+], ids=["phip21-plus-1", "phip10-zero", "phip10-zero-off-pair"])
 def test_relation_check_names_a_bent_phi_vector(gen, label, bend):
     # building the h operators meets the bent vector and names it
     with pytest.raises(DomainError, match=re.escape(repr(label))):

@@ -96,6 +96,31 @@ def test_cyclotomic_inverse():
         assert (x * x.inverse()).is_one()
 
 
+def test_qscalar_as_unit_reads_signed_q_powers():
+    for e in range(-6, 7):
+        assert QScalar.q_power(e).as_unit() == (e, 1)
+        assert (-QScalar.q_power(e)).as_unit() == (e, -1)
+    for x in (QScalar.zero(), QScalar.from_const(2),
+              QScalar.from_const(Fraction(1, 2)), QScalar({1: 1, -1: -1}),
+              q_int(2)):
+        assert x.as_unit() is None, x
+
+
+@pytest.mark.parametrize("order", [4, 8, 12, 16])
+def test_cycscalar_as_unit_reads_roots_of_unity(order):
+    # -1 is e^(N/2), so a negated root reads as a shifted one
+    for k in range(order):
+        x = CycScalar.root_power(order, k)
+        assert x.as_unit() == (k, 1)
+        assert (-x).as_unit() == ((k + order // 2) % order, 1)
+    for x in (CycScalar.zero(order), CycScalar.from_const(order, 2)):
+        assert x.as_unit() is None, x
+    # q - q^-1 goes to e - e^-1 = 2i sin(2 pi / N), a unit only at N = 12,
+    # where it is i = e^3
+    qq_inv = cyclotomic_specialize(QScalar({1: 1, -1: -1}), order)
+    assert qq_inv.as_unit() == ((3, 1) if order == 12 else None)
+
+
 qscalars = st.builds(
     QScalar,
     st.dictionaries(st.integers(-5, 5),
