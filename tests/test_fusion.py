@@ -6,8 +6,9 @@ from qtoroidal.fusion import (ONE, _check_fusable, coproduct_generator,
                               coproduct_relation_check, delta_terms,
                               twisted_coassoc_check)
 from qtoroidal.linalg import LinOp
-from qtoroidal.modrep import (ModuleRealization, _relation_instances,
-                              build_extremal_loop, build_root_of_unity)
+from qtoroidal.modrep import (ModuleRealization, _first_witness_walk,
+                              _relation_instances, build_extremal_loop,
+                              build_root_of_unity)
 from qtoroidal.scalars import QScalar, TruncSeries
 from series_oracles import series_log_coeffs
 
@@ -334,6 +335,92 @@ def full_window_relation_check(M1, M2, u_window, r_bound, m_bound):
             "families": results}
 
 
+def capped_series_mul(f, g, top):
+    """f * g known up to ``top``, or as far as the factors' windows allow
+    when that is lower; degrees above ``top`` are never formed."""
+    lo = f.lo + g.lo
+    hi = min(f.hi + g.lo, g.hi + f.lo, top)
+    c = {}
+    for e1, v1 in f.coeffs.items():
+        for e2, v2 in g.coeffs.items():
+            e = e1 + e2
+            if e > hi:
+                continue
+            prev = c.get(e)
+            c[e] = v1 * v2 if prev is None else prev + v1 * v2
+    return TruncSeries(f.var, c, lo, hi)
+
+
+def composed_relation_check(M1, M2, u_window, r_bound, m_bound):
+    """The relation check that builds a new ``LinOp`` for every
+    composition, sum and scaling: capped series products, ``LinOp``
+    addition and scaling, and series sums over the whole product window.
+    Kept as the oracle for the in-place accumulation of
+    ``coproduct_relation_check``."""
+    _check_fusable(M1, M2)
+    lo_req, hi_req = fusion._u_window(u_window)
+    pad = 3 * r_bound + m_bound + 4
+    build_window = (lo_req - pad, hi_req + pad)
+    images = {}
+    prefix_cache = {}
+
+    def image(gen):
+        if gen not in images:
+            images[gen] = coproduct_generator(gen, M1, M2, build_window)
+        return images[gen]
+
+    def product(seq):
+        factors = [image(gen) for gen in seq]
+        top = max(hi_req, sum(f.lo for f in factors))
+        tops = []
+        for f in reversed(factors):
+            tops.append(top)
+            top -= f.lo
+        tops.reverse()
+        prod = None
+        built = ()
+        for gen, f, top in zip(seq, factors, tops):
+            built += (gen,)
+            hit = prefix_cache.get(built)
+            if hit is not None and hit.hi >= top:
+                prod = hit
+                continue
+            prod = f if prod is None else capped_series_mul(prod, f, top)
+            prefix_cache[built] = prod
+        return prod
+
+    one = M1.one()
+    neg_one = -one
+    tensor_one = LinOp.identity([(a, b) for a in M1.basis
+                                 for b in M2.basis], one)
+    unit = TruncSeries("u", {0: tensor_one}, build_window[0],
+                       build_window[1])
+
+    def check(desc, terms, fam):
+        acc = None
+        for coef, seq in terms:
+            prod = product(seq) if seq else unit
+            if coef != one:
+                prod = -prod if coef == neg_one else prod.scale(coef)
+            acc = prod if acc is None else acc + prod
+        lo = max(acc.lo, lo_req)
+        hi = min(acc.hi, hi_req)
+        if hi < hi_req:
+            raise WindowError("window too narrow for %s (have %d, need %d);"
+                              " enlarge the pad" % (desc, hi, hi_req))
+        for n in range(lo, hi + 1):
+            if acc.at(n):
+                return {"relation": desc, "u_degree": n}
+        return None
+
+    fams = _first_witness_walk(M1, r_bound, m_bound, check)
+    results = [{"family": family, "instances": fam["instances"],
+                "passed": fam["witness"] is None, "witness": fam["witness"]}
+               for family, fam in fams.items()]
+    return {"passed": all(f["passed"] for f in results),
+            "u_window": list(u_window), "families": results}
+
+
 def _dropping_phi_summand(delta_sum_terms):
     """``_delta_sum_terms`` with Delta(phi+_{i,1}) missing its u^1 summand
     phi+_{i,0} (x) phi+_{i,1}; any further arguments pass through."""
@@ -382,7 +469,7 @@ def test_coassoc_fails_on_dropped_phi_summand(monkeypatch):
          "first_mismatch_degree": None}]
 
 
-@pytest.mark.parametrize("make, window, r_bound, m_bound", [
+RELATION_CASES = [
     (lambda: build_root_of_unity(1), (-w, w), r, m)
     for w in (1, 2, 3) for r, m in ((0, 0), (0, 1), (1, 1))
 ] + [
@@ -399,17 +486,32 @@ def test_coassoc_fails_on_dropped_phi_summand(monkeypatch):
     (lambda: build_root_of_unity(1), (-1, 1), 0, 3),
     (lambda: build_root_of_unity(1), (-2, 2), 1, 2),
     (_corrupted((1, 0)), (-1, 1), 1, 2),
-], ids=["rou1-w%d-r%dm%d" % (w, r, m)
-        for w in (1, 2, 3) for r, m in ((0, 0), (0, 1), (1, 1))]
-   + ["rou2-w1-r0m1", "corrupt10", "corrupt01", "corrupt2m1",
-      "rou1-low", "corrupt10-low", "corrupt10-high",
-      "rou1-w1-r0m2", "rou1-w1-r0m3", "rou1-w2-r1m2", "corrupt10-r1m2"])
+]
+RELATION_IDS = (["rou1-w%d-r%dm%d" % (w, r, m)
+                 for w in (1, 2, 3) for r, m in ((0, 0), (0, 1), (1, 1))]
+                + ["rou2-w1-r0m1", "corrupt10", "corrupt01", "corrupt2m1",
+                   "rou1-low", "corrupt10-low", "corrupt10-high",
+                   "rou1-w1-r0m2", "rou1-w1-r0m3", "rou1-w2-r1m2",
+                   "corrupt10-r1m2"])
+
+
+@pytest.mark.parametrize("make, window, r_bound, m_bound", RELATION_CASES,
+                         ids=RELATION_IDS)
 def test_relation_check_matches_full_window(make, window, r_bound, m_bound):
     M = make()
     want = full_window_relation_check(M, M, window, r_bound, m_bound)
     got = coproduct_relation_check(M, M, window, r_bound, m_bound)
     assert got == want
     assert want["passed"] is (M.corrupt_xp is None)
+
+
+@pytest.mark.parametrize("make, window, r_bound, m_bound", RELATION_CASES,
+                         ids=RELATION_IDS)
+def test_relation_check_matches_composed_check(make, window, r_bound,
+                                               m_bound):
+    M = make()
+    want = composed_relation_check(M, M, window, r_bound, m_bound)
+    assert coproduct_relation_check(M, M, window, r_bound, m_bound) == want
 
 
 @pytest.mark.parametrize("corrupt", [
