@@ -10,11 +10,14 @@ The relation check walks the relation instances of ``modrep`` through
 its first-witness walk.  The checks compute only what they read.  The
 relation check forms each product up to the top u-degree it compares,
 and each prefix of that product up to that top less the lowest degrees
-of the factors still to multiply.  The coassociativity check builds
-both two-level sides by composing the one-level coproduct
-``delta_terms`` with itself, so both checks read one definition of
-Delta; it tensors each triple of generator operators once and compares
-the two sides degree by degree on their columns.
+of the factors still to multiply; a term with a zero coefficient, or
+whose product lies wholly above the window, forms no product.  Products
+and term sums accumulate in place, one column dict per u-degree
+(``linalg.add_into``), and the term sums keep only the degrees compared.
+The coassociativity check builds both two-level sides by composing the
+one-level coproduct ``delta_terms`` with itself, so both checks read one
+definition of Delta; it tensors each triple of generator operators once
+and compares the two sides degree by degree on their columns.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from __future__ import annotations
 from itertools import count
 
 from .errors import DomainError, InputError, WindowError
-from .linalg import LinOp
+from .linalg import LinOp, add_into
 from .modrep import _first_witness_walk
 from .scalars import TruncSeries
 
@@ -109,8 +112,8 @@ def _check_fusable(*mods):
 def coproduct_generator(gen, M1, M2, u_window):
     """Exact image of one generator on basis(M1) x basis(M2) within the
     requested u-window, as a u-series of operators."""
-    lo_req, hi_req = u_window
     _check_fusable(M1, M2)
+    lo_req, hi_req = _u_window(u_window)
     twist = 1
     lo_nat = _natural_lo(gen, twist)
     if lo_req > lo_nat:
@@ -120,13 +123,32 @@ def coproduct_generator(gen, M1, M2, u_window):
     if hi_req < lo_nat:
         # the whole requested window sits below the image's first term
         return TruncSeries("u", {}, lo_req, hi_req)
-    coeffs = {}
+    acc = {}
     for d, ga, gb in delta_terms(gen, twist, hi_req):
         op = M1.op(ga).tensor(M2.op(gb))
-        if not op:
-            continue
-        coeffs[d] = coeffs[d] + op if d in coeffs else op
-    return TruncSeries("u", coeffs, lo_nat, hi_req)
+        if op:
+            add_into(acc.setdefault(d, {}), op)
+    return _op_series(acc, lo_nat, hi_req)
+
+
+def _op_series(acc, lo, hi):
+    """The u-series on [lo, hi] of the column dicts ``acc`` by degree."""
+    return TruncSeries("u", {d: LinOp.of_cols(cols)
+                             for d, cols in acc.items()}, lo, hi)
+
+
+def _series_product(f, g, top):
+    """The operator series f g known up to ``top``, or as far as the
+    factors' windows allow when that is lower: degrees above ``top`` are
+    never formed, and the window never claims a degree the factors do not
+    fix.  Each degree's compositions add into one column dict."""
+    hi = min(f.hi + g.lo, g.hi + f.lo, top)
+    acc = {}
+    for e1, a in f.coeffs.items():
+        for e2, b in g.coeffs.items():
+            if e1 + e2 <= hi:
+                add_into(acc.setdefault(e1 + e2, {}), a, b)
+    return _op_series(acc, f.lo + g.lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -165,11 +187,9 @@ def coproduct_relation_check(M1, M2, u_window, r_bound, m_bound):
             images[gen] = coproduct_generator(gen, M1, M2, build_window)
         return images[gen]
 
-    def product(seq):
-        factors = [image(gen) for gen in seq]
-        # the top each prefix must reach; a product lying wholly above
-        # hi_req is still formed at its lowest degree
-        top = max(hi_req, sum(f.lo for f in factors))
+    def product(seq, factors):
+        # the top each prefix must reach
+        top = hi_req
         tops = []
         for f in reversed(factors):
             tops.append(top)
@@ -183,7 +203,7 @@ def coproduct_relation_check(M1, M2, u_window, r_bound, m_bound):
             if hit is not None and hit.hi >= top:
                 prod = hit
                 continue
-            prod = f if prod is None else prod.mul(f, top)
+            prod = f if prod is None else _series_product(prod, f, top)
             prefix_cache[built] = prod
         return prod
 
@@ -195,20 +215,31 @@ def coproduct_relation_check(M1, M2, u_window, r_bound, m_bound):
                        build_window[1])
 
     def check(desc, terms, fam):
-        acc = None
+        # the sum of the terms on [lo_req, hi_req], one column dict per
+        # degree, and the top degree the sum is known to
+        acc = {}
+        have = hi_req
         for coef, seq in terms:
-            prod = product(seq) if seq else unit
-            if coef != one:
-                prod = -prod if coef == neg_one else prod.scale(coef)
-            acc = prod if acc is None else acc + prod
-        lo = max(acc.lo, lo_req)
-        hi = min(acc.hi, hi_req)
-        if hi < hi_req:
+            if seq:
+                # a product's window, read off its factors' windows
+                factors = [image(gen) for gen in seq]
+                lo = sum(f.lo for f in factors)
+                have = min(have, lo + min(f.hi - f.lo for f in factors))
+            else:
+                lo = unit.lo
+            if not coef or lo > hi_req:
+                # the term adds nothing on the window
+                continue
+            prod = product(seq, factors) if seq else unit
+            c = None if coef == one else -1 if coef == neg_one else coef
+            for d, op in prod.coeffs.items():
+                if lo_req <= d <= hi_req:
+                    add_into(acc.setdefault(d, {}), op, c=c)
+        if have < hi_req:
             raise WindowError("window too narrow for %s (have %d, need %d);"
-                              " enlarge the pad" % (desc, hi, hi_req))
-        for n in range(lo, hi + 1):
-            v = acc.at(n)
-            if v:
+                              " enlarge the pad" % (desc, have, hi_req))
+        for n in sorted(acc):
+            if LinOp.of_cols(acc[n]):
                 return {"relation": desc, "u_degree": n}
         return None
 

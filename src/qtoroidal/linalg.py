@@ -9,9 +9,68 @@ every operator acts through ``LinOp.apply``, and a dense matrix
 reduction, kernel, determinant).  Those routines and invariant-subspace
 growth take a ``Field`` adapter supplying zero and one, and divide with
 ``/``; row reduction returns only the nonzero rows, as many as the rank.
+Sums and compositions of operators accumulate in place, through
+``add_into``, in a dict of columns that ``LinOp.of_cols`` then wraps.
 """
 
 from __future__ import annotations
+
+from functools import partial
+from operator import mul, neg
+
+
+def add_into(cols, a, b=None, c=None):
+    """Add c (a o b) into the column dict ``cols`` in place: ``a`` alone
+    when ``b`` is None, and c = 1 when ``c`` is None; the int -1 negates.
+    A given ``c`` must be nonzero.
+
+    An entry that sums to zero is dropped, so a column may be left empty
+    until ``LinOp.of_cols`` wraps the dict.  A new column is a new dict,
+    never one of ``a`` or ``b``, so their columns are never mutated."""
+    f = (None if c is None else neg if isinstance(c, int) and c == -1
+         else partial(mul, c))
+    if b is None:
+        for src, col in a.cols.items():
+            out = cols.get(src)
+            if out is None:
+                cols[src] = (dict(col) if f is None
+                             else {dst: f(v) for dst, v in col.items()})
+                continue
+            for dst, v in col.items():
+                if f is not None:
+                    v = f(v)
+                prev = out.get(dst)
+                if prev is None:
+                    out[dst] = v
+                else:
+                    v = prev + v
+                    if v:
+                        out[dst] = v
+                    else:
+                        del out[dst]
+        return
+    acols = a.cols
+    for src, bcol in b.cols.items():
+        out = cols.get(src)
+        if out is None:
+            out = cols[src] = {}
+        for mid, vb in bcol.items():
+            acol = acols.get(mid)
+            if acol is None:
+                continue
+            if f is not None:
+                vb = f(vb)
+            for dst, va in acol.items():
+                w = va * vb
+                prev = out.get(dst)
+                if prev is None:
+                    out[dst] = w
+                else:
+                    w = prev + w
+                    if w:
+                        out[dst] = w
+                    else:
+                        del out[dst]
 
 
 class LinOp:
@@ -27,6 +86,15 @@ class LinOp:
                 clean = {dst: v for dst, v in col.items() if v}
                 if clean:
                     self.cols[src] = clean
+
+    @classmethod
+    def of_cols(cls, cols):
+        """The operator of a column dict built by ``add_into``, whose
+        entries are nonzero: its empty columns are dropped, and the others
+        are taken over, not copied."""
+        r = cls.__new__(cls)
+        r.cols = {src: col for src, col in cols.items() if col}
+        return r
 
     @classmethod
     def zero(cls):
@@ -63,20 +131,9 @@ class LinOp:
         return out
 
     def __add__(self, other):
-        cols = {}
-        for src in set(self.cols) | set(other.cols):
-            col = dict(self.cols.get(src, {}))
-            for dst, v in other.cols.get(src, {}).items():
-                w = col[dst] + v if dst in col else v
-                if not w:
-                    col.pop(dst, None)
-                else:
-                    col[dst] = w
-            if col:
-                cols[src] = col
-        r = LinOp.__new__(LinOp)
-        r.cols = cols
-        return r
+        cols = {src: dict(col) for src, col in self.cols.items()}
+        add_into(cols, other)
+        return LinOp.of_cols(cols)
 
     def __neg__(self):
         r = LinOp.__new__(LinOp)
@@ -92,13 +149,8 @@ class LinOp:
         if not isinstance(other, LinOp):
             return self.scale(other)
         cols = {}
-        for src, col in other.cols.items():
-            out = self.apply(col)
-            if out:
-                cols[src] = out
-        r = LinOp.__new__(LinOp)
-        r.cols = cols
-        return r
+        add_into(cols, self, other)
+        return LinOp.of_cols(cols)
 
     def __rmul__(self, other):
         if isinstance(other, LinOp):

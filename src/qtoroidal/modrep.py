@@ -109,10 +109,14 @@ class ModuleRealization:
         return self._one
 
     def q_power(self, e):
+        """q^e, built once per value: on a quotient q is the root e^1, so
+        exponents equal mod the order share one scalar."""
+        if self.cyc_order is not None:
+            e %= self.cyc_order
         x = self._q_powers.get(e)
         if x is None:
             x = self._q_powers[e] = (
-                QScalar.q_power(e) if self.kind == "loop"
+                QScalar.q_power(e) if self.cyc_order is None
                 else CycScalar.root_power(self.cyc_order, e))
         return x
 

@@ -1011,17 +1011,9 @@ class TruncSeries:
     def __mul__(self, other):
         if not isinstance(other, TruncSeries):
             return self.scale(other)
-        return self.mul(other)
-
-    def mul(self, other, top=None):
-        """Product known up to ``top``, or as far as the factors' windows
-        allow when that is lower: degrees above ``top`` are never formed,
-        and the window never claims a degree the factors do not fix."""
         self._check(other)
         lo = self.lo + other.lo
         hi = min(self.hi + other.lo, other.hi + self.lo)
-        if top is not None and top < hi:
-            hi = top
         c = {}
         for e1, v1 in self.coeffs.items():
             for e2, v2 in other.coeffs.items():

@@ -5,7 +5,7 @@ from qtoroidal.errors import InputError, WindowError
 from qtoroidal.fusion import (ONE, _check_fusable, coproduct_generator,
                               coproduct_relation_check, delta_terms,
                               twisted_coassoc_check)
-from qtoroidal.linalg import LinOp
+from qtoroidal.linalg import LinOp, add_into
 from qtoroidal.modrep import (ModuleRealization, _first_witness_walk,
                               _relation_instances, build_extremal_loop,
                               build_root_of_unity)
@@ -99,6 +99,8 @@ def test_empty_u_window_is_an_input_error(window):
         coproduct_relation_check(M, M, window, 1, 1)
     with pytest.raises(InputError, match="empty u-window"):
         twisted_coassoc_check(M, M, M, 1, 1, window, [("k", 0, 1)])
+    with pytest.raises(InputError, match="empty u-window"):
+        coproduct_generator(("xp", 1, 0), M, M, window)
 
 
 def test_negative_relation_bound_is_an_input_error():
@@ -366,7 +368,8 @@ def composed_relation_check(M1, M2, u_window, r_bound, m_bound):
 
     def image(gen):
         if gen not in images:
-            images[gen] = coproduct_generator(gen, M1, M2, build_window)
+            images[gen] = fusion.coproduct_generator(gen, M1, M2,
+                                                     build_window)
         return images[gen]
 
     def product(seq):
@@ -512,6 +515,75 @@ def test_relation_check_matches_composed_check(make, window, r_bound,
     M = make()
     want = composed_relation_check(M, M, window, r_bound, m_bound)
     assert coproduct_relation_check(M, M, window, r_bound, m_bound) == want
+
+
+def _narrowing(target, cut):
+    """``coproduct_generator`` with the image of ``target`` known only up
+    to ``cut`` below the top of the window it is built on."""
+    generator = fusion.coproduct_generator
+
+    def narrowed(gen, M1, M2, u_window):
+        img = generator(gen, M1, M2, u_window)
+        if gen != target:
+            return img
+        hi = img.hi - cut
+        return TruncSeries("u", {d: v for d, v in img.coeffs.items()
+                                 if d <= hi}, img.lo, hi)
+    return narrowed
+
+
+@pytest.mark.parametrize("target, cut", [
+    (("xp", 0, -1), 6), (("xp", 0, -1), 5), (("xm", 2, 0), 6),
+    (("k", 1, -1), 6), (("phip", 3, 0), 6), (("h", 1, 1), 6),
+    (("h", 2, -1), 7)])
+def test_relation_check_window_error_matches_composed_check(
+        monkeypatch, target, cut):
+    # images known to a top too low for the window: the check must raise
+    # the same WindowError as the composed check, on the same instance,
+    # also where the narrow image is a term with a zero coefficient
+    monkeypatch.setattr(fusion, "coproduct_generator",
+                        _narrowing(target, cut))
+    M = build_root_of_unity(1)
+    outcomes = []
+    for check in (composed_relation_check, coproduct_relation_check):
+        try:
+            outcomes.append(check(M, M, (-1, 1), 0, 1))
+        except WindowError as e:
+            outcomes.append(str(e))
+    assert outcomes[0] == outcomes[1]
+    if (target, cut) == (("xp", 0, -1), 6):
+        # the first instance reading x+_{0,-1} does so in its third term,
+        # whose coefficient [-2]_q / -1 vanishes at q = i
+        assert outcomes[1] == ("window too narrow for [h_{0,-1}, xxp_{0,0}]"
+                               " (have 0, need 1); enlarge the pad")
+
+
+def test_cancelling_terms_leave_clean_operators():
+    # terms that cancel, within a product's degree or across a relation's
+    # terms, leave no zero entry and no empty column behind
+    M = build_root_of_unity(1)
+    a = M.op(("xp", 1, 0)).tensor(M.op(("k", 2, 1)))
+    b = M.op(("xm", 1, 0)).tensor(M.op(("phip", 1, 1)))
+    assert a * b
+    f = TruncSeries("u", {0: a, 1: -a}, 0, 3)
+    g = TruncSeries("u", {0: b, 1: b}, 0, 3)
+    # degree 1 is a o b - a o b
+    prod = fusion._series_product(f, g, 3)
+    assert sorted(prod.coeffs) == [0, 2]
+    assert prod.at(0) == a * b and prod.at(2) == -(a * b)
+    for op in prod.coeffs.values():
+        assert all(op.cols.values())
+        assert all(v for col in op.cols.values() for v in col.values())
+    cols = {}
+    add_into(cols, a, b)
+    add_into(cols, prod.at(0), c=-1)
+    assert cols and not LinOp.of_cols(cols).cols
+    # a partial cancellation keeps only the surviving columns
+    c = M.op(("k", 0, 1)).tensor(M.op(("k", 0, 1)))
+    add_into(cols, c)
+    add_into(cols, a)
+    add_into(cols, a, c=-1)
+    assert LinOp.of_cols(cols).cols == c.cols
 
 
 @pytest.mark.parametrize("corrupt", [

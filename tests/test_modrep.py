@@ -138,6 +138,20 @@ def test_generator_operators_are_cached():
         assert M.op(("one",)) == LinOp.identity(M.basis, M.one())
 
 
+@pytest.mark.parametrize("L", [1, 2, 3])
+def test_q_power_shares_exponents_equal_mod_the_order(L):
+    # on a quotient q is the root e^1, so q^e and q^(e + N) are one scalar
+    M = build_root_of_unity(L)
+    N = M.cyc_order
+    for e in range(-2 * N, 2 * N):
+        x = M.q_power(e)
+        assert M.q_power(e + N) is x
+        assert x == CycScalar.root_power(N, e)
+    loop = build_extremal_loop((-1, 1))
+    assert loop.q_power(5) is loop.q_power(5)
+    assert loop.q_power(5) == QScalar.q_power(5) != loop.q_power(1)
+
+
 def test_escape_on_window_edge():
     M = build_extremal_loop((0, 1))
     with pytest.raises(EscapeError):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from qtoroidal.errors import (DomainError, ExactDivisionError, InputError,
                               MixedOrderError, WindowError)
-from qtoroidal.linalg import LinOp
+from qtoroidal.fusion import _series_product
+from qtoroidal.linalg import LinOp, add_into, op_matrix
 from qtoroidal.scalars import (CycScalar, PolyScalar, QRat, QScalar,
                                TruncSeries, _iexquo, cyclotomic_polynomial,
                                cyclotomic_specialize, q_binom, q_factorial,
@@ -1251,22 +1252,22 @@ def test_series_window_rules():
     assert s.lo == 0 and s.hi == 3
 
 
+def _op_series(coeffs, width):
+    lo = min(coeffs, default=0)
+    return TruncSeries("u", coeffs, lo, max(coeffs, default=0) + width)
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.dictionaries(st.integers(-3, 3), st.integers(-3, 3), max_size=5),
-       st.dictionaries(st.integers(-2, 4), st.integers(-3, 3), max_size=5),
+@given(st.dictionaries(st.integers(-3, 3), _linops(small_qscalars),
+                       max_size=5),
+       st.dictionaries(st.integers(-2, 4), _linops(small_qscalars),
+                       max_size=5),
        st.integers(0, 4), st.integers(0, 4), st.integers(-8, 10))
 def test_series_capped_product(fc, gc, fw, gw, top):
-    def series(coeffs, width):
-        lo = min(coeffs, default=0)
-        return TruncSeries("u", {e: QScalar.from_const(v)
-                                 for e, v in coeffs.items()},
-                           lo, max(coeffs, default=0) + width)
-
-    f, g = series(fc, fw), series(gc, gw)
+    f, g = _op_series(fc, fw), _op_series(gc, gw)
     full = f * g
-    assert f.mul(g) == full
     top = max(top, full.lo)
-    capped = f.mul(g, top)
+    capped = _series_product(f, g, top)
     # never claims a degree above the true window, nor above the cap
     assert capped.lo == full.lo
     assert capped.hi == min(full.hi, top)
@@ -1274,6 +1275,37 @@ def test_series_capped_product(fc, gc, fw, gw, top):
         assert capped.at(e) == full.at(e)
     with pytest.raises(WindowError):
         capped.at(capped.hi + 1)
+
+
+def _dense(op, zero):
+    return op_matrix(op, ("a", "b", "c"), zero)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_linops(small_qscalars), _linops(small_qscalars),
+       _linops(small_qscalars), st.booleans(),
+       st.sampled_from([None, -1, 2, QScalar({1: 1}), QScalar({0: -1})]))
+def test_add_into_matches_dense_arithmetic(a, b, d, compose, c):
+    # cols gains d, then c (a o b), or c a, twice, in place; the second
+    # addition would mutate any column it had taken over from an input
+    zero = QScalar({})
+    before = [(x, _dense(x, zero)) for x in (a, b, d)]
+    cols = {}
+    add_into(cols, d)
+    for _ in range(2):
+        add_into(cols, a, b if compose else None, c)
+    got = LinOp.of_cols(cols)
+    A, B, D = (m for _, m in before)
+    term = ([[sum((A[i][k] * B[k][j] for k in range(3)), zero)
+              for j in range(3)] for i in range(3)] if compose else A)
+    scale = QScalar({0: 2}) if c is None else c * 2
+    assert _dense(got, zero) == [[D[i][j] + term[i][j] * scale
+                                  for j in range(3)] for i in range(3)]
+    # clean: no zero entry, no empty column; the inputs are untouched
+    assert all(got.cols.values())
+    assert all(v for col in got.cols.values() for v in col.values())
+    for x, m in before:
+        assert _dense(x, zero) == m
 
 
 def test_series_log_of_one():
