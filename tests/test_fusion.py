@@ -137,6 +137,66 @@ def test_delta_terms_truncation_bound():
     assert len([t for t in terms if t[1] == ("xp", 0, -1)]) == 1
 
 
+def rotated(gen, k):
+    """gen with its node moved k steps round the 4-cycle."""
+    return gen if gen == ONE else (gen[0], (gen[1] + k) % 4, gen[2])
+
+
+def degree(gen):
+    return 0 if gen[0] in ("k", "one") else gen[2]
+
+
+ROTATION_GENS = ([(name, i, r) for name in ("xp", "xm") for i in range(4)
+                  for r in (-2, 0, 1)]
+                 + [("phip", i, m) for i in range(4) for m in (0, 1, 2)]
+                 + [("phim", i, m) for i in range(4) for m in (0, -1, -2)]
+                 + [("k", i, e) for i in range(4) for e in (1, -1)]
+                 + [("h", i, m) for i in range(4) for m in (-2, -1, 1, 2)]
+                 + [ONE])
+
+
+@pytest.mark.parametrize("twist", [1, 2])
+def test_delta_terms_commute_with_the_rotation(twist):
+    # rotating the generator rotates both factors of every summand and
+    # keeps its u-degree; the factors' degrees add up to the generator's
+    for gen in ROTATION_GENS:
+        for hi in (-3, 0, 2, 5):
+            terms = delta_terms(gen, twist, hi)
+            for d, a, b in terms:
+                assert degree(a) + degree(b) == degree(gen), (gen, a, b)
+            for k in range(1, 4):
+                assert delta_terms(rotated(gen, k), twist, hi) == [
+                    (d, rotated(a, k), rotated(b, k)) for d, a, b in terms]
+
+
+def doubled_xp(L):
+    """The period-L quotient with every x+ table doubled: the rotation
+    still intertwines each generator up to q^deg, but [x+, x-] is off by
+    a factor 2."""
+    class DoubledXp(ModuleRealization):
+        def image(self, gen, label):
+            img = super().image(gen, label)
+            if gen[0] == "xp" and img is not None:
+                img = img[0], img[1] * 2
+            return img
+    return DoubledXp("rou", period=L)
+
+
+@pytest.mark.parametrize("left, window, r_bound, m_bound", [
+    (True, (-1, 1), 1, 1), (False, (-1, 1), 1, 1), (True, (-2, 2), 0, 1)],
+    ids=["both-w1-r1m1", "right-w1-r1m1", "both-w2-r0m1"])
+def test_relation_check_on_a_symmetric_but_wrong_quotient(left, window,
+                                                           r_bound, m_bound):
+    # the doubled tables commute with the rotation, so only the relations
+    # themselves can catch them: the report must be the composed check's
+    right = doubled_xp(1)
+    M = doubled_xp(1) if left else build_root_of_unity(1)
+    want = composed_relation_check(M, right, window, r_bound, m_bound)
+    assert not want["passed"]
+    assert coproduct_relation_check(M, right, window, r_bound,
+                                    m_bound) == want
+
+
 def test_relation_check_monotone_in_window():
     # passing on a window implies passing on any subwindow
     M = build_root_of_unity(1)

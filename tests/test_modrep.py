@@ -1,5 +1,6 @@
 import gc
 import re
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 
@@ -543,6 +544,74 @@ def test_relation_instances_match_rebuilt_coefficients(make, r_bound,
     assert got == want
     assert {family for family, _, _ in want} == {
         "k-cartan", "h-h", "k-x", "h-x", "xpxm", "quadratic", "serre"}
+
+
+def rotated(gen, k):
+    """gen with its node moved k steps round the 4-cycle."""
+    return gen if gen[0] == "one" else (gen[0], (gen[1] + k) % 4, gen[2])
+
+
+def degree(gen):
+    """The spectral degree: r for x+-_{i,r}, m for phi+-_{i,m} and
+    h_{i,m}, 0 for k and the unit."""
+    return 0 if gen[0] in ("k", "one") else gen[2]
+
+
+def outer_node(desc):
+    """The node of an instance's outermost loop: the first number its
+    description names."""
+    return int(re.search(r"\d+", desc).group())
+
+
+@pytest.mark.parametrize("make, r_bound, m_bound", [
+    (lambda: build_root_of_unity(1), 1, 1),
+    (lambda: build_root_of_unity(1), 2, 2),
+    (lambda: build_root_of_unity(2), 1, 1),
+    (lambda: build_root_of_unity(1), 0, 0),
+    (lambda: build_extremal_loop((-2, 2)), 1, 1),
+], ids=["rou1-r1m1", "rou1-r2m2", "rou2-r1m1", "rou1-r0m0", "loop-r1m1"])
+def test_relation_instances_close_under_rotation(make, r_bound, m_bound):
+    # the instances whose outermost node is 0, rotated round the cycle by
+    # k = 0..3, are the whole instance list as a multiset, coefficients
+    # included; and the words of every instance share one total degree
+    M = make()
+    full = list(_relation_instances(M, r_bound, m_bound))
+    reps = [inst for inst in full if outer_node(inst[1]) == 0]
+    assert 4 * len(reps) == len(full)
+
+    def key(family, terms, k):
+        return (family, tuple((repr(coef), tuple(rotated(g, k) for g in seq))
+                              for coef, seq in terms))
+
+    assert (Counter(key(family, terms, k) for family, _, terms in reps
+                    for k in range(4))
+            == Counter(key(family, terms, 0) for family, _, terms in full))
+    for family, desc, terms in full:
+        degrees = {sum(degree(g) for g in seq) for _, seq in terms}
+        assert len(degrees) == 1, desc
+
+
+def doubled_xp(L):
+    """The period-L quotient with every x+ table doubled: the rotation
+    still intertwines each generator up to q^deg, but [x+, x-] is off by
+    a factor 2."""
+    class DoubledXp(ModuleRealization):
+        def image(self, gen, label):
+            img = super().image(gen, label)
+            if gen[0] == "xp" and img is not None:
+                img = img[0], img[1] * 2
+            return img
+    return DoubledXp("rou", period=L)
+
+
+@pytest.mark.parametrize("L, r_bound, m_bound",
+                         [(1, 1, 1), (2, 1, 1), (1, 0, 0)])
+def test_symmetric_but_wrong_quotient_fails_as_the_replay(L, r_bound,
+                                                          m_bound):
+    M = doubled_xp(L)
+    want = replay_verify_relations(M, r_bound, m_bound).to_json()
+    assert not want["passed"]
+    assert verify_relations(M, r_bound, m_bound).to_json() == want
 
 
 @pytest.mark.parametrize("r_bound, m_bound", [(-1, -1), (-1, 1), (1, -1)])
