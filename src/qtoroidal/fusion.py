@@ -7,7 +7,13 @@ intersection rule.  The phi series are group-like, so the derived h
 images are primitive: Delta(h_{i,m}) = h_{i,m} x 1 + u^m 1 x h_{i,m}.
 
 The relation check walks the relation instances of ``modrep`` through
-its first-witness walk.  The checks compute only what they read.  The
+its first-witness walk.  That walk checks one instance per rotation orbit
+of the cycle once every coproduct image the check reads is seen to
+rotate: each u-coefficient of the image of the rotated generator is the
+original's conjugated by rho x rho and scaled by q^deg, on the same
+window, since Delta maps each summand (d, a, b) of g to (d, rot a, rot b)
+for rot g.  Otherwise, or when a representative fails or raises, it walks
+every instance.  The checks compute only what they read.  The
 relation check forms each product up to the top u-degree it compares,
 and each prefix of that product up to that top less the lowest degrees
 of the factors still to multiply; a term with a zero coefficient, or
@@ -26,7 +32,8 @@ from itertools import count
 
 from .errors import DomainError, InputError, WindowError
 from .linalg import LinOp, add_into
-from .modrep import _first_witness_walk
+from .modrep import (_degree, _first_witness_walk, _intertwined,
+                     _label_rotation, _rotated)
 from .scalars import TruncSeries
 
 ONE = ("one",)
@@ -176,9 +183,11 @@ def coproduct_relation_check(M1, M2, u_window, r_bound, m_bound):
     # term below u^0 narrows a product: an h image reaches down to
     # -m_bound and each ladder factor (up to three) to -r_bound; products
     # read only up to hi_req, and a WindowError (never a wrong answer)
-    # results if the pad is ever too tight
+    # results if the pad is ever too tight.  The window is padded from
+    # u^0 when it lies wholly on one side of it, so that it holds the
+    # unit and the lowest term of every image
     pad = 3 * r_bound + m_bound + 4
-    build_window = (lo_req - pad, hi_req + pad)
+    build_window = (min(lo_req, 0) - pad, max(hi_req, 0) + pad)
     images = {}
     prefix_cache = {}
 
@@ -243,7 +252,19 @@ def coproduct_relation_check(M1, M2, u_window, r_bound, m_bound):
                 return {"relation": desc, "u_degree": n}
         return None
 
-    fams = _first_witness_walk(M1, r_bound, m_bound, check)
+    # the rotation of the tensor basis, rho x rho
+    rho1, rho2 = _label_rotation(M1), _label_rotation(M2)
+    rho = {(a, b): (rho1[a], rho2[b]) for a in M1.basis for b in M2.basis}
+
+    def rotates(gen):
+        # each u-coefficient of the image of rot(gen), on the same window
+        f, g = image(gen), image(_rotated(gen))
+        c = M1.q_power(_degree(gen))
+        return ((f.lo, f.hi, f.coeffs.keys()) == (g.lo, g.hi, g.coeffs.keys())
+                and all(_intertwined(op, g.coeffs[d], rho, c)
+                        for d, op in f.coeffs.items()))
+
+    fams = _first_witness_walk(M1, r_bound, m_bound, check, rotates)
     results = [{"family": family, "instances": fam["instances"],
                 "passed": fam["witness"] is None, "witness": fam["witness"]}
                for family, fam in fams.items()]

@@ -34,7 +34,20 @@ is skipped, while a word's final image may land off the window.
 The relation instances carry coefficients in the module's scalar ring.
 One walk over them (``_first_witness_walk``) counts instances per family
 and stops checking a family at its first witness; the verifier here and
-the coproduct check in ``fusion`` both run on it.
+the coproduct check in ``fusion`` both run on it.  On a quotient the walk
+checks one instance per rotation orbit of the cycle.  Moving every node
+one step round the cycle maps each instance to one with the same
+coefficients and the same total degree D, and when the label rotation
+rho(a, p) = _norm(a + 1, p) intertwines every generator g the walk reads
+with its rotation up to q^deg(g) (the diagram rotation composed with the
+spectral shift x+-_{i,r} -> q^r x+-_{i,r}), an instance holds exactly
+when its rotation does.  That intertwining is checked at run time on what
+the check reads, never assumed; then only the instances whose outermost
+node is 0 are checked, and every count is 4 times theirs.  A generator
+that does not rotate, a witness or a library error on the way reruns the
+full walk from the start, and a loop module, whose window no rotation
+preserves, always takes it; so every report and error is the full
+walk's.
 """
 
 from __future__ import annotations
@@ -42,7 +55,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import (ConstructionError, DomainError, EscapeError,
-                     ExactDivisionError, InputError)
+                     ExactDivisionError, InputError, QtorError)
 from .linalg import Field, LinOp, determinant, op_matrix
 from .monomials import YMonomial, mono_format
 from .scalars import (CycScalar, QScalar, TruncSeries, cyclotomic_specialize,
@@ -356,20 +369,24 @@ def _b_matrix(a, b):
     return -1 if (a - b) % 4 in (1, 3) else 0
 
 
-def _relation_instances(M, r_bound, m_bound):
+def _relation_instances(M, r_bound, m_bound, _firsts=None):
     """Yield (family, description, terms); a term is (coefficient in the
     module's scalar ring, generator sequence applied right to left).
     Coefficients are built once per loop level they depend on, the serre
     ones once per exponent s, and shared between instances; scalars are
-    never mutated."""
+    never mutated.
+
+    ``_firsts`` (default: every node) are the nodes each family's
+    outermost node loop runs over."""
     nodes = M.nodes
+    firsts = nodes if _firsts is None else _firsts
     one = M.one()
     neg_one = -one
     rng_r = range(-r_bound, r_bound + 1)
     rng_m = [m for m in range(-m_bound, m_bound + 1) if m]
     signs = ((1, "xp"), (-1, "xm"))
 
-    for a in nodes:
+    for a in firsts:
         for b in nodes:
             yield ("k-cartan", "k_%d k_%d = k_%d k_%d" % (a, b, b, a),
                    [(one, [("k", a, 1), ("k", b, 1)]),
@@ -382,7 +399,7 @@ def _relation_instances(M, r_bound, m_bound):
                        [(one, [("k", a, 1), ("h", b, m)]),
                         (neg_one, [("h", b, m), ("k", a, 1)])])
 
-    for a in nodes:
+    for a in firsts:
         for b in nodes:
             for m in rng_m:
                 for mp in rng_m:
@@ -391,7 +408,7 @@ def _relation_instances(M, r_bound, m_bound):
                            [(one, [("h", a, m), ("h", b, mp)]),
                             (neg_one, [("h", b, mp), ("h", a, m)])])
 
-    for a in nodes:
+    for a in firsts:
         for b in nodes:
             B = _b_matrix(a, b)
             shifts = [(sgn, tag, -M.q_power(sgn * B))
@@ -404,7 +421,7 @@ def _relation_instances(M, r_bound, m_bound):
                            [(one, [("k", a, 1), (tag, b, r), ("k", a, -1)]),
                             (neg_qB, [(tag, b, r)])])
 
-    for a in nodes:
+    for a in firsts:
         for b in nodes:
             B = _b_matrix(a, b)
             for m in rng_m:
@@ -420,7 +437,7 @@ def _relation_instances(M, r_bound, m_bound):
 
     qdiff = M.qq_inv()
     neg_qdiff = -qdiff
-    for a in nodes:
+    for a in firsts:
         for b in nodes:
             for r in rng_r:
                 for rp in rng_r:
@@ -436,7 +453,7 @@ def _relation_instances(M, r_bound, m_bound):
                            "[x+_{%d,%d}, x-_{%d,%d}] vs phi" % (a, r, b, rp),
                            terms)
 
-    for a in nodes:
+    for a in firsts:
         for b in nodes:
             B = _b_matrix(a, b)
             for sgn, tag in signs:
@@ -452,7 +469,7 @@ def _relation_instances(M, r_bound, m_bound):
                                 (one, [(tag, b, rp + 1), (tag, a, r)])])
 
     serre_coefs = {}
-    for a in nodes:
+    for a in firsts:
         for b in nodes:
             if a == b:
                 continue
@@ -488,20 +505,50 @@ def _relation_instances(M, r_bound, m_bound):
                                    % (tag, a, b, rs, rp), terms)
 
 
-def _first_witness_walk(M, r_bound, m_bound, check):
-    """Run ``check(desc, terms, fam)`` on the defining-relation instances
-    within the bounds, in order, until each family has a witness.
+def _rotated(gen, k=1):
+    """gen with its node moved k steps round the cycle (the unit stays)."""
+    if gen[0] == "one":
+        return gen
+    name, i, x = gen
+    return name, (i + k) % 4, x
 
-    ``check`` returns the instance's witness or None, and may count into
-    ``fam``, its family's record {"instances", "checked", "skipped",
-    "witness"}.  Every instance is counted, checked or not.  Returns the
-    records by family, in the order the families are first seen.
-    """
-    if r_bound < 0 or m_bound < 0:
-        raise InputError("relation bounds must be >= 0, got r %d, m %d"
-                         % (r_bound, m_bound))
+
+def _degree(gen):
+    """The spectral degree of a generator: r for x+-_{i,r}, m for
+    phi+-_{i,m} and h_{i,m}, 0 for k and the unit."""
+    return 0 if gen[0] in ("k", "one") else gen[2]
+
+
+def _label_rotation(M):
+    """The rotation rho(a, p) = _norm(a + 1, p) of a quotient's basis
+    labels, as a dict."""
+    return {v: M._norm(v[0] + 1, v[1]) for v in M.basis}
+
+
+def _intertwined(a, b, rho, c):
+    """Whether b rho = c rho a: b's column at rho(v) is a's column at v
+    with its targets moved by ``rho`` and its entries times c, for every
+    v, and b has no other column."""
+    if len(a.cols) != len(b.cols):
+        return False
+    bcols = b.cols
+    unscaled = c.is_one()
+    for src, col in a.cols.items():
+        bcol = bcols.get(rho[src])
+        if bcol is None or len(bcol) != len(col):
+            return False
+        for dst, v in col.items():
+            w = bcol.get(rho.get(dst))
+            if w is None or w != (v if unscaled else v * c):
+                return False
+    return True
+
+
+def _walk(instances, check, clean=False):
+    """The first-witness walk over ``instances``: the records by family,
+    or None as soon as an instance has a witness when ``clean``."""
     fams = {}
-    for family, desc, terms in _relation_instances(M, r_bound, m_bound):
+    for family, desc, terms in instances:
         fam = fams.get(family)
         if fam is None:
             fam = fams[family] = {"instances": 0, "checked": 0,
@@ -509,7 +556,67 @@ def _first_witness_walk(M, r_bound, m_bound, check):
         fam["instances"] += 1
         if fam["witness"] is None:
             fam["witness"] = check(desc, terms, fam)
+            if clean and fam["witness"] is not None:
+                return None
     return fams
+
+
+def _orbit_walk(M, r_bound, m_bound, check, rotates):
+    """The walk over one instance per rotation orbit, with every count
+    times the orbit size 4, or None unless it is a clean pass: every
+    generator rotates (``rotates``), no instance has a witness and no
+    library error is raised."""
+    reps = list(_relation_instances(M, r_bound, m_bound, M.nodes[:1]))
+    # every generator the full walk reads: the rotations of those the
+    # representatives read, in a fixed order
+    gens = dict.fromkeys(_rotated(gen, k) for _, _, terms in reps
+                         for _, seq in terms for gen in seq
+                         for k in range(len(M.nodes)))
+    try:
+        if not all(rotates(gen) for gen in gens):
+            return None
+        fams = _walk(reps, check, clean=True)
+    except QtorError:
+        return None
+    if fams is not None:
+        for fam in fams.values():
+            for key in ("instances", "checked", "skipped"):
+                fam[key] *= len(M.nodes)
+    return fams
+
+
+def _first_witness_walk(M, r_bound, m_bound, check, rotates=None):
+    """Run ``check(desc, terms, fam)`` on the defining-relation instances
+    within the bounds, in order, until each family has a witness.
+
+    ``check`` returns the instance's witness or None, and may count into
+    ``fam``, its family's record {"instances", "checked", "skipped",
+    "witness"}.  Every instance is counted, checked or not.  Returns the
+    records by family, in the order the families are first seen.
+
+    On a quotient, ``rotates(gen)`` (when given) says whether what
+    ``check`` reads for the generator rot(gen), its node moved one step
+    round the cycle, is what it reads for gen conjugated by the label
+    rotation rho and scaled by q^deg(gen).  Every instance R has terms of
+    one total degree D, and its rotation rot(R) is an instance with the
+    same coefficients, so when every generator rotates, M(rot R) rho =
+    q^D rho M(R): R holds exactly when rot(R) does, and one instance per
+    orbit of 4 settles the other three.  The walk then checks only the
+    instances whose outermost node is 0, each the first of its orbit, and
+    counts 4 of everything.  Anything but a clean pass (a generator that
+    does not rotate, a witness, a library error) reruns the full walk
+    from the start, so witnesses, counts and errors are the full walk's.
+    A loop module's window is not rotation-invariant: it always takes
+    the full walk.
+    """
+    if r_bound < 0 or m_bound < 0:
+        raise InputError("relation bounds must be >= 0, got r %d, m %d"
+                         % (r_bound, m_bound))
+    if rotates is not None and M.kind == "rou":
+        fams = _orbit_walk(M, r_bound, m_bound, check, rotates)
+        if fams is not None:
+            return fams
+    return _walk(_relation_instances(M, r_bound, m_bound), check)
 
 
 def verify_relations(M, r_bound, m_bound):
@@ -611,9 +718,16 @@ def verify_relations(M, r_bound, m_bound):
                             "entry": list(labels[i]), "value": repr(val)}
         return None
 
+    # what the walk reads of a generator is its operator's columns
+    rho = _label_rotation(M)
+
+    def rotates(gen):
+        return _intertwined(M.op(gen), M.op(_rotated(gen)), rho,
+                            M.q_power(_degree(gen)))
+
     report = RelationReport()
-    for family, fam in _first_witness_walk(M, r_bound, m_bound,
-                                           check).items():
+    for family, fam in _first_witness_walk(M, r_bound, m_bound, check,
+                                           rotates).items():
         report.add(family, fam["instances"], fam["checked"], fam["skipped"],
                    fam["witness"])
     return report

@@ -197,6 +197,47 @@ def test_relation_check_on_a_symmetric_but_wrong_quotient(left, window,
                                     m_bound) == want
 
 
+def test_relation_check_rotates_images_on_their_windows(monkeypatch):
+    # the rotation test the check hands to the walk compares whole images:
+    # a flipped x+_{1,0} table, or one image cut short, breaks it there
+    handed = []
+    walk = fusion._first_witness_walk
+
+    def spy(M, r_bound, m_bound, check, rotates=None):
+        handed.append(rotates)
+        return walk(M, r_bound, m_bound, check, rotates)
+    monkeypatch.setattr(fusion, "_first_witness_walk", spy)
+    M = build_root_of_unity(1)
+    coproduct_relation_check(M, M, (-1, 1), 1, 1)
+    gens = [("xp", 0, -1), ("xm", 3, 1), ("phip", 2, 1), ("phim", 1, -2),
+            ("h", 0, -1), ("k", 3, -1)]
+    assert all(handed[-1](rotated(g, k)) for g in gens for k in range(4))
+    C = ModuleRealization("rou", period=1, corrupt_xp=(1, 0))
+    coproduct_relation_check(C, C, (-1, 1), 1, 1)
+    assert [handed[-1](("xp", i, 0)) for i in range(4)] == [
+        False, False, True, True]
+    monkeypatch.setattr(fusion, "coproduct_generator",
+                        _narrowing(("xm", 2, 0), 6))
+    with pytest.raises(WindowError):
+        coproduct_relation_check(M, M, (-1, 1), 0, 1)
+    assert [handed[-1](("xm", i, 0)) for i in range(4)] == [
+        True, False, False, True]
+
+
+@pytest.mark.parametrize("window", [(-12, -12), (-30, -20), (12, 13)])
+def test_window_far_from_u0_passes_on_every_instance(window):
+    # no product and not the unit reach a window more than the pad away
+    # from u^0, so every relation holds there; the report names the same
+    # families and instances as one around u^0
+    M = build_root_of_unity(1)
+    rep = coproduct_relation_check(M, M, window, 1, 1)
+    near = coproduct_relation_check(M, M, (-1, 1), 1, 1)
+    assert rep["passed"] and near["passed"]
+    assert rep["u_window"] == list(window)
+    assert ([(f["family"], f["instances"]) for f in rep["families"]]
+            == [(f["family"], f["instances"]) for f in near["families"]])
+
+
 def test_relation_check_monotone_in_window():
     # passing on a window implies passing on any subwindow
     M = build_root_of_unity(1)
@@ -331,7 +372,8 @@ def full_window_relation_check(M1, M2, u_window, r_bound, m_bound):
     _check_fusable(M1, M2)
     lo_req, hi_req = u_window
     pad = 3 * r_bound + m_bound * m_bound + 4
-    build_window = (lo_req - pad, hi_req + pad)
+    # padded from u^0 when the window lies wholly on one side of it
+    build_window = (min(lo_req, 0) - pad, max(hi_req, 0) + pad)
     images = {}
     prefix_cache = {}
 
@@ -422,7 +464,8 @@ def composed_relation_check(M1, M2, u_window, r_bound, m_bound):
     _check_fusable(M1, M2)
     lo_req, hi_req = fusion._u_window(u_window)
     pad = 3 * r_bound + m_bound + 4
-    build_window = (lo_req - pad, hi_req + pad)
+    # padded from u^0 when the window lies wholly on one side of it
+    build_window = (min(lo_req, 0) - pad, max(hi_req, 0) + pad)
     images = {}
     prefix_cache = {}
 
@@ -542,6 +585,9 @@ RELATION_CASES = [
 ] + [
     # windows off centre; at (-3, -3) many products lie wholly above it
     (lambda: build_root_of_unity(1), (-3, -3), 1, 1),
+    # more than the pad below u^0 and above it: no term reaches the window
+    (lambda: build_root_of_unity(1), (-12, -12), 1, 1),
+    (lambda: build_root_of_unity(1), (12, 13), 0, 1),
     (_corrupted((1, 0)), (-2, -1), 1, 1),
     (_corrupted((1, 0)), (2, 2), 1, 1),
     # m_bound above 1
@@ -553,7 +599,8 @@ RELATION_CASES = [
 RELATION_IDS = (["rou1-w%d-r%dm%d" % (w, r, m)
                  for w in (1, 2, 3) for r, m in ((0, 0), (0, 1), (1, 1))]
                 + ["rou2-w1-r0m1", "corrupt10", "corrupt01", "corrupt2m1",
-                   "rou1-low", "corrupt10-low", "corrupt10-high",
+                   "rou1-low", "rou1-far-low", "rou1-far-high",
+                   "corrupt10-low", "corrupt10-high",
                    "rou1-w1-r0m2", "rou1-w1-r0m3", "rou1-w2-r1m2",
                    "corrupt10-r1m2"])
 

@@ -10,7 +10,8 @@ from qtoroidal.errors import (ConstructionError, DomainError, EscapeError,
                               ExactDivisionError, InputError, QtorError)
 from qtoroidal.linalg import LinOp
 from qtoroidal.modrep import (L_SERIES_ORDER, ModuleRealization,
-                              RelationReport, _b_matrix, _relation_instances,
+                              RelationReport, _b_matrix, _first_witness_walk,
+                              _relation_instances,
                               build_extremal_loop,
                               build_root_of_unity,
                               display_monomial, expected_phi_series,
@@ -578,6 +579,9 @@ def test_relation_instances_close_under_rotation(make, r_bound, m_bound):
     full = list(_relation_instances(M, r_bound, m_bound))
     reps = [inst for inst in full if outer_node(inst[1]) == 0]
     assert 4 * len(reps) == len(full)
+    # the orbit walk's representatives
+    assert (_instance_listing(_relation_instances(M, r_bound, m_bound, (0,)))
+            == _instance_listing(reps))
 
     def key(family, terms, k):
         return (family, tuple((repr(coef), tuple(rotated(g, k) for g in seq))
@@ -612,6 +616,60 @@ def test_symmetric_but_wrong_quotient_fails_as_the_replay(L, r_bound,
     want = replay_verify_relations(M, r_bound, m_bound).to_json()
     assert not want["passed"]
     assert verify_relations(M, r_bound, m_bound).to_json() == want
+
+
+def walk_trace(M, rotates, fail=None):
+    """The descriptions ``_first_witness_walk`` checks on M at bounds
+    (1, 1), with ``fail(desc)`` giving a witness or raising, and the
+    records it returns."""
+    seen = []
+
+    def check(desc, terms, fam):
+        seen.append(desc)
+        fam["checked"] += 1
+        return None if fail is None else fail(desc)
+    return seen, _first_witness_walk(M, 1, 1, check, rotates)
+
+
+def test_orbit_walk_checks_one_instance_per_orbit():
+    M = build_root_of_unity(1)
+    reps = [desc for _, desc, _ in _relation_instances(M, 1, 1, (0,))]
+    full = [desc for _, desc, _ in _relation_instances(M, 1, 1)]
+    full_seen, full_fams = walk_trace(M, None)
+    assert full_seen == full
+    # every generator rotates: the representatives alone, counted 4 times
+    asked = []
+    seen, fams = walk_trace(M, lambda gen: asked.append(gen) or True)
+    assert seen == reps and fams == full_fams
+    # asked of every generator the full walk reads, each once
+    read = {gen for _, _, terms in _relation_instances(M, 1, 1)
+            for _, seq in terms for gen in seq}
+    assert sorted(asked) == sorted(read)
+    # a loop module, a generator that does not rotate, a witness or a
+    # library error: the full walk from the start
+    assert walk_trace(build_extremal_loop((-2, 2)), lambda gen: True)[0] \
+        == [desc for _, desc, _ in
+            _relation_instances(build_extremal_loop((-2, 2)), 1, 1)]
+    assert walk_trace(M, lambda gen: gen != ("xm", 2, 1))[0] == full
+    witness = reps[5]
+
+    def fail(desc):
+        return desc if desc == witness else None
+    want_seen, want_fams = walk_trace(M, None, fail)
+    assert walk_trace(M, lambda gen: True, fail) == (reps[:6] + want_seen,
+                                                      want_fams)
+    assert want_fams["k-cartan"]["witness"] == witness
+    assert want_fams["k-cartan"]["checked"] == full.index(witness) + 1
+
+    seen = []
+
+    def escape(desc, terms, fam):
+        seen.append(desc)
+        if desc == reps[-1]:
+            raise EscapeError("off the window")
+    with pytest.raises(EscapeError):
+        _first_witness_walk(M, 1, 1, escape, lambda gen: True)
+    assert seen == reps + full[:full.index(reps[-1]) + 1]
 
 
 @pytest.mark.parametrize("r_bound, m_bound", [(-1, -1), (-1, 1), (1, -1)])
