@@ -8,6 +8,7 @@ import pytest
 
 from qtoroidal.errors import (ConstructionError, DomainError, EscapeError,
                               ExactDivisionError, InputError, QtorError)
+from qtoroidal import modrep
 from qtoroidal.linalg import LinOp
 from qtoroidal.modrep import (L_SERIES_ORDER, ModuleRealization,
                               RelationReport, _b_matrix, _first_witness_walk,
@@ -670,6 +671,26 @@ def test_orbit_walk_checks_one_instance_per_orbit():
     with pytest.raises(EscapeError):
         _first_witness_walk(M, 1, 1, escape, lambda gen: True)
     assert seen == reps + full[:full.index(reps[-1]) + 1]
+
+
+def test_verify_relations_rotates_generator_columns(monkeypatch):
+    # the rotation test verify_relations hands to the walk holds for every
+    # generator of a clean quotient, and of the doubled one, and fails
+    # where a flipped x+_{1,0} table meets its rotation
+    handed = []
+    walk = modrep._first_witness_walk
+
+    def spy(M, r_bound, m_bound, check, rotates=None):
+        handed.append(rotates)
+        return walk(M, r_bound, m_bound, check, rotates)
+    monkeypatch.setattr(modrep, "_first_witness_walk", spy)
+    for M in (build_root_of_unity(2), doubled_xp(2)):
+        verify_relations(M, 1, 1)
+        assert all(handed[-1](g) for g in relation_generators(M))
+    verify_relations(ModuleRealization("rou", period=2, corrupt_xp=(1, 0)),
+                     1, 1)
+    assert [handed[-1](("xp", i, 0)) for i in range(4)] == [
+        False, False, True, True]
 
 
 @pytest.mark.parametrize("r_bound, m_bound", [(-1, -1), (-1, 1), (1, -1)])
