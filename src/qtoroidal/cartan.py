@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import ConstructionError, DomainError, InputError
+from .errors import ConstructionError, DomainError, InputError, ParseError
 from .linalg import Field, determinant
 from .scalars import QScalar
 
@@ -242,12 +242,19 @@ def cartan_preset(name):
 
 
 def parse_matrix_text(text):
-    """Whitespace-separated integer rows, one row per line (or ';')."""
+    """Whitespace-separated integer rows, one row per line (or ';'); a
+    token that is not an integer raises ParseError naming it."""
     rows = []
     for line in text.replace(";", "\n").splitlines():
-        line = line.strip()
-        if line:
-            rows.append([int(tok) for tok in line.split()])
+        row = []
+        for tok in line.split():
+            try:
+                row.append(int(tok))
+            except ValueError:
+                raise ParseError("matrix entry %r is not an integer"
+                                 % tok) from None
+        if row:
+            rows.append(row)
     return build_cartan(rows)
 
 
@@ -289,6 +296,9 @@ class NodeGeometry:
 
 
 def node_geometry_at(C, i):
+    """The geometry of node i; a node not in C raises InputError, and the
+    infinite line takes any node."""
+    C.r(i)      # an unknown node is the InputError of every node lookup
     if C.infinite:
         # two neighbors everywhere, never a special node on the line
         return NodeGeometry(i, False, False, math.inf, True)

@@ -54,27 +54,33 @@ def kashiwara_apply(C, m, i, direction):
     """One lowering (f) or raising (e) step at node i; None when undefined.
 
     f multiplies by the A-inverse at the acting position plus r_i, e by the
-    A-monomial at the acting position minus r_i.
+    A-monomial at the acting position minus r_i.  A node not in C raises
+    InputError, whether or not the step is defined.
     """
     if direction not in ("f", "e"):
         raise InputError("direction must be 'f' or 'e'")
+    r = C.r(i)      # an unknown node is an InputError, defined step or not
     _, f_pos, _, e_pos = _scan(m.node_part(i))
     if direction == "f":
         if f_pos is None:
             return None
-        return m.mul_power(a_monomial(C, i, f_pos + C.r(i)), -1)
+        return m.mul_power(a_monomial(C, i, f_pos + r), -1)
     if e_pos is None:
         return None
-    return m * a_monomial(C, i, e_pos - C.r(i))
+    return m * a_monomial(C, i, e_pos - r)
 
 
 def _f_walk(C, seed, op_cycle):
     """The seed, then its successive f-steps following op_cycle
     cyclically, without end; a dead end raises with the failing position
-    recorded."""
-    yield seed
+    recorded.  An empty cycle or a node not in C raises InputError before
+    the seed is yielded."""
+    op_cycle = tuple(op_cycle)      # read twice: checked, then cycled
     if not op_cycle:
         raise InputError("empty operator cycle")
+    for i in op_cycle:
+        C.r(i)      # an unknown node is an InputError at every step count
+    yield seed
     m = seed
     for t, i in enumerate(cycle(op_cycle)):
         nxt = kashiwara_apply(C, m, i, "f")

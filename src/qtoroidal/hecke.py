@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from .errors import AlgorithmFailure, DomainError, InputError
+from .errors import AlgorithmFailure, InputError
 from .linalg import (Field, LinOp, determinant, kernel_basis, op_matrix,
                      rref, span_grow)
-from .scalars import PolyScalar, QRat, QScalar
+from .scalars import QRat, QScalar
 
 
 # ---------------------------------------------------------------------------
@@ -60,28 +60,8 @@ def all_perms(l):
 
 
 # ---------------------------------------------------------------------------
-# scalar ring contexts
+# the scalar ring context
 # ---------------------------------------------------------------------------
-
-class SymbolicRing:
-    """Z[q^{+-1}, a_1..a_l] with the parameters kept as variables."""
-
-    def __init__(self, l):
-        self.l = l
-        self.variables = ("q",) + tuple("a%d" % j for j in range(1, l + 1))
-
-    def one(self):
-        return PolyScalar.one(self.variables)
-
-    def zero(self):
-        return PolyScalar.zero(self.variables)
-
-    def from_qscalar(self, x):
-        return PolyScalar.from_qscalar(self.variables, x)
-
-    def param(self, j):
-        return PolyScalar.var(self.variables, "a%d" % j)
-
 
 class QRatRing:
     """Rational functions in q with instantiated parameters."""
@@ -193,29 +173,26 @@ class HeckeModule:
         return op
 
 
-def build_MA(l, A=None):
+def build_MA(l, A):
     """The l!-dimensional quotient by the left ideal sending z_j to a_j.
 
     ``A`` lists the l nonzero parameter values, each a QRat, a QScalar or
-    an int or Fraction taken as that constant (so 2 is a = 2, not q^2),
-    or is None for the symbolic ring.  A zero parameter raises
-    InputError: each z_j must act invertibly.  Basis vectors are the
-    permutations of S_l; braid generators act by the regular
-    representation and z by the left normal form evaluated at A.
+    an int or Fraction taken as that constant (so 2 is a = 2, not q^2);
+    the module lives over Q(q).  A zero parameter raises InputError:
+    each z_j must act invertibly.  Basis vectors are the permutations of
+    S_l; braid generators act by the regular representation and z by the
+    left normal form evaluated at A.
     """
     if l not in (1, 2, 3, 4):
         raise InputError("only l <= 4 is materialized")
-    if A is None:
-        ring = SymbolicRing(l)
-    elif len(A) != l:
+    if len(A) != l:
         raise InputError("l = %d needs %d parameters, got %d"
                          % (l, l, len(A)))
-    else:
-        ring = QRatRing(A)
-        for j, a in enumerate(ring.params, 1):
-            if not a:
-                raise InputError("parameter a_%d is zero, but z_%d must "
-                                 "act invertibly" % (j, j))
+    ring = QRatRing(A)
+    for j, a in enumerate(ring.params, 1):
+        if not a:
+            raise InputError("parameter a_%d is zero, but z_%d must "
+                             "act invertibly" % (j, j))
     perms = all_perms(l)
     memo = {}
 
@@ -334,11 +311,7 @@ def invariant_subspaces(M):
     Returns a report with every subspace dimension found, a composition
     chain, and the one-dimensional constituents' eigenvalue data.
     """
-    ring = M.ring
-    if not isinstance(ring, QRatRing):
-        raise DomainError("instantiate the parameters in an exact field "
-                          "first")
-    values = [ring.param(j) for j in range(1, M.l + 1)]
+    values = [M.ring.param(j) for j in range(1, M.l + 1)]
     lattice = (_weight_lattice if len(set(values)) == len(values)
                else _closure_lattice)
     members, contains, line_vector = lattice(M, values)
@@ -657,12 +630,7 @@ def zelevinsky_product(M1, M2):
     n = l1 + l2
     if n > 3:
         raise InputError("products are materialized for total size <= 3")
-    if type(M1.ring) is not type(M2.ring):
-        raise DomainError("factors live over different scalar rings")
-    if isinstance(M1.ring, QRatRing):
-        ring = QRatRing(M1.ring.params + M2.ring.params)
-    else:
-        raise DomainError("instantiate parameters before inducing")
+    ring = QRatRing(M1.ring.params + M2.ring.params)
     reps = _coset_reps(l1, l2)
     basis = [(b1, b2, d) for d in reps for b1 in M1.basis
              for b2 in M2.basis]
@@ -723,7 +691,7 @@ def find_isomorphism(M1, M2):
     kernel basis.  A None therefore certifies nothing: an invertible
     intertwiner may exist among the combinations not tried.
     """
-    if M1.dim != M2.dim or not isinstance(M1.ring, QRatRing):
+    if M1.dim != M2.dim:
         return None
     field = M1.ring.field()
     dim = M1.dim

@@ -2,7 +2,7 @@
 
 ``LinOp`` is a column-sparse operator on an arbitrary hashable basis;
 entries are scalar objects with exact arithmetic (QScalar, CycScalar,
-QRat, PolyScalar), tested for zero by truth value, and a ``LinOp`` is
+QRat), tested for zero by truth value, and a ``LinOp`` is
 itself falsy exactly when it is zero.  It is the one operator type:
 every operator acts through ``LinOp.apply``, and a dense matrix
 (``op_matrix``) is built only as input to an elimination routine (row

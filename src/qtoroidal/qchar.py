@@ -545,6 +545,8 @@ def char_product(chars, depth, offset=0):
     Soundness rests on heights being additive under products.  Returns
     {monomial: (coeff, height)} with absolute heights.
     """
+    if depth < 0:
+        raise InputError("depth must be >= 0")
     made = {}               # id of a character -> its factor
     factors = []
     for ch in chars:

@@ -1,9 +1,8 @@
 """Exact scalar arithmetic.
 
-Four scalar rings are used throughout the library, all exact, and all
+Three scalar rings are used throughout the library, all exact, and all
 computing on one core: integer polynomials held as ``int`` lists, low
-degree first (``_iadd``, ``_imul``, ``_iexquo``, ``_igcd``), or, for
-several variables, ``int`` coefficients keyed by exponent tuples:
+degree first (``_iadd``, ``_imul``, ``_iexquo``, ``_igcd``):
 
 * ``QScalar``     -- Laurent polynomials in the quantum parameter q with
                      rational coefficients, held as a power of q times an
@@ -17,16 +16,13 @@ several variables, ``int`` coefficients keyed by exponent tuples:
                      in q), needed where exact linear algebra requires
                      division; it holds a power of q times a quotient of
                      two polynomials with ``int`` coefficients, reduced
-                     by an integer-only gcd,
-* ``PolyScalar``  -- Laurent polynomials in several variables with ``int``
-                     coefficients, Z[q^{+-1}, a_1..a_l], the ring of the
-                     symbolic Hecke parameters; a plain ring, no division.
+                     by an integer-only gcd.
 
 ``Fraction`` appears only at the edges: the constructors and operators of
-the first three rings accept ``int`` and ``Fraction`` coefficients, and
-``QScalar.items``/``coeff`` hand them out as ``Fraction``; ``PolyScalar``
-takes ``int`` only.  Every element type here and ``linalg.LinOp`` is falsy
-exactly when it is zero, which is the zero test the library uses.
+the three rings accept ``int`` and ``Fraction`` coefficients, and
+``QScalar.items``/``coeff`` hand them out as ``Fraction``.  Every element
+type here and ``linalg.LinOp`` is falsy exactly when it is zero, which is
+the zero test the library uses.
 
 A product with a unit, on either side, is a sign and a shift: +-q^k (over
 the denominator 1) in ``QScalar`` and ``QRat`` negates the other factor's
@@ -1051,145 +1047,3 @@ class TruncSeries:
         terms = ", ".join("%s^%d: %r" % (self.var, e, self.coeffs[e])
                           for e in sorted(self.coeffs))
         return "Series[%d..%d]{%s}" % (self.lo, self.hi, terms)
-
-
-def _poly(variables, c):
-    """The PolyScalar with a dict c of nonzero int coefficients."""
-    r = PolyScalar.__new__(PolyScalar)
-    r.variables, r._c = variables, c
-    return r
-
-
-class PolyScalar:
-    """Sparse Laurent polynomial in several variables with int
-    coefficients.
-
-    Exponent vectors are tuples aligned with ``variables``; a coefficient
-    that is not an ``int`` raises TypeError.  This is a plain ring (no
-    division), used for symbolic parameters.
-    """
-
-    __slots__ = ("variables", "_c")
-
-    def __init__(self, variables, coeffs=None):
-        self.variables = tuple(variables)
-        c = {}
-        if coeffs:
-            for exps, v in coeffs.items():
-                if not isinstance(v, int):
-                    raise TypeError("expected int, got %r" % (v,))
-                if v:
-                    c[tuple(exps)] = v
-        self._c = c
-
-    @classmethod
-    def zero(cls, variables):
-        return cls(variables)
-
-    @classmethod
-    def one(cls, variables):
-        return cls(variables, {tuple([0] * len(variables)): 1})
-
-    @classmethod
-    def var(cls, variables, name):
-        exps = [0] * len(variables)
-        exps[tuple(variables).index(name)] = 1
-        return cls(variables, {tuple(exps): 1})
-
-    @classmethod
-    def from_qscalar(cls, variables, x):
-        """The QScalar x in the variable named "q"; x must have integer
-        coefficients."""
-        if x._d != 1:
-            raise DomainError("%r has a non-integer coefficient" % (x,))
-        k = tuple(variables).index("q")
-        out = {}
-        for e, c in enumerate(x._n, x._v):
-            if c:
-                exps = [0] * len(variables)
-                exps[k] = e
-                out[tuple(exps)] = c
-        return _poly(tuple(variables), out)
-
-    def is_zero(self):
-        return not self._c
-
-    def __bool__(self):
-        return bool(self._c)
-
-    def _check(self, other):
-        if self.variables != other.variables:
-            raise DomainError("mixed variable sets")
-
-    def _coerce(self, other):
-        if isinstance(other, PolyScalar):
-            self._check(other)
-            return other
-        if isinstance(other, int):
-            return PolyScalar(self.variables,
-                              {tuple([0] * len(self.variables)): other})
-        return None
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._c == o._c
-
-    def __hash__(self):
-        # a constant hashes as the int it equals
-        c = self._c
-        zero = (0,) * len(self.variables)
-        if len(c) < 2 and (not c or zero in c):
-            return hash(c.get(zero, 0))
-        return hash((self.variables, frozenset(c.items())))
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        c = dict(self._c)
-        for e, v in o._c.items():
-            nv = c.get(e, 0) + v
-            if nv:
-                c[e] = nv
-            else:
-                c.pop(e, None)
-        return _poly(self.variables, c)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _poly(self.variables, {e: -v for e, v in self._c.items()})
-
-    __sub__ = _sub
-    __rsub__ = _rsub
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        c = {}
-        for e1, v1 in self._c.items():
-            for e2, v2 in o._c.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                nv = c.get(e, 0) + v1 * v2
-                if nv:
-                    c[e] = nv
-                else:
-                    c.pop(e, None)
-        return _poly(self.variables, c)
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        if not self._c:
-            return "0"
-        parts = []
-        for e in sorted(self._c):
-            body = "*".join("%s^%d" % (n, p) if p != 1 else n
-                            for n, p in zip(self.variables, e) if p)
-            v = self._c[e]
-            parts.append("%s%s" % (v, "*" + body if body else ""))
-        return " + ".join(parts)
-

@@ -12,7 +12,8 @@ from qtoroidal.cartan import (WeightVector, _leading_minors,
                               infinite_a, minimal_affinization_check,
                               node_geometry, node_geometry_at,
                               parse_matrix_text, quantized_cartan_condition)
-from qtoroidal.errors import ConstructionError, DomainError, InputError
+from qtoroidal.errors import (ConstructionError, DomainError, InputError,
+                              ParseError)
 from qtoroidal.scalars import QScalar
 
 
@@ -130,6 +131,16 @@ def test_node_geometry_infinite_line():
     assert rec.small_bound(2) and not rec.small_bound(3)
 
 
+def test_node_geometry_rejects_an_unknown_node():
+    C = cartan_preset("A3tor")
+    for call in (lambda: node_geometry(C, [9]),
+                 lambda: node_geometry_at(C, 9)):
+        with pytest.raises(InputError) as exc:
+            call()
+        assert str(exc.value) == "node 9 is not one of the nodes 0, 1, 2, 3"
+    assert node_geometry(infinite_a(), [-9, 9])[9].d == math.inf
+
+
 def test_node_geometry_relabel_invariance():
     rng = random.Random(7)
     base = finite_type_d4()
@@ -160,6 +171,12 @@ def test_infinite_window_matches_tridiagonal():
 def test_parse_matrix_text():
     C = parse_matrix_text("2 -1\n-1 2")
     assert C.type_tag == "Finite"
+
+
+def test_parse_matrix_text_names_a_bad_token():
+    with pytest.raises(ParseError) as exc:
+        parse_matrix_text("2 -1\n-1 x")
+    assert str(exc.value) == "matrix entry 'x' is not an integer"
 
 
 def test_preset_bnp():

@@ -139,6 +139,10 @@ def test_unknown_preset_is_operational_error():
     ["crystal", "--seed", "Y[1,0]Y[0,1]^-1", "--ops", "",
      "--root-of-unity", "4"],
     ["crystal", "--seed", "Y[1,0]Y[0,1]^-1", "--ops", "1,x"],
+    ["crystal", "--seed", "Y[1,0]Y[0,1]^-1", "--ops", "", "--steps", "0"],
+    ["crystal", "--seed", "Y[1,0]Y[0,1]^-1", "--ops", "1,9"],
+    ["crystal", "--seed", "Y[1,0]Y[0,1]^-1", "--ops", "1,9", "--steps",
+     "0"],
     ["hecke", "--l", "2", "--a", "0"],
     ["hecke", "--l", "2", "--a", "0,2,4"],
     ["repcheck", "--window=1"],
@@ -164,7 +168,9 @@ def test_unknown_preset_is_operational_error():
     ["qchar", "--type", "A3tor", "--node", "0", "--k", "1", "--depth", "-1"],
     ["octahedron", "--k", "0"],
     ["octahedron", "--k", "2,0,1"],
-], ids=["crystal-empty-ops", "crystal-bad-op", "hecke-short-a",
+], ids=["crystal-empty-ops", "crystal-bad-op", "crystal-empty-ops-0-steps",
+        "crystal-no-such-node", "crystal-no-such-node-0-steps",
+        "hecke-short-a",
         "hecke-long-a", "repcheck-short-window", "repcheck-bad-window",
         "octahedron-short-window", "fusion-one-twist", "qchar-no-such-node",
         "tsystem-no-such-node", "tsystem-k0", "fusion-empty-u-window",

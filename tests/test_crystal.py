@@ -62,8 +62,29 @@ def test_orbit_walk_reproduces_chain():
     assert [m for m in walk] == [mono_parse(s) for s in CHAIN]
 
 
+def test_orbit_walk_takes_an_iterator():
+    walk = orbit_walk(A3TOR, SEED, iter((1, 2, 3, 0)), 8)
+    assert walk == [mono_parse(s) for s in CHAIN]
+
+
 def test_orbit_walk_zero_steps():
     assert orbit_walk(A3TOR, SEED, (1, 2, 3, 0), 0) == [SEED]
+
+
+@pytest.mark.parametrize("steps", [0, 1, 3])
+def test_orbit_walk_rejects_an_empty_or_unknown_cycle(steps):
+    with pytest.raises(InputError, match="empty operator cycle"):
+        orbit_walk(A3TOR, SEED, [], steps)
+    with pytest.raises(InputError) as exc:
+        orbit_walk(A3TOR, SEED, [1, 9], steps)
+    assert str(exc.value) == "node 9 is not one of the nodes 0, 1, 2, 3"
+
+
+def test_kashiwara_apply_rejects_an_unknown_node():
+    for m, direction in ((SEED, "f"), (SEED, "e"), (YMonomial.one(), "f")):
+        with pytest.raises(InputError) as exc:
+            kashiwara_apply(A3TOR, m, 9, direction)
+        assert str(exc.value) == "node 9 is not one of the nodes 0, 1, 2, 3"
 
 
 def test_full_cycle_shifts_spectral_by_four():

@@ -7,7 +7,7 @@ import pytest
 
 import qtoroidal.hecke
 import qtoroidal.linalg
-from qtoroidal.errors import AlgorithmFailure, DomainError, InputError
+from qtoroidal.errors import AlgorithmFailure, InputError
 from qtoroidal.hecke import (SegmentCollection, all_perms, build_MA,
                              find_isomorphism, invariant_subspaces,
                              module_to_json, perm_length, reduced_word,
@@ -61,8 +61,8 @@ def test_m_a_rejects_a_zero_parameter(A):
 
 def test_l2_z1_matrix_symbolic():
     # frozen from the left normal form: z_1 fixes 1 with a_1 and sends
-    # sigma to a_2 sigma - (q - q^-1) a_2
-    M = build_MA(2)
+    # sigma to a_2 sigma - (q - q^-1) a_2, read at a_1 = q^3, a_2 = q^7
+    M = build_MA(2, [q_pow(3), q_pow(7)])
     ring = M.ring
     e, s = (1, 2), (2, 1)
     z1 = M.z_ops[1]
@@ -78,10 +78,47 @@ def test_l2_z1_matrix_symbolic():
     assert z2.entry(e, s) == qdiff * a2
 
 
+def _column(terms, A):
+    """The column sum of a_{j'} c T_{w'} over the z_{j'} T_{w'} terms of a
+    left normal form, with a_None = 1; each c must be free of the a's."""
+    col = {}
+    for (jj, ww, c) in terms:
+        assert isinstance(c, QScalar)
+        v = QRat(c) if jj is None else A[jj - 1] * QRat(c)
+        col[ww] = col[ww] + v if ww in col else v
+    return {w: v for w, v in col.items() if v}
+
+
 @pytest.mark.parametrize("l", [1, 2, 3])
-def test_presentation_relations_symbolic(l):
-    rep = verify_presentation(build_MA(l))
-    assert rep["passed"], rep["checks"]
+def test_presentation_relations_on_parameter_grid(l):
+    # The presentation of M_A holds for all parameters; it is checked at
+    # the 3^l points of S^l.
+    # Premise, checked below, not assumed: each braid entry is free of the
+    # a's (its terms carry no z index) and each z_j entry is a linear form
+    # in them (each term of T_w z_j carries one z index).  Every relation
+    # verify_presentation checks has at most two z letters on a side (the
+    # check names spell the words), so each entry of lhs - rhs is a
+    # polynomial over Q(q) of degree <= 2 in each a_j, and one that
+    # vanishes on S^l with |S| = 3 is zero (N. Alon, "Combinatorial
+    # Nullstellensatz", Combin. Probab. Comput. 8 (1999), Lemma 2.1).
+    hk = qtoroidal.hecke
+    perms = all_perms(l)
+    memo = {}
+    for exps in product(range(3), repeat=l):       # S = {1, q, q^2}
+        A = [q_pow(n) for n in exps]
+        M = build_MA(l, A)
+        for w in perms:
+            for i, op in M.sigma_ops.items():
+                terms = hk._rmul_sigma_terms([(None, w, QScalar.one())], i)
+                assert all(jj is None for jj, _, _ in terms)
+                assert op.apply({w: QRat.one()}) == _column(terms, A)
+            for j, op in M.z_ops.items():
+                terms = hk._z_expansion(w, j, memo)
+                assert all(jj in range(1, l + 1) for jj, _, _ in terms)
+                assert op.apply({w: QRat.one()}) == _column(terms, A)
+        rep = verify_presentation(M)
+        assert rep["passed"], (exps, rep["checks"])
+        assert all(name.count("z") <= 2 for name in rep["checks"])
 
 
 def test_presentation_relations_instantiated():
@@ -808,24 +845,18 @@ def test_build_MA_needs_one_parameter_per_z(count):
         build_MA(2, [q_pow(0)] * count)
 
 
-def test_invariant_subspaces_needs_field():
-    with pytest.raises(DomainError):
-        invariant_subspaces(build_MA(2))
-
-
 # ---------------------------------------------------------------------------
 # operator construction against the per-generator loops it replaced
 # ---------------------------------------------------------------------------
 
-def oracle_build_MA(l, A=None):
+def oracle_build_MA(l, A):
     """``build_MA`` with one sigma loop that states the Hecke rule
     T_w T_i = T_{w s_i} (+ (q - q^-1) T_w when l(w s_i) < l(w)) inline and
     one z loop over the left normal form.  Kept as the oracle for the
     single operator builder."""
     hk = qtoroidal.hecke
-    ring = (hk.SymbolicRing(l) if A is None else
-            hk.QRatRing([QRat(a) if isinstance(a, QScalar) else a
-                         for a in A]))
+    ring = hk.QRatRing([QRat(a) if isinstance(a, QScalar) else a
+                        for a in A])
     perms = all_perms(l)
     qdiff = ring.from_qscalar(hk._QDIFF)
     sigma_ops = {}
@@ -936,16 +967,14 @@ def assert_same_module(got, want):
 
 
 BUILD_ORACLE_CASES = [
-    (1, None), (2, None), (3, None),
     (1, (0,)), (1, (-3,)), (2, (0, 2)), (2, (2, 0)), (2, (1, 1)),
     (2, (-2, 5)), (3, (1, 0, 2)), (3, (0, 3, -1)), (3, (0, 0, 2)),
     (3, (2, 2, 2))]
 
 
-@pytest.mark.parametrize("l, exps", BUILD_ORACLE_CASES,
-                         ids=lambda v: "sym" if v is None else str(v))
+@pytest.mark.parametrize("l, exps", BUILD_ORACLE_CASES, ids=str)
 def test_build_MA_matches_per_generator_oracle(l, exps):
-    A = None if exps is None else [q_pow(n) for n in exps]
+    A = [q_pow(n) for n in exps]
     assert_same_module(build_MA(l, A), oracle_build_MA(l, A))
 
 

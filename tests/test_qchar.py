@@ -354,6 +354,14 @@ def test_kr_char_and_trivial_reject_negative_depth():
     assert kr_qchar(A3TOR, 0, 0, 0, 0).terms == {mono_parse("1"): 1}
 
 
+def test_char_product_rejects_negative_depth():
+    ch = kr_qchar(A3TOR, 0, 1, 0, 2)
+    for chars in ([ch], [ch, ch], []):
+        with pytest.raises(InputError, match="depth must be >= 0"):
+            char_product(chars, -1)
+    assert char_product([ch], 0) == {mono_parse("Y[0,0]"): (1, 0)}
+
+
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_kr_char_rejects_an_unknown_node(k):
     with pytest.raises(InputError) as exc:

@@ -10,8 +10,8 @@ from qtoroidal.errors import (DomainError, ExactDivisionError, InputError,
                               MixedOrderError, WindowError)
 from qtoroidal.fusion import _series_product
 from qtoroidal.linalg import LinOp, add_into, op_matrix
-from qtoroidal.scalars import (CycScalar, PolyScalar, QRat, QScalar,
-                               TruncSeries, _iexquo, cyclotomic_polynomial,
+from qtoroidal.scalars import (CycScalar, QRat, QScalar, TruncSeries,
+                               _iexquo, cyclotomic_polynomial,
                                cyclotomic_specialize, q_binom, q_factorial,
                                q_int)
 from series_oracles import series_log_coeffs
@@ -963,193 +963,6 @@ def test_cycscalar_division_matches_fraction_oracle_at_higher_orders(data,
                                  + ox).inverse)
 
 
-class FractionPolyScalar:
-    """Sparse multivariate Laurent polynomial with one Fraction per
-    monomial.  Kept as the oracle for the integer ``PolyScalar``."""
-
-    __slots__ = ("variables", "_c")
-
-    def __init__(self, variables, coeffs=None):
-        self.variables = tuple(variables)
-        c = {}
-        if coeffs:
-            for exps, v in coeffs.items():
-                v = _frac(v)
-                if v:
-                    c[tuple(exps)] = v
-        self._c = c
-
-    @classmethod
-    def one(cls, variables):
-        return cls(variables, {tuple([0] * len(variables)): 1})
-
-    @classmethod
-    def var(cls, variables, name):
-        exps = [0] * len(variables)
-        exps[tuple(variables).index(name)] = 1
-        return cls(variables, {tuple(exps): 1})
-
-    @classmethod
-    def from_qscalar(cls, variables, x):
-        k = tuple(variables).index("q")
-        out = {}
-        for e, v in x.items():
-            exps = [0] * len(variables)
-            exps[k] = e
-            out[tuple(exps)] = v
-        return cls(variables, out)
-
-    def is_zero(self):
-        return not self._c
-
-    def __bool__(self):
-        return bool(self._c)
-
-    def _coerce(self, other):
-        if isinstance(other, FractionPolyScalar):
-            if self.variables != other.variables:
-                raise DomainError("mixed variable sets")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return FractionPolyScalar(
-                self.variables, {tuple([0] * len(self.variables)): other})
-        return None
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._c == o._c
-
-    def __hash__(self):
-        # a constant hashes as the int it equals
-        zero = (0,) * len(self.variables)
-        if set(self._c) <= {zero}:
-            return hash(self._c.get(zero, 0))
-        return hash((self.variables, frozenset(self._c.items())))
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        c = dict(self._c)
-        for e, v in o._c.items():
-            nv = c.get(e, Fraction(0)) + v
-            if nv:
-                c[e] = nv
-            else:
-                c.pop(e, None)
-        return FractionPolyScalar(self.variables, c)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return FractionPolyScalar(self.variables,
-                                  {e: -v for e, v in self._c.items()})
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        c = {}
-        for e1, v1 in self._c.items():
-            for e2, v2 in o._c.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                nv = c.get(e, Fraction(0)) + v1 * v2
-                if nv:
-                    c[e] = nv
-                else:
-                    c.pop(e, None)
-        return FractionPolyScalar(self.variables, c)
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        if not self._c:
-            return "0"
-        parts = []
-        for e in sorted(self._c):
-            body = "*".join("%s^%d" % (n, p) if p != 1 else n
-                            for n, p in zip(self.variables, e) if p)
-            v = self._c[e]
-            parts.append("%s%s" % (v, "*" + body if body else ""))
-        return " + ".join(parts)
-
-
-@st.composite
-def poly_args(draw):
-    """(variables, two coefficient dicts): integral Laurent polynomials in
-    two to four variables, the first named q."""
-    nv = draw(st.integers(2, 4))
-    variables = ("q",) + tuple("a%d" % j for j in range(1, nv))
-    coeffs = st.dictionaries(st.tuples(*[st.integers(-2, 2)] * nv),
-                             st.integers(-5, 5), max_size=4)
-    return variables, draw(coeffs), draw(coeffs)
-
-
-def poly_agree(got, want):
-    assert got.variables == want.variables
-    assert got._c == want._c
-    assert repr(got) == repr(want)
-    assert hash(got) == hash(want)
-    assert got.is_zero() == want.is_zero()
-    assert bool(got) == bool(want)
-
-
-@settings(max_examples=150, deadline=None)
-@given(poly_args(), st.integers(-5, 5),
-       st.dictionaries(st.integers(-3, 3), st.integers(-6, 6), max_size=4))
-def test_polyscalar_matches_fraction_oracle(args, c, qcs):
-    variables, cs, ds = args
-    x, ox = PolyScalar(variables, cs), FractionPolyScalar(variables, cs)
-    y, oy = PolyScalar(variables, ds), FractionPolyScalar(variables, ds)
-    poly_agree(x, ox)
-    poly_agree(-x, -ox)
-    for op in (operator.add, operator.sub, operator.mul):
-        poly_agree(op(x, y), op(ox, oy))
-        poly_agree(op(x, c), op(ox, c))
-        poly_agree(op(c, x), op(c, ox))
-    assert (x == y) == (ox == oy)
-    assert (x == c) == (ox == c)
-    poly_agree(PolyScalar.one(variables), FractionPolyScalar.one(variables))
-    poly_agree(PolyScalar.var(variables, "a1"),
-               FractionPolyScalar.var(variables, "a1"))
-    z = QScalar(qcs)
-    poly_agree(PolyScalar.from_qscalar(variables, z),
-               FractionPolyScalar.from_qscalar(variables, z))
-    back = (x + y) - y
-    assert back == x and hash(back) == hash(x)
-    assert x * y == y * x and hash(x * y) == hash(y * x)
-    for got in (x, y, x * y - c, PolyScalar.from_qscalar(variables, z)):
-        assert all(type(v) is int for v in got._c.values()), got
-
-
-def test_polyscalar_takes_int_coefficients_only():
-    variables = ("q", "a1")
-    for v in (Fraction(3, 4), Fraction(2), 0.5):
-        with pytest.raises(TypeError):
-            PolyScalar(variables, {(1, 0): v})
-    x = PolyScalar.var(variables, "a1")
-    for op in (operator.add, operator.sub, operator.mul):
-        with pytest.raises(TypeError):
-            op(x, Fraction(1, 2))
-        with pytest.raises(TypeError):
-            op(Fraction(1, 2), x)
-    with pytest.raises(DomainError):
-        PolyScalar.from_qscalar(variables, QScalar({1: Fraction(1, 2), 0: 1}))
-    assert (PolyScalar.from_qscalar(variables, QScalar({-2: 3, 1: -1}))
-            == PolyScalar(variables, {(-2, 0): 3, (1, 0): -1}))
-
-
 def test_integer_exact_quotient():
     assert _iexquo([-1, 0, 1], [1, 1]) == [-1, 1]
     assert _iexquo([4, 6], [2]) == [2, 3]
@@ -1187,11 +1000,9 @@ def test_qrat_field_ops():
     QScalar({2: Fraction(1, 3), -1: 2}),
     CycScalar(6, (1, Fraction(2, 5))),
     QRat(q_int(2), q_int(3)),
-    PolyScalar(("q", "t"), {(1, -1): 3}),
     LinOp({"a": {"a": QScalar.one(), "b": QScalar.q_power(-2)}}),
     TruncSeries("z", {0: QScalar.one(), 2: q_int(2)}, 0, 3),
-], ids=["QScalar", "CycScalar", "QRat", "PolyScalar", "LinOp",
-        "TruncSeries"])
+], ids=["QScalar", "CycScalar", "QRat", "LinOp", "TruncSeries"])
 def test_elements_are_falsy_exactly_when_zero(x):
     zero = x - x
     assert x and not x.is_zero()
@@ -1381,12 +1192,5 @@ def test_constants_hash_as_the_values_they_equal(c, order, x, cs):
     for got in consts:
         assert got == c and hash(got) == hash(c), got
         assert len({got, c}) == 1
-    if c.denominator == 1:
-        # PolyScalar takes int coefficients only
-        c, p = int(c), PolyScalar(("q", "a1"), {(1, -1): 3})
-        for got in (PolyScalar(("q", "a1"), {(0, 0): c}), (p + c) - p):
-            assert got == c and hash(got) == hash(c), got
-            assert len({got, c}) == 1
-    for one in (QScalar.one(), CycScalar.one(order), QRat.one(),
-                PolyScalar.one(("q", "a1"))):
+    for one in (QScalar.one(), CycScalar.one(order), QRat.one()):
         assert len({one, 1}) == 1 and hash(one) == hash(Fraction(1))
