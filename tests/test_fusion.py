@@ -727,6 +727,98 @@ def test_coassoc_fails_on_corrupted_summand(monkeypatch, corrupt):
          "first_mismatch_degree": None}]
 
 
+def two_sided_coassoc_check(M1, M2, M3, s, s_prime, u_window, gens):
+    """Twisted coassociativity compared side by side: each side's triples
+    from ``fusion._triple_terms`` are tensored and summed per u-degree,
+    and the two operator sums are compared degree by degree.  Kept as the
+    oracle for ``twisted_coassoc_check``."""
+    lo, hi = u_window
+    triples = {}
+
+    def op3(ga, gb, gc):
+        key = (ga, gb, gc)
+        if key not in triples:
+            triples[key] = (M1.op(ga).tensor(M2.op(gb)).tensor(M3.op(gc)))
+        return triples[key]
+
+    report = []
+    for gen in gens:
+        sides = []
+        for side in ("left", "right"):
+            acc = {}
+            for d, a, b, c in fusion._triple_terms(gen, s, s_prime, lo, hi,
+                                                   side):
+                op = op3(a, b, c)
+                if op:
+                    acc[d] = acc[d] + op if d in acc else op
+            sides.append(acc)
+        left, right = sides
+        zero = LinOp.zero()
+        mismatch = next((d for d in sorted(set(left) | set(right))
+                         if left.get(d, zero) != right.get(d, zero)), None)
+        report.append({"generator": list(gen), "passed": mismatch is None,
+                       "first_mismatch_degree": mismatch})
+    return {"passed": all(g["passed"] for g in report),
+            "twists": [s, s_prime], "u_window": list(u_window),
+            "generators": report}
+
+
+# every generator the coassociativity tests read, each kind with both
+# signs of its index where it has one
+COASSOC_GENS = [("xp", 1, 0), ("xp", 0, -1), ("xp", 0, 0), ("xm", 2, 1),
+                ("xm", 0, -1), ("k", 0, 1), ("k", 2, -1), ("phip", 1, 2),
+                ("phim", 3, -1), ("h", 1, 1), ("h", 2, -2), ONE]
+
+# the summand the corrupted-summand tests drop or double on the right side
+# of Delta(x+_{1,0}), at degree s + s'
+CORRUPTED_TRIPLE = (("phim", 1, -1), ("phim", 1, 0), ("xp", 1, 1))
+
+
+def _corrupting_right_summand(triple_terms, corrupt):
+    """``_triple_terms`` with ``corrupt`` applied to the right side of
+    Delta(x+_{1,0}) wherever it holds ``CORRUPTED_TRIPLE``."""
+    def corrupted(gen, s, sp, lo, hi, side):
+        terms = triple_terms(gen, s, sp, lo, hi, side)
+        if gen == ("xp", 1, 0) and side == "right":
+            for t in terms:
+                if t[1:] == CORRUPTED_TRIPLE:
+                    return corrupt(terms, t)
+        return terms
+    return corrupted
+
+
+COASSOC_CORRUPTIONS = {
+    "none": None,
+    "dropped": ("_triple_terms", lambda f: _corrupting_right_summand(
+        f, lambda terms, t: [x for x in terms if x != t])),
+    "doubled": ("_triple_terms", lambda f: _corrupting_right_summand(
+        f, lambda terms, t: terms + [t])),
+    "dropped-phi": ("_delta_sum_terms", _dropping_phi_summand),
+}
+
+
+@pytest.mark.parametrize("corruption", list(COASSOC_CORRUPTIONS))
+@pytest.mark.parametrize("L", [1, 2])
+def test_coassoc_matches_two_sided_oracle(monkeypatch, L, corruption):
+    # the full report, verdicts and first mismatch degrees, equals the
+    # side-by-side comparison on every twist and window, with the true
+    # coproduct and with each corrupted expansion
+    patch = COASSOC_CORRUPTIONS[corruption]
+    if patch is not None:
+        name, wrap = patch
+        monkeypatch.setattr(fusion, name, wrap(getattr(fusion, name)))
+    M = build_root_of_unity(L)
+    failed = 0
+    for s, sp in ((1, 1), (1, 2), (2, 1)):
+        for w in (1, 2, 3):
+            args = (M, M, M, s, sp, (-w, w), COASSOC_GENS)
+            want = two_sided_coassoc_check(*args)
+            assert twisted_coassoc_check(*args) == want, (s, sp, w)
+            failed += not want["passed"]
+    # each corruption is seen on some window, and nothing fails without one
+    assert (failed > 0) == (patch is not None)
+
+
 def grid_triple_terms(gen, s, sp, lo, hi, side):
     """The two-level expansion enumerated on a cap-by-cap index grid and
     filtered to the window.  Kept as the oracle for ``_triple_terms``."""
