@@ -103,6 +103,13 @@ def test_empty_u_window_is_an_input_error(window):
         coproduct_generator(("xp", 1, 0), M, M, window)
 
 
+def test_coassoc_without_generators_is_an_input_error():
+    # a check over no generators has checked nothing, so it must not pass
+    M = build_root_of_unity(1)
+    with pytest.raises(InputError, match="no generators"):
+        twisted_coassoc_check(M, M, M, 1, 1, (-2, 2), [])
+
+
 def test_negative_relation_bound_is_an_input_error():
     M = build_root_of_unity(1)
     for r_bound, m_bound in ((-1, 1), (1, -1), (-1, -1)):
@@ -817,6 +824,64 @@ def test_coassoc_matches_two_sided_oracle(monkeypatch, L, corruption):
             failed += not want["passed"]
     # each corruption is seen on some window, and nothing fails without one
     assert (failed > 0) == (patch is not None)
+
+
+def count_tensors(monkeypatch):
+    """A list whose one entry counts the ``LinOp.tensor`` calls from now
+    until the end of the test."""
+    calls = [0]
+    tensor = LinOp.tensor
+
+    def counted(self, other):
+        calls[0] += 1
+        return tensor(self, other)
+
+    monkeypatch.setattr(LinOp, "tensor", counted)
+    return calls
+
+
+def test_coassoc_tensors_nothing_when_the_sides_share_every_triple(
+        monkeypatch):
+    # criterion 8's coassociativity calls: every triple of one side is a
+    # triple of the other, so no operator is formed
+    M = build_root_of_unity(1)
+    gens = [("xp", 1, 0), ("xm", 2, 1), ("k", 0, 1), ("phip", 1, 2),
+            ("phim", 3, -1)]
+    tensors = count_tensors(monkeypatch)
+    for s, sp in ((1, 1), (1, 2)):
+        assert twisted_coassoc_check(M, M, M, s, sp, (-3, 3), gens)["passed"]
+    assert tensors == [0]
+
+
+@pytest.mark.parametrize("sub, passed", [
+    (("phip", 0, 0), True), (("phip", 0, 1), False), (("k", 1, 1), False)])
+def test_coassoc_residual_that_cancels_only_as_operators(monkeypatch, sub,
+                                                         passed):
+    # the right side of Delta(k_0) written with ``sub`` for k_0: on the
+    # L = 1 quotient phi+_{0,0} = k_0, so its triple cancels the left one
+    # only as an operator, through the residual; phi+_{0,1} or k_1 leave a
+    # nonzero residual at u^0
+    k0 = ("k", 0, 1)
+    M = build_root_of_unity(1)
+    assert (M.op(sub) == M.op(k0)) == passed
+    triple_terms = fusion._triple_terms
+
+    def substituted(gen, s, sp, lo, hi, side):
+        terms = triple_terms(gen, s, sp, lo, hi, side)
+        if gen == k0 and side == "right":
+            assert terms == [(0, k0, k0, k0)]
+            terms = [(0, sub, sub, sub)]
+        return terms
+
+    monkeypatch.setattr(fusion, "_triple_terms", substituted)
+    tensors = count_tensors(monkeypatch)
+    rep = twisted_coassoc_check(M, M, M, 1, 1, (-2, 2), [k0])
+    assert rep["passed"] is passed
+    assert rep["generators"] == [
+        {"generator": list(k0), "passed": passed,
+         "first_mismatch_degree": None if passed else 0}]
+    # two residual triples, each two tensor products
+    assert tensors == [4]
 
 
 def grid_triple_terms(gen, s, sp, lo, hi, side):
