@@ -95,6 +95,10 @@ def delta_terms(gen, twist, hi, low=_no_low):
     elif name == "xm":
         terms.append((twist * gen[2], ONE, gen))
     if name == "h":
+        # checked here, since a check whose summands all cancel never
+        # builds the module's operator, which would reject it
+        if gen[2] == 0:
+            raise InputError("h index must be nonzero")
         terms.extend([(0, gen, ONE), (twist * gen[2], ONE, gen)])
     else:
         terms.extend(_delta_sum_terms(gen, twist, hi, low))

@@ -110,6 +110,16 @@ def test_coassoc_without_generators_is_an_input_error():
         twisted_coassoc_check(M, M, M, 1, 1, (-2, 2), [])
 
 
+def test_h_index_zero_is_an_input_error():
+    # h_{i,0} is no generator, also where every summand of its expansion
+    # would cancel without forming an operator
+    M = build_root_of_unity(1)
+    with pytest.raises(InputError, match="h index must be nonzero"):
+        twisted_coassoc_check(M, M, M, 1, 1, (-2, 2), [("h", 0, 0)])
+    with pytest.raises(InputError, match="h index must be nonzero"):
+        coproduct_generator(("h", 0, 0), M, M, (-2, 2))
+
+
 def test_negative_relation_bound_is_an_input_error():
     M = build_root_of_unity(1)
     for r_bound, m_bound in ((-1, 1), (1, -1), (-1, -1)):
