@@ -810,6 +810,9 @@ COASSOC_CORRUPTIONS = {
         f, lambda terms, t: [x for x in terms if x != t])),
     "doubled": ("_triple_terms", lambda f: _corrupting_right_summand(
         f, lambda terms, t: terms + [t])),
+    # three times on the right: a residual multiplicity of -2
+    "tripled": ("_triple_terms", lambda f: _corrupting_right_summand(
+        f, lambda terms, t: terms + [t, t])),
     "dropped-phi": ("_delta_sum_terms", _dropping_phi_summand),
 }
 
