@@ -12,14 +12,14 @@ of the cycle once every coproduct image the check reads is seen to
 rotate: each u-coefficient of the image of the rotated generator is the
 original's conjugated by rho x rho and scaled by q^deg, on the same
 window, since Delta maps each summand (d, a, b) of g to (d, rot a, rot b)
-for rot g.  Otherwise, or when a representative fails or raises, it walks
-every instance.  The checks compute only what they read.  The
-relation check forms each product up to the top u-degree it compares,
-and each prefix of that product up to that top less the lowest degrees
-of the factors still to multiply; a term with a zero coefficient, or
-whose product lies wholly above the window, forms no product.  Products
-and term sums accumulate in place, one column dict per u-degree
-(``linalg.add_into``), and the term sums keep only the degrees compared.
+for rot g.  Otherwise, or when a representative raises, it walks every
+instance.  The checks compute only what they read.  The relation check
+forms each product up to the top u-degree it compares, and each prefix
+of that product up to that top less the lowest degrees of the factors
+still to multiply; a term with a zero coefficient, or whose product
+lies wholly above the window, forms no product.  Products and term sums
+accumulate in place, one column dict per u-degree (``linalg.add_into``),
+and the term sums keep only the degrees compared.
 The coassociativity check builds both two-level sides by composing the
 one-level coproduct ``delta_terms`` with itself, so both checks read one
 definition of Delta.  It writes left minus right, per u-degree, as a
@@ -68,10 +68,14 @@ def _delta_sum_terms(gen, twist, hi, low=_no_low):
             out.append(t)
     if name == "phip":
         _, i, m = gen
+        if m < 0:
+            raise InputError("phip index must be >= 0")
         return [(twist * l, ("phip", i, m - l), ("phip", i, l))
                 for l in range(m + 1)]
     if name == "phim":
         _, i, m = gen
+        if m > 0:
+            raise InputError("phim index must be <= 0")
         return [(-twist * l, ("phim", i, m + l), ("phim", i, -l))
                 for l in range(-m + 1)]
     if name == "k":
@@ -327,6 +331,10 @@ def twisted_coassoc_check(M1, M2, M3, s, s_prime, u_window, gens):
 
     report = []
     for gen in gens:
+        if gen != ONE:
+            # the operators would reject it, but cancelled triples build none
+            for M in (M1, M2, M3):
+                M.check_node(gen[1])
         mult = {}
         for side, sign in (("left", 1), ("right", -1)):
             for t in _triple_terms(gen, s, s_prime, lo, hi, side):

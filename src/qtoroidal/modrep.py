@@ -43,8 +43,9 @@ with its rotation up to q^deg(g) (the diagram rotation composed with the
 spectral shift x+-_{i,r} -> q^r x+-_{i,r}), an instance holds exactly
 when its rotation does.  That intertwining is checked at run time on what
 the check reads, never assumed; then only the instances whose outermost
-node is 0 are checked, and every count is 4 times theirs.  A generator
-that does not rotate, a witness or a library error on the way reruns the
+node is 0 are checked.  They come first in each family, so a family's
+first witness is among them, and every other count is 4 times theirs.  A
+generator that does not rotate or a library error on the way reruns the
 full walk from the start, and a loop module, whose window no rotation
 preserves, always takes it; so every report and error is the full
 walk's.
@@ -153,6 +154,12 @@ class ModuleRealization:
     def in_basis(self, label):
         return label in self._basis_set
 
+    def check_node(self, i):
+        """Raise InputError unless i is a node of the cycle."""
+        if i not in self.nodes:
+            raise InputError("node %r is not one of the nodes %s"
+                             % (i, ", ".join(map(repr, self.nodes))))
+
     # -- raw action ------------------------------------------------------
 
     def _b_case(self, g, a, p):
@@ -175,60 +182,52 @@ class ModuleRealization:
     def image(self, gen, label):
         """Image of a basis (or boundary) label: (label', scalar) for the
         ladder generators, ("diag", scalar) for the diagonal ones, or None
-        when the generator kills the vector."""
+        when the generator kills the vector.  A generator on a node off the
+        cycle is an InputError."""
         a, p = label
         name = gen[0]
+        if name == "one":
+            return "diag", self.one()
+        if name not in ("xp", "xm", "phip", "phim", "k", "h"):
+            raise InputError("unknown generator %r" % (gen,))
+        # the node g and the index n: r for x+-, m for phi+- and h, +-1 for k
+        _, g, n = gen
+        self.check_node(g)
+        if name == "h":
+            return "diag", self.h_eigenvalue(g, n, label)
+        if name == "phip" and n < 0:
+            raise InputError("phip index must be >= 0")
+        if name == "phim" and n > 0:
+            raise InputError("phim index must be <= 0")
+        bc = self._b_case(g, a, p)
         if name == "xp":
-            _, g, r = gen
-            bc = self._b_case(g, a, p)
             if bc is None or bc[0] != 1:
                 return None
             p_eff = bc[1]
-            scal = self.q_power(self._site_exp(g, p_eff, r))
-            if self.corrupt_xp == (g, r):
+            scal = self.q_power(self._site_exp(g, p_eff, n))
+            if self.corrupt_xp == (g, n):
                 scal = -scal
             return self._norm(g, p_eff), scal
         if name == "xm":
-            _, g, r = gen
-            bc = self._b_case(g, a, p)
             if bc is None or bc[0] != 0:
                 return None
             p_eff = bc[1]
             return (self._norm(g + 1, p_eff),
-                    self.q_power(self._site_exp(g, p_eff, r)))
-        if name in ("phip", "phim"):
-            _, g, m = gen
-            sign = 1 if name == "phip" else -1
-            if name == "phip" and m < 0:
-                raise InputError("phip index must be >= 0")
-            if name == "phim" and m > 0:
-                raise InputError("phim index must be <= 0")
-            bc = self._b_case(g, a, p)
-            if m == 0:
-                if bc is None:
-                    return "diag", self.one()
-                return "diag", self.q_power(sign * (1 if bc[0] == 0 else -1))
-            if bc is None:
-                return None
-            b, p_eff = bc
-            mag = abs(m)
-            val = self.qq_inv() * self.q_power(
-                self._site_exp(g, p_eff, sign * mag))
-            if (sign == 1) != (b == 0):
-                val = -val
-            return "diag", val
-        if name == "k":
-            _, g, e = gen
-            bc = self._b_case(g, a, p)
+                    self.q_power(self._site_exp(g, p_eff, n)))
+        sign = -1 if name == "phim" else 1
+        if name == "k" or n == 0:
+            # phi+-_{g,0} acts as k_g^{+-1}
             if bc is None:
                 return "diag", self.one()
+            e = n if name == "k" else sign
             return "diag", self.q_power(e * (1 if bc[0] == 0 else -1))
-        if name == "h":
-            _, g, m = gen
-            return "diag", self.h_eigenvalue(g, m, label)
-        if name == "one":
-            return "diag", self.one()
-        raise InputError("unknown generator %r" % (gen,))
+        if bc is None:
+            return None
+        b, p_eff = bc
+        val = self.qq_inv() * self.q_power(self._site_exp(g, p_eff, n))
+        if (sign == 1) != (b == 0):
+            val = -val
+        return "diag", val
 
     def apply(self, gen, vec):
         """Apply a generator to {label: scalar}; raises EscapeError when a
@@ -544,9 +543,8 @@ def _intertwined(a, b, rho, c):
     return True
 
 
-def _walk(instances, check, clean=False):
-    """The first-witness walk over ``instances``: the records by family,
-    or None as soon as an instance has a witness when ``clean``."""
+def _walk(instances, check):
+    """The first-witness walk over ``instances``: the records by family."""
     fams = {}
     for family, desc, terms in instances:
         fam = fams.get(family)
@@ -556,32 +554,6 @@ def _walk(instances, check, clean=False):
         fam["instances"] += 1
         if fam["witness"] is None:
             fam["witness"] = check(desc, terms, fam)
-            if clean and fam["witness"] is not None:
-                return None
-    return fams
-
-
-def _orbit_walk(M, r_bound, m_bound, check, rotates):
-    """The walk over one instance per rotation orbit, with every count
-    times the orbit size 4, or None unless it is a clean pass: every
-    generator rotates (``rotates``), no instance has a witness and no
-    library error is raised."""
-    reps = list(_relation_instances(M, r_bound, m_bound, M.nodes[:1]))
-    # every generator the full walk reads: the rotations of those the
-    # representatives read, in a fixed order
-    gens = dict.fromkeys(_rotated(gen, k) for _, _, terms in reps
-                         for _, seq in terms for gen in seq
-                         for k in range(len(M.nodes)))
-    try:
-        if not all(rotates(gen) for gen in gens):
-            return None
-        fams = _walk(reps, check, clean=True)
-    except QtorError:
-        return None
-    if fams is not None:
-        for fam in fams.values():
-            for key in ("instances", "checked", "skipped"):
-                fam[key] *= len(M.nodes)
     return fams
 
 
@@ -602,20 +574,34 @@ def _first_witness_walk(M, r_bound, m_bound, check, rotates=None):
     same coefficients, so when every generator rotates, M(rot R) rho =
     q^D rho M(R): R holds exactly when rot(R) does, and one instance per
     orbit of 4 settles the other three.  The walk then checks only the
-    instances whose outermost node is 0, each the first of its orbit, and
-    counts 4 of everything.  Anything but a clean pass (a generator that
-    does not rotate, a witness, a library error) reruns the full walk
-    from the start, so witnesses, counts and errors are the full walk's.
-    A loop module's window is not rotation-invariant: it always takes
-    the full walk.
+    instances whose outermost node is 0, which each family yields first:
+    a family's first witness is one of them, with the same counts up to
+    it.  Every family counts 4 times its instances, and a family without
+    a witness 4 times its vectors.  A generator that does not rotate or a
+    library error reruns the full walk, so errors are the full walk's; a
+    loop module's window is not rotation-invariant, so it always does.
     """
     if r_bound < 0 or m_bound < 0:
         raise InputError("relation bounds must be >= 0, got r %d, m %d"
                          % (r_bound, m_bound))
     if rotates is not None and M.kind == "rou":
-        fams = _orbit_walk(M, r_bound, m_bound, check, rotates)
-        if fams is not None:
-            return fams
+        reps = list(_relation_instances(M, r_bound, m_bound, M.nodes[:1]))
+        # every generator the full walk reads: the rotations of those the
+        # representatives read, in a fixed order
+        gens = dict.fromkeys(_rotated(gen, k) for _, _, terms in reps
+                             for _, seq in terms for gen in seq
+                             for k in range(len(M.nodes)))
+        try:
+            if all(rotates(gen) for gen in gens):
+                fams = _walk(reps, check)
+                for fam in fams.values():
+                    fam["instances"] *= len(M.nodes)
+                    if fam["witness"] is None:
+                        fam["checked"] *= len(M.nodes)
+                        fam["skipped"] *= len(M.nodes)
+                return fams
+        except QtorError:
+            pass
     return _walk(_relation_instances(M, r_bound, m_bound), check)
 
 

@@ -26,7 +26,8 @@ data, carry one expansion onto the others."""
 from __future__ import annotations
 
 from .cartan import WeightVector, quantized_cartan_condition
-from .errors import AlgorithmFailure, DomainError, InputError
+from .errors import (AlgorithmFailure, DomainError, InputError,
+                     WindowError)
 from .monomials import (YMonomial, a_monomial, dominance_leq, mono_format,
                         mono_parse)
 
@@ -542,14 +543,18 @@ def char_product(chars, depth, offset=0):
     """Term map of a product of characters, keeping relative heights
     (offset + sum of factor heights) at most ``depth``.
 
-    Soundness rests on heights being additive under products.  Returns
-    {monomial: (coeff, height)} with absolute heights.
+    Soundness rests on heights being additive under products.  A factor
+    truncated below ``depth - offset``, the height it is read to, is a
+    WindowError.  Returns {monomial: (coeff, height)}, heights absolute.
     """
     if depth < 0:
         raise InputError("depth must be >= 0")
     made = {}               # id of a character -> its factor
     factors = []
     for ch in chars:
+        if ch.depth < depth - offset:
+            raise WindowError("a factor truncated at depth %d is read to "
+                              "depth %d" % (ch.depth, depth - offset))
         f = made.get(id(ch))
         if f is None:
             f = made[id(ch)] = _Factor(ch)

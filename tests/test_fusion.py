@@ -1,6 +1,6 @@
 import pytest
 
-from qtoroidal import fusion
+from qtoroidal import fusion, modrep
 from qtoroidal.errors import InputError, WindowError
 from qtoroidal.fusion import (ONE, _check_fusable, coproduct_generator,
                               coproduct_relation_check, delta_terms,
@@ -8,7 +8,7 @@ from qtoroidal.fusion import (ONE, _check_fusable, coproduct_generator,
 from qtoroidal.linalg import LinOp, add_into
 from qtoroidal.modrep import (ModuleRealization, _first_witness_walk,
                               _relation_instances, build_extremal_loop,
-                              build_root_of_unity)
+                              build_root_of_unity, verify_relations)
 from qtoroidal.scalars import QScalar, TruncSeries
 from series_oracles import series_log_coeffs
 
@@ -120,6 +120,33 @@ def test_h_index_zero_is_an_input_error():
         coproduct_generator(("h", 0, 0), M, M, (-2, 2))
 
 
+def test_phi_index_of_the_wrong_sign_is_an_input_error():
+    # phi+_{i,m} has m >= 0 and phi-_{i,m} has m <= 0: the formula has no
+    # summand for the wrong sign, so it rejects the generator itself
+    M = build_root_of_unity(1)
+    for gen, msg in ((("phip", 0, -1), "phip index must be >= 0"),
+                     (("phim", 2, 1), "phim index must be <= 0")):
+        with pytest.raises(InputError, match=msg):
+            twisted_coassoc_check(M, M, M, 1, 1, (-2, 2), [gen])
+        with pytest.raises(InputError, match=msg):
+            coproduct_generator(gen, M, M, (-2, 2))
+
+
+def test_generator_off_the_cycle_is_an_input_error():
+    # a check whose triples all cancel builds no operator, yet a node off
+    # the cycle is still rejected, also after a generator that passes
+    M = build_root_of_unity(1)
+    for gen in (("xp", 7, 0), ("k", 9, 1), ("phim", -1, 0)):
+        with pytest.raises(InputError, match="node %d is not one of"
+                           % gen[1]):
+            twisted_coassoc_check(M, M, M, 1, 1, (-2, 2),
+                                  [("k", 0, 1), gen])
+        with pytest.raises(InputError, match="node %d is not one of"
+                           % gen[1]):
+            coproduct_generator(gen, M, M, (-2, 2))
+    assert twisted_coassoc_check(M, M, M, 1, 1, (-2, 2), [ONE])["passed"]
+
+
 def test_negative_relation_bound_is_an_input_error():
     M = build_root_of_unity(1)
     for r_bound, m_bound in ((-1, 1), (1, -1), (-1, -1)):
@@ -212,6 +239,29 @@ def test_relation_check_on_a_symmetric_but_wrong_quotient(left, window,
     assert not want["passed"]
     assert coproduct_relation_check(M, right, window, r_bound,
                                     m_bound) == want
+
+
+@pytest.mark.parametrize("L", [1, 2])
+def test_failing_quotient_is_walked_once(monkeypatch, L):
+    # a representative's witness is the full walk's, so neither check
+    # walks a symmetric but wrong quotient twice: each checks at most the
+    # instances whose outermost node is 0
+    M = doubled_xp(L)
+    reps = len(list(_relation_instances(M, 1, 1, (0,))))
+    runs = ((modrep, lambda: verify_relations(M, 1, 1).to_json()),
+            (fusion, lambda: coproduct_relation_check(M, M, (-1, 1), 1, 1)))
+    for module, run in runs:
+        calls = []
+        walk = module._first_witness_walk
+
+        def spy(M, r_bound, m_bound, check, rotates=None):
+            def counted(desc, terms, fam):
+                calls.append(desc)
+                return check(desc, terms, fam)
+            return walk(M, r_bound, m_bound, counted, rotates)
+        monkeypatch.setattr(module, "_first_witness_walk", spy)
+        assert not run()["passed"]
+        assert 0 < len(calls) <= reps, module.__name__
 
 
 def test_relation_check_rotates_images_on_their_windows(monkeypatch):

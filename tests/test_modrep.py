@@ -646,18 +646,23 @@ def test_orbit_walk_checks_one_instance_per_orbit():
     read = {gen for _, _, terms in _relation_instances(M, 1, 1)
             for _, seq in terms for gen in seq}
     assert sorted(asked) == sorted(read)
-    # a loop module, a generator that does not rotate, a witness or a
-    # library error: the full walk from the start
+    # a loop module, a generator that does not rotate or a library error:
+    # the full walk from the start
     assert walk_trace(build_extremal_loop((-2, 2)), lambda gen: True)[0] \
         == [desc for _, desc, _ in
             _relation_instances(build_extremal_loop((-2, 2)), 1, 1)]
     assert walk_trace(M, lambda gen: gen != ("xm", 2, 1))[0] == full
+    # a witness: each family yields its representatives first, so the
+    # walk goes on over the representatives alone, checks no k-cartan one
+    # after the witness, and its records are the full walk's
     witness = reps[5]
+    k_reps = sum(family == "k-cartan"
+                 for family, _, _ in _relation_instances(M, 1, 1, (0,)))
 
     def fail(desc):
         return desc if desc == witness else None
     want_seen, want_fams = walk_trace(M, None, fail)
-    assert walk_trace(M, lambda gen: True, fail) == (reps[:6] + want_seen,
+    assert walk_trace(M, lambda gen: True, fail) == (reps[:6] + reps[k_reps:],
                                                       want_fams)
     assert want_fams["k-cartan"]["witness"] == witness
     assert want_fams["k-cartan"]["checked"] == full.index(witness) + 1
@@ -691,6 +696,23 @@ def test_verify_relations_rotates_generator_columns(monkeypatch):
                      1, 1)
     assert [handed[-1](("xp", i, 0)) for i in range(4)] == [
         False, False, True, True]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_extremal_loop((-2, 2)),
+    lambda: build_root_of_unity(1),
+], ids=["loop", "rou1"])
+def test_generator_off_the_cycle_is_an_input_error(make):
+    # every generator but the unit sits on a node of the 4-cycle
+    M = make()
+    for gen in (("xp", 7, 0), ("xm", -1, 0), ("k", 9, 1), ("phip", 4, 1),
+                ("phim", 5, 0), ("h", 4, 1)):
+        with pytest.raises(InputError, match="node %d is not one of the "
+                           "nodes 0, 1, 2, 3" % gen[1]):
+            M.op(gen)
+    with pytest.raises(InputError, match="node 9 is not one of"):
+        M.h_eigenvalue(9, 1, M.basis[0])
+    assert M.op(("one",)) == LinOp.identity(M.basis, M.one())
 
 
 @pytest.mark.parametrize("r_bound, m_bound", [(-1, -1), (-1, 1), (1, -1)])

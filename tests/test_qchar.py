@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from qtoroidal import qchar
 from qtoroidal.cartan import (build_cartan, cartan_preset, finite_type_a,
                               infinite_a, quantized_cartan_condition)
-from qtoroidal.errors import AlgorithmFailure, DomainError, InputError
+from qtoroidal.errors import (AlgorithmFailure, DomainError, InputError,
+                              WindowError)
 from qtoroidal.monomials import (YMonomial, a_monomial, mono_format,
                                  mono_parse)
 from qtoroidal.qchar import (QCharacter, _add_term_maps, char_from_json,
@@ -362,6 +363,22 @@ def test_char_product_rejects_negative_depth():
     assert char_product([ch], 0) == {mono_parse("Y[0,0]"): (1, 0)}
 
 
+def test_char_product_reads_no_factor_past_its_depth():
+    # each factor is read to depth - offset: at depth 2 a character has 4
+    # terms, while to height 5 it has 17 and to height 6 it has 26
+    ch = kr_qchar(A3TOR, 0, 1, 0, 2)
+    deep = kr_qchar(A3TOR, 0, 1, 0, 6)
+    for depth, offset, terms in ((5, 0, 17), (1, -5, 26), (3, 1, 4)):
+        want = char_product([deep], depth, offset)
+        assert len(want) == terms
+        if ch.depth < depth - offset:
+            with pytest.raises(WindowError, match="read to depth %d"
+                               % (depth - offset)):
+                char_product([deep, ch], depth, offset)
+        else:
+            assert char_product([ch], depth, offset) == want
+
+
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_kr_char_rejects_an_unknown_node(k):
     with pytest.raises(InputError) as exc:
@@ -538,11 +555,12 @@ def test_char_product_matches_nested_loop(C, tops):
                 assert got == want, (n, depth, offset)
                 assert_same_keys(got, tuple_char_product(chars[:n], depth,
                                                          offset))
-    # factors truncated below the product depth
+    # factors truncated below the product depth are not read past it
     shallow = [fm_expand(C, mono_parse(t), 2) for t in tops]
-    for n in range(4):
-        assert (char_product(shallow[:n], 5, 1)
-                == nested_loop_product(shallow[:n], 5, 1))
+    assert char_product([], 5, 1) == nested_loop_product([], 5, 1)
+    for n in range(1, 4):
+        with pytest.raises(WindowError, match="truncated at depth 2"):
+            char_product(shallow[:n], 5, 1)
 
 
 def tuple_char_product(chars, depth, offset=0):
@@ -585,7 +603,8 @@ BIG = 2 ** 70
 
 # hand-built characters: a few monomials over a small (node, spectral)
 # grid, exponents small (so products collide and cancel) or up to 2**70,
-# heights drawn freely (so some products clash)
+# heights drawn freely (so some products clash), each claiming depth 8,
+# the deepest the products below read
 exponents = st.one_of(st.integers(-3, 3), st.integers(-BIG, BIG)).filter(
     bool)
 hand_keys = st.dictionaries(
@@ -594,7 +613,7 @@ hand_keys = st.dictionaries(
 hand_chars = st.dictionaries(
     hand_keys, st.tuples(st.integers(1, 3), st.integers(0, 4)),
     min_size=1, max_size=6).map(
-        lambda d: QCharacter(None, YMonomial.one(), 4,
+        lambda d: QCharacter(None, YMonomial.one(), 8,
                              {m: c for m, (c, _) in d.items()},
                              {m: h for m, (_, h) in d.items()}))
 
