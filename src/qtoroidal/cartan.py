@@ -1,12 +1,15 @@
-"""Generalized Cartan matrices, symmetrizers, classification and the node
-combinatorics feeding the character engine."""
+"""Generalized Cartan matrices: presets, minimal symmetrizers, the
+finite/affine classification, the quantized-matrix condition that gates
+the character engine, integral weights, and two statements read off the
+matrix: the smallness criterion's node geometry and the spectral
+alignment of minimal affinizations."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
-from .errors import ConstructionError, DomainError, InputError, ParseError
+from .errors import ConstructionError, DomainError, InputError
 from .linalg import Field, determinant
 from .scalars import QScalar
 
@@ -63,10 +66,6 @@ class CartanData:
             return True
         return all(self.C(i, j) in (0, -1)
                    for i in self.nodes for j in self.nodes if i != j)
-
-    def symmetrized(self, i, j):
-        """Entry B_ij = r_i C_ij of the symmetrized matrix."""
-        return self.r(i) * self.C(i, j)
 
     def __repr__(self):
         if self.infinite:
@@ -187,22 +186,6 @@ def cyclic_a(m, name=None):
                         name=name or "A%dcycle" % (m - 1))
 
 
-def finite_type_a(n):
-    """Path on nodes 1..n (finite type A_n)."""
-    rows = [[2 if i == j else (-1 if abs(i - j) == 1 else 0)
-             for j in range(n)] for i in range(n)]
-    return build_cartan(rows, list(range(1, n + 1)), name="A%d" % n)
-
-
-def finite_type_d4():
-    """Type D_4: center node 2 joined to 1, 3, 4."""
-    labels = [1, 2, 3, 4]
-    edges = {(1, 2), (2, 1), (3, 2), (2, 3), (4, 2), (2, 4)}
-    rows = [[2 if a == b else (-1 if (a, b) in edges else 0)
-             for b in labels] for a in labels]
-    return build_cartan(rows, labels, name="D4")
-
-
 def b_np(n, p):
     """The deformed chain B_{n,p} on nodes 1..n; the last edge carries the
     entry -p from node n toward node n-1."""
@@ -241,23 +224,6 @@ def cartan_preset(name):
     raise InputError("unknown preset %r" % name)
 
 
-def parse_matrix_text(text):
-    """Whitespace-separated integer rows, one row per line (or ';'); a
-    token that is not an integer raises ParseError naming it."""
-    rows = []
-    for line in text.replace(";", "\n").splitlines():
-        row = []
-        for tok in line.split():
-            try:
-                row.append(int(tok))
-            except ValueError:
-                raise ParseError("matrix entry %r is not an integer"
-                                 % tok) from None
-        if row:
-            rows.append(row)
-    return build_cartan(rows)
-
-
 def quantized_cartan_condition(C):
     """True iff C_ij < -1 implies -C_ji <= r_i for every pair.
 
@@ -275,7 +241,11 @@ def quantized_cartan_condition(C):
 
 class NodeGeometry:
     """Extremal/special status of one node, with the distance d_i to the
-    nearest special node (math.inf when none exists)."""
+    nearest special node (math.inf when none exists).
+
+    Paper: the smallness criterion for Kirillov-Reshetikhin modules of a
+    simply-laced quantum affinization: W^(i)_k is small when k <= 2, or
+    when i is extremal and k <= d_i + 1 (``small_bound``)."""
 
     def __init__(self, node, extremal, special, d, simply_laced):
         self.node = node
@@ -327,7 +297,9 @@ def node_geometry_at(C, i):
 
 
 def node_geometry(C, nodes=None):
-    """Per-node geometry records; pass explicit nodes for the infinite line."""
+    """Per-node geometry records; pass explicit nodes for the infinite line.
+
+    Paper: the node data of the smallness criterion (see NodeGeometry)."""
     if nodes is None:
         if C.infinite:
             raise InputError("explicit nodes are required for the infinite "
@@ -406,7 +378,9 @@ def minimal_affinization_check(C, lam, a_exps):
     a_i per node 1..n (ints, or pure q-power QScalars).  True iff every
     ratio a_j/a_i matches the product of the alignment coefficients
     c_s = q^(r_s l_s + r_{s+1} l_{s+1} + r_s - C_{s,s+1} - 1) for i <= s < j.
-    """
+
+    Paper: the spectral alignment a_{s+1}/a_s = c_s of the minimal
+    affinizations of the quantum affinization of B_{n,p}."""
     nodes = list(C.nodes)
     exps = []
     for a in a_exps:

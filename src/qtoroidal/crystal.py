@@ -45,7 +45,9 @@ def _scan(part):
 
 def phi_eps(m, i):
     """(phi_i, eps_i) from running partial sums of the node-i exponents;
-    their difference is always the total node-i exponent sum."""
+    their difference is always the total node-i exponent sum.
+
+    Paper: the functions phi_i and eps_i of the monomial crystal."""
     phi, _, eps, _ = _scan(m.node_part(i))
     return phi, eps
 

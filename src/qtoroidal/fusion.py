@@ -138,15 +138,14 @@ def coproduct_generator(gen, M1, M2, u_window):
         # the window would hide known terms below it; refuse to lie
         raise WindowError("requested window clips the image of %r below "
                           "u^%d" % (gen, lo_nat))
-    if hi_req < lo_nat:
-        # the whole requested window sits below the image's first term
-        return TruncSeries("u", {}, lo_req, hi_req)
     acc = {}
     for d, ga, gb in delta_terms(gen, twist, hi_req):
         op = M1.op(ga).tensor(M2.op(gb))
         if op:
             add_into(acc.setdefault(d, {}), op)
-    return _op_series(acc, lo_nat, hi_req)
+    # the image vanishes below u^lo_nat, so on a window that ends below
+    # it the empty series with lo = hi_req claims every degree it knows
+    return _op_series(acc, min(lo_nat, hi_req), hi_req)
 
 
 def _op_series(acc, lo, hi):

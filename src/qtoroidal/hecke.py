@@ -544,7 +544,10 @@ def module_to_json(M):
 
 class SegmentCollection:
     """q-segments (center exponent, length); the segment with center q^c
-    and length m is the set {q^(c+1-m), q^(c+3-m), ..., q^(c+m-1)}."""
+    and length m is the set {q^(c+1-m), q^(c+3-m), ..., q^(c+m-1)}.
+
+    Paper: the multisegments that index the simple modules of the affine
+    Hecke algebra on the Schur-Weyl side (Zelevinsky's classification)."""
 
     def __init__(self, segments):
         self.segments = [(int(c), int(m)) for (c, m) in segments]
@@ -566,7 +569,10 @@ def segments_to_drinfeld(S, n):
     """Per-node root data of the polynomial tuple attached to segments:
     node i collects the centers of the length-i segments (as roots of
     u a - 1).  Lengths beyond n fall outside the correspondence and are
-    reported, not dropped."""
+    reported, not dropped.
+
+    Paper: Schur-Weyl duality matches a multisegment with the Drinfeld
+    polynomials of the corresponding simple module."""
     roots = {}
     out_of_range = []
     for (c, m) in S.segments:

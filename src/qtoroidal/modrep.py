@@ -151,9 +151,6 @@ class ModuleRealization:
             p %= self.period
         return a, p
 
-    def in_basis(self, label):
-        return label in self._basis_set
-
     def check_node(self, i):
         """Raise InputError unless i is a node of the cycle."""
         if i not in self.nodes:
@@ -233,7 +230,7 @@ class ModuleRealization:
         """Apply a generator to {label: scalar}; raises EscapeError when a
         source label has no table row (outside the window)."""
         for label in vec:
-            if not self.in_basis(label):
+            if label not in self._basis_set:
                 raise EscapeError("label %r is outside the window"
                                   % (label,))
         return self.op(gen).apply(vec)
@@ -350,12 +347,6 @@ class RelationReport:
     @property
     def passed(self):
         return all(f["passed"] for f in self.families)
-
-    def family(self, name):
-        for f in self.families:
-            if f["family"] == name:
-                return f
-        raise KeyError(name)
 
     def to_json(self):
         return {"passed": self.passed, "families": self.families}
@@ -798,7 +789,9 @@ def l_character(M):
     was read: its phi series in both directions equal those predicted for
     the monomial (``_series_match``), else DomainError names the vector.
     Returns {"terms": {label: YMonomial}}.
-    """
+
+    Paper: the l-weights of the extremal loop weight module, each basis
+    vector an l-weight vector whose l-weight is a monomial."""
     if M.kind != "loop":
         raise DomainError("reading l-weights off h_{i,1} needs generic q; use "
                           "l_character_offset for cyclotomic modules")
@@ -869,7 +862,9 @@ def rou_irreducible(M):
     Raises DomainError when two basis vectors share their eigenvalues,
     since a submodule then need not be spanned by basis vectors, and on a
     loop module, whose ladders leave the window.
-    """
+
+    Paper: at a root of unity the extremal loop weight module has
+    finite-dimensional irreducible quotients."""
     if M.kind != "rou":
         raise DomainError("irreducibility is decided on periodic quotients")
     diagonal = [M.op((name, g, 1)) for name in ("k", "phip")
@@ -904,7 +899,10 @@ def rou_irreducible(M):
 
 class HeckeCompanion:
     """The dimension-L pair (X, Y) with XY = e^4 YX over the order-4L
-    cyclotomic field, plus the Fourier-dual basis."""
+    cyclotomic field, plus the Fourier-dual basis.
+
+    Paper: at a root of unity the rank-1 pair XY = e^4 YX acts
+    irreducibly in dimension L, a Fourier transform exchanging X and Y."""
 
     def __init__(self, L):
         if L < 1:
@@ -969,7 +967,3 @@ class HeckeCompanion:
         for lam in spectrum:
             acc = acc * self._shifted(op, lam)
         return not acc
-
-
-def hecke_companion(L):
-    return HeckeCompanion(L)

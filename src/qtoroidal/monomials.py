@@ -163,17 +163,6 @@ def mono_parse(text):
     return YMonomial(acc)
 
 
-def mono_to_json(m):
-    return {"factors": [{"node": i, "l": l, "e": e} for (i, l, e) in m.key]}
-
-
-def mono_from_json(obj):
-    acc = {}
-    for f in obj["factors"]:
-        acc[(f["node"], f["l"])] = acc.get((f["node"], f["l"]), 0) + f["e"]
-    return YMonomial(acc)
-
-
 def a_monomial(C, i, l):
     """The monomial A_{i,q^l}: the q-analogue of the simple root alpha_i.
 
@@ -232,19 +221,15 @@ def dominance_leq(C, m, mtop, depth_cap):
     return factors
 
 
-def dominance_height(C, m, mtop, depth_cap):
-    """Number of A-inverse steps from mtop down to m, or None."""
-    fs = dominance_leq(C, m, mtop, depth_cap)
-    return None if fs is None else len(fs)
-
-
 def drinfeld_fraction(m):
     """Per-node root data (Q_i, R_i) of the l-weight of m.
 
     Positive exponents of Y_{i,.} populate the Q_i root multiset, negative
     exponents the R_i multiset; both polynomials have constant term one by
     construction.  Returns {node: (sorted Q exponents, sorted R exponents)}.
-    """
+
+    Paper: an l-weight is a ratio of polynomials Q_i/R_i with constant
+    term 1 per node, Q_i the Drinfeld polynomial when m is dominant."""
     out = {}
     for (i, l, e) in m.key:
         q, r = out.setdefault(i, ([], []))
@@ -256,7 +241,9 @@ def drinfeld_fraction(m):
 
 
 def from_drinfeld_fraction(data):
-    """Inverse of drinfeld_fraction."""
+    """Inverse of drinfeld_fraction.
+
+    Paper: the l-weight's monomial read back from its roots Q_i, R_i."""
     acc = {}
     for i, (q, r) in data.items():
         for l in q:

@@ -28,8 +28,7 @@ from __future__ import annotations
 from .cartan import WeightVector, quantized_cartan_condition
 from .errors import (AlgorithmFailure, DomainError, InputError,
                      WindowError)
-from .monomials import (YMonomial, a_monomial, dominance_leq, mono_format,
-                        mono_parse)
+from .monomials import YMonomial, a_monomial, dominance_leq, mono_format
 
 
 class QCharacter:
@@ -71,7 +70,7 @@ class QCharacter:
             len(self.terms), self.depth, mono_format(self.top))
 
 
-def trivial_character(cartan, depth=0):
+def trivial_character(cartan, depth):
     if depth < 0:
         raise InputError("depth must be >= 0")
     one = YMonomial.one()
@@ -740,28 +739,8 @@ def verify_tsystem(C, i, k, l, depth):
 
 
 # ---------------------------------------------------------------------------
-# node rotation, specialness
+# specialness
 # ---------------------------------------------------------------------------
-
-def _cycle_length(C):
-    n = C.cycle_len
-    if n is None:
-        raise DomainError("node rotation needs a cyclic type-A matrix")
-    return n
-
-
-def r_shift(x, steps, cartan=None):
-    """Rotate node indices of a monomial or character around the cycle."""
-    if isinstance(x, YMonomial):
-        if cartan is None:
-            raise InputError("rotating a bare monomial needs the matrix")
-        return x.shift_nodes(steps, _cycle_length(cartan))
-    n = _cycle_length(x.cartan)
-    terms = {m.shift_nodes(steps, n): c for m, c in x.terms.items()}
-    heights = {m.shift_nodes(steps, n): h for m, h in x.heights.items()}
-    return QCharacter(x.cartan, x.top.shift_nodes(steps, n), x.depth,
-                      terms, heights)
-
 
 def is_special(char):
     """True iff exactly one dominant monomial occurs, with coefficient 1.
@@ -820,17 +799,6 @@ def char_to_json(char):
                    "height": char.heights[m]}
                   for m, c in char.sorted_terms()],
     }
-
-
-def char_from_json(obj, cartan=None):
-    terms = {}
-    heights = {}
-    for t in obj["terms"]:
-        m = mono_parse(t["monomial"])
-        terms[m] = t["coeff"]
-        heights[m] = t["height"]
-    return QCharacter(cartan, mono_parse(obj["top"]), obj["depth"],
-                      terms, heights)
 
 
 def char_to_dot(char):

@@ -509,11 +509,6 @@ def _cyc_units(n):
     return u
 
 
-def cyclotomic_polynomial(n):
-    """Dense integer coefficient list of Phi_n, low degree first."""
-    return list(_cyc_table(n)[0])
-
-
 def _cyc_reduce(p, order):
     """The integer polynomial p reduced mod the monic Phi_order and padded
     to its degree; p is consumed, except that a list of exactly that

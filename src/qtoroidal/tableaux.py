@@ -35,12 +35,6 @@ class StabTableau:
     def excess(self):
         return sum(v - i for (i, _), v in self.deviations)
 
-    def entry(self, i, j):
-        for (ii, jj), v in self.deviations:
-            if (ii, jj) == (i, j):
-                return v
-        return i
-
     def __eq__(self, other):
         if not isinstance(other, StabTableau):
             return NotImplemented
@@ -56,7 +50,10 @@ class StabTableau:
 
 def enumerate_tableaux(k, max_excess):
     """All width-k tableaux with excess at most max_excess, each once,
-    the ground tableau first."""
+    the ground tableau first.
+
+    Paper: the tableaux indexing the tableau sum of a Kirillov-Reshetikhin
+    q-character over the type-A cycle (``tableau_char``)."""
     _check_shape(k, max_excess)
     results = []
 
@@ -139,7 +136,9 @@ def tableau_monomial(T, n, l, shift=0):
     Ground columns telescope to Y[0, l+2j-1]; each deviating box then
     multiplies by the ratio of its box symbol to the ground symbol at the
     same position.  The node rotation by ``shift`` is applied last.
-    """
+
+    Paper: the monomial of one tableau in the tableau sum of a
+    Kirillov-Reshetikhin q-character."""
     if n < 2:
         raise InputError("the cycle needs n >= 2")
     mod = n + 1
@@ -152,27 +151,6 @@ def tableau_monomial(T, n, l, shift=0):
             _bump(acc, key, e)
         for key, e in _box_factors(i, base, n):
             _bump(acc, key, -e)
-    m = YMonomial(acc)
-    if shift:
-        m = m.shift_nodes(shift, mod)
-    return m
-
-
-def tableau_monomial_truncated(T, n, l, M, shift=0):
-    """Explicit product of the box symbols over rows -M..0 only.
-
-    Used to certify the telescoping: once M exceeds the deviation depth
-    this equals tableau_monomial(T) times the dangling inverse factors
-    Y[(-M-1) mod (n+1), l+2j+M+1]^-1 per column j.
-    """
-    mod = n + 1
-    acc = {}
-    for j in range(1, T.width + 1):
-        for i in range(-M, 1):
-            v = T.entry(i, j)
-            base = l + 2 * (j - i)
-            for key, e in _box_factors(v, base, n):
-                _bump(acc, key, e)
     m = YMonomial(acc)
     if shift:
         m = m.shift_nodes(shift, mod)

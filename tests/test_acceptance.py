@@ -15,16 +15,17 @@ from qtoroidal.crystal import (kashiwara_apply, orbit_walk, phi_eps,
 from qtoroidal.cli import dispatch
 from qtoroidal.fusion import coproduct_relation_check, twisted_coassoc_check
 from qtoroidal.hecke import build_MA, invariant_subspaces
-from qtoroidal.modrep import (build_extremal_loop, build_root_of_unity,
-                              hecke_companion, l_character_offset,
+from qtoroidal.modrep import (HeckeCompanion, build_extremal_loop,
+                              build_root_of_unity, l_character_offset,
                               verify_relations)
 from qtoroidal.monomials import YMonomial, dominance_leq, mono_format, \
     mono_parse
-from qtoroidal.qchar import (char_from_json, char_to_json, fm_expand,
-                             kr_qchar, octahedron_verify, verify_tsystem)
+from qtoroidal.qchar import (char_to_json, fm_expand, kr_qchar,
+                             octahedron_verify, verify_tsystem)
 from qtoroidal.scalars import QRat, QScalar, q_binom
 from qtoroidal.tableaux import enumerate_tableaux, tableau_monomial, \
     tableau_qchar_compare
+from oracles import char_from_json
 
 A3TOR = cartan_preset("A3tor")
 AINF = infinite_a()
@@ -162,7 +163,7 @@ def test_criterion_07_hecke():
         ok = ok and rep["socle_lines"] == 1 and rep["proper_count"] == 1
         ok = ok and rep["composition"]["factor_dims"] == [1, 1]
     for L in (1, 2, 3):
-        ok = ok and hecke_companion(L).verify()["passed"]
+        ok = ok and HeckeCompanion(L).verify()["passed"]
     verdict(7, ok, "dimensions l!, reducibility exactly at ratio q^{+-2} "
                    "over 22 draws, both non-split chains, companion "
                    "relations and spectra")

@@ -8,7 +8,7 @@ import pytest
 
 from qtoroidal.cli import dispatch, emit
 from qtoroidal.monomials import mono_parse
-from qtoroidal.qchar import char_from_json
+from oracles import char_from_json
 
 
 def run(argv):

@@ -79,6 +79,17 @@ def test_window_clip_detected():
         coproduct_generator(("phim", 2, -3), M, M, (-1, 4))
 
 
+def test_window_below_the_image_claims_all_it_knows():
+    # the image of x+_{0,-1} starts at u^-1, so it is zero up to u^-4: the
+    # empty image is known from -4 down, and a product of two such images
+    # is known to -8
+    M = build_root_of_unity(1)
+    img = coproduct_generator(("xp", 0, -1), M, M, (-20, -4))
+    assert repr(img) == "Series[-4..-4]{}"
+    prod = fusion._series_product(img, img, 0)
+    assert (prod.lo, prod.hi, prod.coeffs) == (-8, -8, {})
+
+
 def test_loop_modules_rejected():
     L = build_extremal_loop((-1, 1))
     R = build_root_of_unity(1)

@@ -4,10 +4,9 @@ from hypothesis import strategies as st
 
 from qtoroidal.cartan import build_cartan, cartan_preset, infinite_a
 from qtoroidal.errors import ParseError
-from qtoroidal.monomials import (YMonomial, a_monomial, dominance_height,
-                                 dominance_leq, drinfeld_fraction,
-                                 from_drinfeld_fraction, mono_format,
-                                 mono_from_json, mono_parse, mono_to_json)
+from qtoroidal.monomials import (YMonomial, a_monomial, dominance_leq,
+                                 drinfeld_fraction, from_drinfeld_fraction,
+                                 mono_format, mono_parse)
 
 A3TOR = cartan_preset("A3tor")
 
@@ -45,7 +44,6 @@ monomials = st.builds(
 @given(monomials)
 def test_print_parse_round_trip(m):
     assert mono_parse(mono_format(m)) == m
-    assert mono_from_json(mono_to_json(m)) == m
 
 
 def test_a_monomial_a3tor():
@@ -104,7 +102,7 @@ def test_dominance_depth_cap():
     top = mono_parse("Y[0,0]")
     m = mono_parse("Y[3,3]^-1 Y[1,1] Y[2,2]")
     assert dominance_leq(A3TOR, m, top, 1) is None
-    assert dominance_height(A3TOR, m, top, 4) == 2
+    assert len(dominance_leq(A3TOR, m, top, 4)) == 2
 
 
 def test_dominance_weight_additivity():

@@ -2,7 +2,8 @@ import random
 
 from qtoroidal.cartan import b_np, cartan_preset
 from qtoroidal.monomials import a_monomial, dominance_leq, mono_parse
-from qtoroidal.qchar import fm_expand, kr_qchar, r_shift
+from qtoroidal.qchar import fm_expand, kr_qchar
+from oracles import r_shift
 
 A3TOR = cartan_preset("A3tor")
 

@@ -6,17 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtoroidal import qchar
-from qtoroidal.cartan import (build_cartan, cartan_preset, finite_type_a,
-                              infinite_a, quantized_cartan_condition)
+from qtoroidal.cartan import (build_cartan, cartan_preset, infinite_a,
+                              quantized_cartan_condition)
 from qtoroidal.errors import (AlgorithmFailure, DomainError, InputError,
                               WindowError)
 from qtoroidal.monomials import (YMonomial, a_monomial, mono_format,
                                  mono_parse)
-from qtoroidal.qchar import (QCharacter, _add_term_maps, char_from_json,
-                             char_product, char_to_dot, char_to_json,
-                             fm_expand, is_special, kr_qchar,
-                             octahedron_verify, r_shift, s_term,
+from qtoroidal.qchar import (QCharacter, _add_term_maps, char_product,
+                             char_to_dot, char_to_json, fm_expand,
+                             is_special, kr_qchar, octahedron_verify, s_term,
                              trivial_character, verify_tsystem)
+from oracles import char_from_json, finite_type_a, r_shift
 
 A3TOR = cartan_preset("A3tor")
 AINF = infinite_a()
@@ -379,6 +379,16 @@ def test_char_product_reads_no_factor_past_its_depth():
             assert char_product([ch], depth, offset) == want
 
 
+def test_trivial_character_takes_the_depth_it_is_read_to():
+    # the trivial character is exact at every depth, so it has no default
+    # depth that a product could read it past
+    kr = kr_qchar(A3TOR, 0, 1, 0, 3)
+    assert (char_product([trivial_character(A3TOR, 3), kr], 3)
+            == char_product([kr], 3))
+    with pytest.raises(TypeError):
+        trivial_character(A3TOR)
+
+
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_kr_char_rejects_an_unknown_node(k):
     with pytest.raises(InputError) as exc:
@@ -498,7 +508,7 @@ def test_r_shift_rejects_non_cyclic():
 def test_is_special():
     assert is_special(kr_qchar(A3TOR, 0, 1, 0, 4))
     assert is_special(kr_qchar(A3TOR, 0, 2, 0, 4))
-    assert is_special(trivial_character(A3TOR))
+    assert is_special(trivial_character(A3TOR, 4))
     fake_terms = {mono_parse("Y[0,0]"): 1, mono_parse("Y[1,1]"): 1}
     fake = QCharacter(A3TOR, mono_parse("Y[0,0]"), 1, fake_terms,
                       {mono_parse("Y[0,0]"): 0, mono_parse("Y[1,1]"): 1})

@@ -11,9 +11,8 @@ from qtoroidal.errors import (DomainError, ExactDivisionError, InputError,
 from qtoroidal.fusion import _series_product
 from qtoroidal.linalg import LinOp, add_into, op_matrix
 from qtoroidal.scalars import (CycScalar, QRat, QScalar, TruncSeries,
-                               _iexquo, cyclotomic_polynomial,
-                               cyclotomic_specialize, q_binom, q_factorial,
-                               q_int)
+                               _cyc_table, _iexquo, cyclotomic_specialize,
+                               q_binom, q_factorial, q_int)
 from series_oracles import series_log_coeffs
 
 
@@ -67,10 +66,10 @@ def test_laurent_inverse():
 
 
 def test_cyclotomic_poly_small():
-    assert cyclotomic_polynomial(1) == [Fraction(-1), Fraction(1)]
-    assert cyclotomic_polynomial(4) == [Fraction(1), Fraction(0), Fraction(1)]
-    assert cyclotomic_polynomial(6) == [Fraction(1), Fraction(-1),
-                                        Fraction(1)]
+    # the integer coefficients of Phi_n, low degree first
+    assert list(_cyc_table(1)[0]) == [-1, 1]
+    assert list(_cyc_table(4)[0]) == [1, 0, 1]
+    assert list(_cyc_table(6)[0]) == [1, -1, 1]
 
 
 def test_specialize_q_plus_qinv_at_4():
@@ -834,7 +833,7 @@ def assert_canonical_cyc(x):
     denominator coprime to their content: no float and no Fraction."""
     for c in (*x._n, x._d):
         assert type(c) is int, (x, c)
-    assert len(x._n) == len(cyclotomic_polynomial(x.order)) - 1
+    assert len(x._n) == len(_cyc_table(x.order)[0]) - 1
     assert x._d > 0 and gcd(x._d, *x._n) == 1, (x._n, x._d)
 
 
@@ -950,7 +949,7 @@ def test_specialize_matches_fraction_oracle(x, n):
 def test_cycscalar_division_matches_fraction_oracle_at_higher_orders(data,
                                                                       order):
     """The library builds orders past those drawn above, up to 28
-    (``hecke_companion(7)``, ``rou_irreducible`` at L = 4)."""
+    (``HeckeCompanion(7)``, ``rou_irreducible`` at L = 4)."""
     coeffs = st.lists(small_fractions, max_size=order)
     cs, ds = data.draw(coeffs), data.draw(coeffs)
     x, ox = CycScalar(order, cs), FractionCycScalar(order, cs)

@@ -7,11 +7,11 @@ from qtoroidal import tableaux
 
 from qtoroidal.cartan import cyclic_a
 from qtoroidal.errors import InputError
-from qtoroidal.monomials import dominance_leq, mono_format, mono_parse
+from qtoroidal.monomials import (YMonomial, dominance_leq, mono_format,
+                                 mono_parse)
 from qtoroidal.qchar import QCharacter
 from qtoroidal.tableaux import (StabTableau, enumerate_tableaux,
                                 tableau_char, tableau_monomial,
-                                tableau_monomial_truncated,
                                 tableau_qchar_compare)
 
 
@@ -137,6 +137,23 @@ def test_shift_rotates_nodes():
     assert tableau_monomial(T, 3, -1, shift=1) == mono_parse("Y[1,0]")
 
 
+def tableau_monomial_truncated(T, n, l, M):
+    """Explicit product of the box symbols of T over rows -M..0 only.
+
+    Used to certify the telescoping: once M exceeds the deviation depth
+    this equals tableau_monomial(T) times the dangling inverse factors
+    Y[(-M-1) mod (n+1), l+2j+M+1]^-1 per column j.
+    """
+    entries = dict(T.deviations)
+    m = YMonomial.one()
+    for j in range(1, T.width + 1):
+        for i in range(-M, 1):
+            v = entries.get((i, j), i)
+            for key, e in tableaux._box_factors(v, l + 2 * (j - i), n):
+                m = m * YMonomial.var(*key, e)
+    return m
+
+
 def test_telescoping_certificate():
     # explicit truncation at -M equals the telescoped monomial times the
     # dangling column tails, once M clears the deviation depth
@@ -147,7 +164,6 @@ def test_telescoping_certificate():
             explicit = tableau_monomial_truncated(T, n, 0, M)
             tails = mono_parse("1")
             for j in range(1, T.width + 1):
-                from qtoroidal.monomials import YMonomial
                 tails = tails * YMonomial.var((-M - 1) % (n + 1),
                                               2 * j + M, -1)
             assert explicit == tableau_monomial(T, n, 0) * tails
